@@ -4,7 +4,7 @@ recursively definable graph-state families."""
 from .algebra import (AlgebraError, ExactDivisionError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
                       SingularMatrixError, UniPolyZ, ZeroDenominatorError,
-                      determinant, divexact, poly_from_terms, ratfunc_equal,
+                      divexact, poly_from_terms, ratfunc_equal,
                       ratfunc_normalize, series_coefficients, solve_linear,
                       solve_linear_raw, uni_gcd, uni_reduce, uni_specialize)
 from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
@@ -20,9 +20,8 @@ from .family import (BUILTIN_FAMILIES, EMPTY_GRAPH, SINGLE_VERTEX, FamilyError,
                      FamilySpec, Graph, SLD, builtin, parse_family_spec,
                      realize, serialize_family_spec, sld_from_wep,
                      wep_from_sld)
-from .oracle import (DEFAULT_VERTEX_CAP, PauliString, VertexCapExceeded,
-                     sld_bruteforce_colouring, sld_bruteforce_stabilizer,
-                     stabilizer_element)
+from .oracle import (DEFAULT_VERTEX_CAP, VertexCapExceeded,
+                     sld_bruteforce_colouring, sld_bruteforce_stabilizer)
 from .transfer import (TransferSystem, VertexState, build_transfer_system,
                        colouring_weight, decode_states, encode_states,
                        evolution_matrix, family_gf, initial_state_column,
@@ -31,4 +30,33 @@ from .transfer import (TransferSystem, VertexState, build_transfer_system,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # algebra
+    "AlgebraError", "ExactDivisionError", "LaurentPoly3",
+    "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3",
+    "SingularMatrixError", "UniPolyZ", "ZeroDenominatorError", "divexact",
+    "poly_from_terms", "ratfunc_equal", "ratfunc_normalize",
+    "series_coefficients", "solve_linear", "solve_linear_raw", "uni_gcd",
+    "uni_reduce", "uni_specialize",
+    # analysis
+    "AnalysisError", "CEClosedFormReport", "ClusteredRootsError",
+    "CriterionResult", "DegenerateSingularityError", "NoThresholdError",
+    "SingularityReport", "ce_closed_form_check", "coefficient_asymptotic",
+    "concentratable_entanglement", "criterion_asymptotic_ratio",
+    "criterion_q", "criterion_sweep", "critical_lambda",
+    "critical_lambda_asymptotic", "critical_lambda_sweep",
+    "dominant_singularity", "fidelity_asymptotic", "fidelity_exact",
+    "fidelity_sweep", "to_rational",
+    # family
+    "BUILTIN_FAMILIES", "EMPTY_GRAPH", "SINGLE_VERTEX", "FamilyError",
+    "FamilySpec", "Graph", "SLD", "builtin", "parse_family_spec", "realize",
+    "serialize_family_spec", "sld_from_wep", "wep_from_sld",
+    # oracle
+    "DEFAULT_VERTEX_CAP", "VertexCapExceeded", "sld_bruteforce_colouring",
+    "sld_bruteforce_stabilizer",
+    # transfer
+    "TransferSystem", "VertexState", "build_transfer_system",
+    "colouring_weight", "decode_states", "encode_states", "evolution_matrix",
+    "family_gf", "initial_state_column", "iter_weps", "restriction_matrix",
+    "wep_by_iteration", "wep_values_by_iteration",
+]

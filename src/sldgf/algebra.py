@@ -20,7 +20,7 @@ Conventions baked in here and relied on everywhere else:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, int, int]
@@ -134,12 +134,6 @@ class LaurentPoly3:
         if not self.terms:
             return 0
         return max(k[2] for k in self.terms)
-
-    def total_degree_xy(self) -> int:
-        """Maximum of e_x + e_y over all terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(k[0] + k[1] for k in self.terms)
 
     def is_homogeneous_xy(self, degree: int | None = None) -> bool:
         """True if every term has the same e_x + e_y (and no z exponent)."""
@@ -449,22 +443,21 @@ def divexact(num: LaurentPoly3, den: LaurentPoly3) -> LaurentPoly3:
     return result.shift(offset)
 
 
-def _joint_integer_normalise(polys: Sequence[LaurentPoly3]) -> list[LaurentPoly3]:
-    """Scale a family of polynomials by one positive rational so that all
-    coefficients become integers with overall content 1."""
-    denom_lcm = 1
-    for p in polys:
-        for coeff in p.terms.values():
-            d = coeff.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    numer_gcd = 0
-    for p in polys:
-        for coeff in p.terms.values():
-            numer_gcd = gcd(numer_gcd, abs(coeff.numerator * (denom_lcm // coeff.denominator)))
-    if numer_gcd == 0:
-        return list(polys)
-    factor = Fraction(denom_lcm, numer_gcd)
-    return [p.scale(factor) for p in polys]
+def _normalise_pair(p, q, sign: Fraction | None = None):
+    """Scale p and q, both LaurentPoly3 or both UniPolyZ, by one rational so
+    that their coefficients become integers with joint content 1 and the
+    coefficient ``sign`` of q (by default the lowest nonzero coefficient of
+    a UniPolyZ) turns positive. The ratio p/q is unchanged."""
+    coeffs = [c for f in (p, q)
+              for c in (f.terms.values() if isinstance(f, LaurentPoly3) else f.coeffs)]
+    denom_lcm = lcm(*(c.denominator for c in coeffs))
+    numer_gcd = gcd(*(c.numerator * (denom_lcm // c.denominator) for c in coeffs))
+    factor = Fraction(denom_lcm, numer_gcd) if numer_gcd else Fraction(1)
+    if sign is None:
+        sign = next(c for c in q.coeffs if c != 0)
+    if sign < 0:
+        factor = -factor
+    return p.scale(factor), q.scale(factor)
 
 
 class RatFunc3:
@@ -524,17 +517,13 @@ def ratfunc_normalize(p: LaurentPoly3, q: LaurentPoly3) -> RatFunc3:
     shift = (-min(pm[0], qm[0]), -min(pm[1], qm[1]), -min(pm[2], qm[2]))
     p = p.shift(shift)
     q = q.shift(shift)
-    p, q = _joint_integer_normalise([p, q])
     q0 = q.z_slice(0)
     if q0.is_constant() and not q0.is_zero():
-        negative = q0.constant_value() < 0
+        sign = q0.constant_value()
     else:
         # Fallback sign convention: make the lex-leading coefficient of q positive.
-        negative = max(q.terms.items())[1] < 0
-    if negative:
-        p = -p
-        q = -q
-    return RatFunc3(p, q)
+        sign = max(q.terms.items())[1]
+    return RatFunc3(*_normalise_pair(p, q, sign))
 
 
 def ratfunc_equal(f: RatFunc3, g: RatFunc3) -> bool:
@@ -633,23 +622,21 @@ class PolyMatrix:
 
 
 def _fraction_free_jordan(aug: list[list[LaurentPoly3]],
-                          n: int) -> tuple[list[list[LaurentPoly3]], int]:
+                          n: int) -> list[list[LaurentPoly3]]:
     """Fraction-free Gauss-Jordan (Montante) elimination in place.
 
     ``aug`` has n rows and at least n columns; the first n columns are the
     square system. On return every diagonal entry equals the determinant up
-    to the returned sign, and column j >= n holds det * solution_j.
-    All intermediate divisions are exact.
+    to the sign of the row swaps, and column j >= n holds the row's
+    diagonal entry times solution_j. All intermediate divisions are exact.
     """
     width = len(aug[0])
-    sign = 1
     prev = LaurentPoly3.const(1)
     for k in range(n):
         if aug[k][k].is_zero():
             for r in range(k + 1, n):
                 if not aug[r][k].is_zero():
                     aug[k], aug[r] = aug[r], aug[k]
-                    sign = -sign
                     break
             else:
                 raise SingularMatrixError("zero determinant")
@@ -674,7 +661,7 @@ def _fraction_free_jordan(aug: list[list[LaurentPoly3]],
                     row[j] = divexact(pivot * row[j] - factor * pivot_row[j], prev)
                 row[k] = LaurentPoly3.zero()
         prev = pivot
-    return aug, sign
+    return aug
 
 
 def solve_linear_raw(m: PolyMatrix,
@@ -690,7 +677,7 @@ def solve_linear_raw(m: PolyMatrix,
     if len(b) != n:
         raise AlgebraError("right-hand side has wrong length")
     aug = [list(m.data[i]) + [b[i]] for i in range(n)]
-    aug, _sign = _fraction_free_jordan(aug, n)
+    aug = _fraction_free_jordan(aug, n)
     det = aug[n - 1][n - 1]
     nums = []
     for i in range(n):
@@ -707,21 +694,6 @@ def solve_linear(m: PolyMatrix, b: PolyMatrix) -> list[RatFunc3]:
     """Solve m @ u = b for a column matrix b, componentwise as RatFunc3."""
     nums, den = solve_linear_raw(m, b.column(0))
     return [ratfunc_normalize(num, den) for num in nums]
-
-
-def determinant(m: PolyMatrix) -> LaurentPoly3:
-    """Exact determinant by fraction-free elimination."""
-    if m.rows != m.cols:
-        raise AlgebraError("determinant needs a square matrix")
-    if m.rows == 0:
-        return LaurentPoly3.const(1)
-    aug = [list(row) for row in m.data]
-    try:
-        aug, sign = _fraction_free_jordan(aug, m.rows)
-    except SingularMatrixError:
-        return LaurentPoly3.zero()
-    det = aug[m.rows - 1][m.rows - 1]
-    return det if sign == 1 else -det
 
 
 # -- univariate polynomials in z ---------------------------------------------
@@ -805,21 +777,6 @@ class UniPolyZ:
             return self
         return self.scale(1 / self.coeffs[-1])
 
-    def normalized_integer(self) -> "UniPolyZ":
-        """Scale by a positive rational to integer coefficients, content 1,
-        with the lowest-degree nonzero coefficient positive."""
-        if self.is_zero():
-            return self
-        denom_lcm = 1
-        for c in self.coeffs:
-            denom_lcm = denom_lcm // gcd(denom_lcm, c.denominator) * c.denominator
-        numer_gcd = 0
-        for c in self.coeffs:
-            numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        scaled = self.scale(Fraction(denom_lcm, numer_gcd))
-        low = next(c for c in scaled.coeffs if c != 0)
-        return scaled if low > 0 else scaled.scale(Fraction(-1))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -848,40 +805,26 @@ def uni_gcd(a: UniPolyZ, b: UniPolyZ) -> UniPolyZ:
     return a.monic()
 
 
-def _joint_uni_normalise(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:
-    """Rescale p and q by one positive rational to integer coefficients with
-    joint content 1, then flip signs so q's lowest coefficient is positive.
-
-    The ratio p/q is unchanged.
-    """
-    denom_lcm = 1
-    for c in list(p.coeffs) + list(q.coeffs):
-        denom_lcm = denom_lcm // gcd(denom_lcm, c.denominator) * c.denominator
-    numer_gcd = 0
-    for c in list(p.coeffs) + list(q.coeffs):
-        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    if numer_gcd:
-        factor = Fraction(denom_lcm, numer_gcd)
-        p = p.scale(factor)
-        q = q.scale(factor)
-    low_q = next((c for c in q.coeffs if c != 0), Fraction(1))
-    if low_q < 0:
-        p = p.scale(Fraction(-1))
-        q = q.scale(Fraction(-1))
-    return p, q
-
-
 def uni_reduce(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:
     """Cancel the common univariate factor of p and q, preserving p/q."""
     if q.is_zero():
         raise ZeroDenominatorError("univariate pair with zero denominator")
-    if p.is_zero():
-        return UniPolyZ([]), q.normalized_integer()
-    g = uni_gcd(p, q)
-    if g.degree() > 0:
-        p = p.divmod(g)[0]
-        q = q.divmod(g)[0]
-    return _joint_uni_normalise(p, q)
+    if not p.is_zero():
+        g = uni_gcd(p, q)
+        if g.degree() > 0:
+            p = p.divmod(g)[0]
+            q = q.divmod(g)[0]
+    return _normalise_pair(p, q)
+
+
+def _univariate(poly: LaurentPoly3, x0: int | Fraction,
+                y0: int | Fraction) -> UniPolyZ:
+    """The polynomial in z left by substituting exact (x0, y0) into poly."""
+    spec = poly.substitute("x", x0).substitute("y", y0)
+    coeffs = [Fraction(0)] * (spec.max_degree_z() + 1)
+    for (_, _, ez), coeff in spec.terms.items():
+        coeffs[ez] += coeff
+    return UniPolyZ(coeffs)
 
 
 def uni_specialize(f: RatFunc3, x0: int | Fraction,
@@ -892,16 +835,8 @@ def uni_specialize(f: RatFunc3, x0: int | Fraction,
     jointly rescaled to integer coefficients with content 1 and a positive
     lowest denominator coefficient.
     """
-    def collect(poly: LaurentPoly3) -> UniPolyZ:
-        spec = poly.substitute("x", x0).substitute("y", y0)
-        deg = spec.max_degree_z()
-        coeffs = [Fraction(0)] * (deg + 1)
-        for (_, _, ez), coeff in spec.terms.items():
-            coeffs[ez] += coeff
-        return UniPolyZ(coeffs)
-
-    p = collect(f.num)
-    q = collect(f.den)
+    p = _univariate(f.num, x0, y0)
+    q = _univariate(f.den, x0, y0)
     if q.is_zero():
         raise ZeroDenominatorError("denominator vanishes at the given point")
-    return _joint_uni_normalise(p, q)
+    return _normalise_pair(p, q)

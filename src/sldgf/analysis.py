@@ -22,7 +22,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import UniPolyZ, uni_reduce, uni_specialize
+from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
 from .family import SLD, sld_from_wep
 from .transfer import (TransferSystem, family_gf, iter_weps, wep_by_iteration,
                        wep_values_by_iteration)
@@ -115,9 +115,6 @@ class SingularityReport:
     modulus_gap: float
     all_roots: list
 
-    def z_star_complex(self) -> complex:
-        return complex(self.z_star)
-
 
 def dominant_singularity(q: UniPolyZ) -> SingularityReport:
     """Locate the smallest-modulus root of q and judge its uniqueness.
@@ -175,8 +172,7 @@ def concentratable_entanglement(sys: TransferSystem,
     The complement is the exact evaluation of the member's weight enumerator
     at (3/4, 1/4); the entanglement itself is one minus that.
     """
-    wep = wep_by_iteration(sys, r)
-    cbar = wep.eval_xy(Fraction(3, 4), Fraction(1, 4))
+    cbar = wep_values_by_iteration(sys, Fraction(3, 4), Fraction(1, 4), r)[r]
     return cbar, 1 - cbar
 
 
@@ -407,28 +403,17 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam: Fraction) -> mp.mpf:
     dominant root of the reduced specialised denominator; the numerator
     factors cancel against the denominator at any genuine simple pole.
     """
-    gf = family_gf(sys)
     mu = lam * lam
     with mp.workdps(WORKING_DPS):
-        p, q = uni_specialize(gf, Fraction(1), mu)
-        pr, qr = uni_reduce(p, q)
-        report = dominant_singularity(qr)
+        _, q = _reduced_specialisation(sys, Fraction(1), mu)
+        report = dominant_singularity(q)
         if not report.unique or report.multiplicity != 1:
             raise DegenerateSingularityError(
                 report, f"degenerate dominant singularity at lam = {lam}")
         z = report.z_star
-
-        def univariate(poly3) -> UniPolyZ:
-            spec = poly3.substitute("x", Fraction(1)).substitute("y", mu)
-            coeffs = [Fraction(0)] * (spec.max_degree_z() + 1)
-            for (_, _, ez), c in spec.terms.items():
-                coeffs[ez] += c
-            return UniPolyZ(coeffs)
-
-        qx = univariate(gf.den.partial("x"))
-        qy = univariate(gf.den.partial("y"))
-        num = _eval_mp(qx, z)
-        den = _eval_mp(qy, z)
+        gf_den = family_gf(sys).den
+        num = _eval_mp(_univariate(gf_den.partial("x"), Fraction(1), mu), z)
+        den = _eval_mp(_univariate(gf_den.partial("y"), Fraction(1), mu), z)
         if abs(den) <= mp.mpf("1e-25") * max(1, abs(num)):
             raise DegenerateSingularityError(
                 report, f"criterion ratio is indeterminate at lam = {lam}")

@@ -4,7 +4,8 @@ Subcommands: families, gf, wep, sld, verify, ce, fidelity, critical-lambda,
 figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
-malformed custom spec).
+malformed custom spec), 3 analysis failures (for instance no asymptotic
+threshold, or a degenerate dominant singularity).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .algebra import LaurentPoly3, series_coefficients, uni_reduce, uni_specialize
-from .analysis import (NoThresholdError, critical_lambda,
+from .algebra import LaurentPoly3, series_coefficients
+from .analysis import (AnalysisError, NoThresholdError, _reduced_specialisation,
                        critical_lambda_asymptotic, critical_lambda_sweep,
                        concentratable_entanglement, dominant_singularity,
                        fidelity_asymptotic, fidelity_sweep, to_rational)
@@ -261,49 +262,24 @@ def _cmd_ce(args) -> int:
     return 0
 
 
-def _asymptotic_fields(sys_, lam: Fraction, r: int) -> dict:
-    approx = fidelity_asymptotic(sys_, lam, r)
-    gf = family_gf(sys_)
-    pz, qz = uni_reduce(*uni_specialize(gf, Fraction(1, 2), lam / 2))
-    report = dominant_singularity(qz)
-    return {"F_approx": float(approx),
-            "z_star": float(mp.re(report.z_star)),
-            "gap": float(report.modulus_gap)}
-
-
-def _fidelity_row(spec_key: str, lam_str: str, r: int,
-                  asymptotic: bool) -> dict:
-    sys_ = _cached_system(spec_key)
-    lam = to_rational(lam_str)
-    exact = fidelity_sweep(sys_, lam, r)[r]
-    row = {"family": sys_.spec.name, "r": r, "lambda": lam_str,
-           "F_exact": _rational_str(exact), "F_approx": None,
-           "z_star": None, "gap": None}
-    if asymptotic:
-        row.update(_asymptotic_fields(sys_, lam, r))
-    return row
-
-
 def _cmd_fidelity(args) -> int:
-    spec_key = _spec_key(args)
-    sys_ = _cached_system(spec_key)
+    sys_ = _cached_system(_spec_key(args))
     lam = to_rational(args.lam)
     r_values = _member_range(args)
-    if args.asymptotic and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_fidelity_row, [spec_key] * len(r_values),
-                                 [args.lam] * len(r_values), r_values,
-                                 [True] * len(r_values)))
-    else:
-        exact = fidelity_sweep(sys_, lam, max(r_values))
-        rows = []
-        for r in r_values:
-            row = {"family": sys_.spec.name, "r": r, "lambda": args.lam,
-                   "F_exact": _rational_str(exact[r]), "F_approx": None,
-                   "z_star": None, "gap": None}
-            if args.asymptotic:
-                row.update(_asymptotic_fields(sys_, lam, r))
-            rows.append(row)
+    exact = fidelity_sweep(sys_, lam, max(r_values))
+    if args.asymptotic:
+        _, q = _reduced_specialisation(sys_, Fraction(1, 2), lam / 2)
+        report = dominant_singularity(q)
+    rows = []
+    for r in r_values:
+        row = {"family": sys_.spec.name, "r": r, "lambda": args.lam,
+               "F_exact": _rational_str(exact[r]), "F_approx": None,
+               "z_star": None, "gap": None}
+        if args.asymptotic:
+            row.update({"F_approx": float(fidelity_asymptotic(sys_, lam, r)),
+                        "z_star": float(mp.re(report.z_star)),
+                        "gap": float(report.modulus_gap)})
+        rows.append(row)
     if args.format == "csv":
         header = ["family", "r", "lambda", "F_exact", "F_approx", "z_star",
                   "gap"]
@@ -318,33 +294,14 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
-def _critical_row(spec_key: str, r: int, tol: float) -> dict:
-    sys_ = _cached_system(spec_key)
-    return {"r": r, "value": critical_lambda(sys_, r, tol)}
-
-
-def _critical_entries(spec_key: str, r_values: list[int], tol: float,
-                      jobs: int) -> list[dict]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_critical_row, [spec_key] * len(r_values),
-                                 r_values, [tol] * len(r_values)))
-    sys_ = _cached_system(spec_key)
-    return [{"r": r, "value": value}
-            for r, value in critical_lambda_sweep(sys_, r_values, tol)]
-
-
 def _cmd_critical_lambda(args) -> int:
-    spec_key = _spec_key(args)
-    sys_ = _cached_system(spec_key)
-    r_values = _member_range(args, default_low=1)
-    entries = _critical_entries(spec_key, r_values, args.tol, args.jobs)
+    sys_ = _cached_system(_spec_key(args))
+    entries = [{"r": r, "value": value} for r, value in
+               critical_lambda_sweep(sys_, _member_range(args, default_low=1),
+                                     args.tol)]
     approx = None
     if args.asymptotic:
-        try:
-            approx = critical_lambda_asymptotic(sys_, args.tol)
-        except NoThresholdError:
-            approx = None
+        approx = critical_lambda_asymptotic(sys_, args.tol)
     result = {"family": sys_.spec.name, "lambda_c": entries,
               "lambda_c_approx": approx}
     if args.format == "csv":
@@ -381,18 +338,13 @@ def _cmd_figure(args) -> int:
         header = ["family", "r", "n", "lambda_c", "lambda_c_approx"]
         rows = []
         for name in FIG4_FAMILIES:
-            spec_key = "builtin:" + name
-            sys_ = _cached_system(spec_key)
+            sys_ = _cached_system("builtin:" + name)
             try:
                 approx_str = _sig17(critical_lambda_asymptotic(sys_))
             except NoThresholdError:
                 approx_str = ""
-            entries = _critical_entries(spec_key, list(range(1, r_max + 1)),
-                                        1e-10, args.jobs)
-            for entry in entries:
-                value = entry["value"]
-                rows.append([name, str(entry["r"]),
-                             str(sys_.spec.qubit_count(entry["r"])),
+            for r, value in critical_lambda_sweep(sys_, range(1, r_max + 1)):
+                rows.append([name, str(r), str(sys_.spec.qubit_count(r)),
                              "" if value is None else _sig17(value),
                              approx_str])
         text = _csv_text(header, rows)
@@ -473,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="noise parameter as a decimal string")
     sub.add_argument("--asymptotic", action="store_true",
                      help="include the dominant-singularity approximation")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(func=_cmd_fidelity)
 
@@ -485,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--asymptotic", action="store_true",
                      help="include the member-independent limit")
     sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(func=_cmd_critical_lambda)
 
@@ -493,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("which", choices=("fig3", "fig4"))
     sub.add_argument("--out", default=None, help="directory for the CSV file")
     sub.add_argument("--r-max", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(func=_cmd_figure)
 
     return parser
@@ -507,6 +456,9 @@ def main(argv=None) -> int:
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ fraction-free linear solve.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -195,48 +196,41 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
                           z_shift=spec.recursion_start, spec=spec)
 
 
+def _weps(sys: TransferSystem, r_max: int, point=None):
+    """Yield W_0 .. W_r_max by iterating the step matrix on sparse rows.
+
+    Without a point the members are exact polynomials; with point =
+    (x0, y0) every entry is first evaluated there, so the same recursion
+    runs over exact rationals and yields the values W_r(x0, y0).
+    """
+    if point is None:
+        zero, at = LaurentPoly3.zero(), (lambda e: e)
+    else:
+        x0, y0 = Fraction(point[0]), Fraction(point[1])
+        zero, at = Fraction(0), (lambda e: e.eval_xy(x0, y0))
+    for w in sys.prefix_weps[:r_max + 1]:
+        yield at(w)
+    if r_max < sys.z_shift:
+        return
+    rows = [[(k, at(e)) for k, e in enumerate(row) if not e.is_zero()]
+            for row in sys.t.data]
+    vec = [at(e) for e in sys.v.column(0)]
+    for r in range(sys.z_shift, r_max + 1):
+        if r > sys.z_shift:
+            vec = [sum((c * vec[k] for k, c in row), zero) for row in rows]
+        yield sum(vec, zero)
+
+
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
     """Exact weight enumerator of member r by iterating the step matrix."""
     if r < 0:
         raise ValueError("member index must be nonnegative")
-    if r < sys.z_shift:
-        return sys.prefix_weps[r]
-    vec = sys.v.column(0)
-    for _ in range(r - sys.z_shift):
-        vec = _apply(sys.t, vec)
-    total = LaurentPoly3.zero()
-    for entry in vec:
-        total = total + entry
-    return total
-
-
-def _apply(t: PolyMatrix, vec: list[LaurentPoly3]) -> list[LaurentPoly3]:
-    out = []
-    for i in range(t.rows):
-        acc = LaurentPoly3.zero()
-        row = t.data[i]
-        for k, entry in enumerate(row):
-            if entry.is_zero() or vec[k].is_zero():
-                continue
-            acc = acc + entry * vec[k]
-        out.append(acc)
-    return out
+    return deque(_weps(sys, r), maxlen=1).pop()
 
 
 def iter_weps(sys: TransferSystem, r_max: int):
     """Yield the exact weight enumerators of members 0..r_max in order."""
-    for r in range(min(sys.z_shift, r_max + 1)):
-        yield sys.prefix_weps[r]
-    if r_max < sys.z_shift:
-        return
-    vec = sys.v.column(0)
-    for r in range(sys.z_shift, r_max + 1):
-        if r > sys.z_shift:
-            vec = _apply(sys.t, vec)
-        total = LaurentPoly3.zero()
-        for entry in vec:
-            total = total + entry
-        yield total
+    yield from _weps(sys, r_max)
 
 
 def wep_values_by_iteration(sys: TransferSystem, x0, y0,
@@ -246,19 +240,7 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     Same recursion as wep_by_iteration with the step matrix evaluated at
     exact rational (x0, y0); much faster for long sweeps.
     """
-    x0, y0 = Fraction(x0), Fraction(y0)
-    values = [w.eval_xy(x0, y0) for w in sys.prefix_weps[:r_max + 1]]
-    if r_max < sys.z_shift:
-        return values
-    n = sys.dimension
-    t_num = [[e.eval_xy(x0, y0) for e in row] for row in sys.t.data]
-    vec = [e.eval_xy(x0, y0) for e in sys.v.column(0)]
-    values.append(sum(vec))
-    for _ in range(sys.z_shift + 1, r_max + 1):
-        vec = [sum(t_num[i][k] * vec[k] for k in range(n) if t_num[i][k])
-               for i in range(n)]
-        values.append(sum(vec))
-    return values
+    return list(_weps(sys, r_max, (x0, y0)))
 
 
 def family_gf(sys: TransferSystem) -> RatFunc3:

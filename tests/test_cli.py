@@ -1,16 +1,23 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import sldgf
 from sldgf import builtin, serialize_family_spec
+
+# the child process imports the package from where the tests found it
+SRC = str(Path(sldgf.__file__).resolve().parents[1])
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "sldgf", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_families_lists_builtins():
@@ -183,3 +190,21 @@ def test_verify_exits_one_on_mismatch(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_analysis_failure_exits_three(monkeypatch, capsys):
+    # a missing asymptotic threshold is reported, not printed as null
+    import sldgf.cli as cli
+    from sldgf import NoThresholdError
+
+    def no_threshold(sys_, tol=1e-10):
+        raise NoThresholdError("no sign change")
+
+    monkeypatch.setattr(cli, "critical_lambda_asymptotic", no_threshold)
+    cli._cached_system.cache_clear()
+    code = cli.main(["critical-lambda", "--family", "path", "--r-max", "3",
+                     "--asymptotic"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: no sign change\n"

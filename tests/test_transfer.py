@@ -218,10 +218,16 @@ class TestIteration:
             assert wep == wep_by_iteration(sys_, r)
 
     def test_specialised_iteration_matches_substitution(self, systems):
-        sys_ = systems["joint_squares"]
-        values = wep_values_by_iteration(sys_, F(3, 4), F(1, 4), 6)
-        for r in (0, 1, 4, 6):
-            assert values[r] == wep_by_iteration(sys_, r).eval_xy(F(3, 4), F(1, 4))
+        # every member, prefix ones below recursion_start included: the
+        # rational recursion agrees with the polynomial one evaluated there
+        for name in BUILTIN_FAMILIES:
+            sys_ = systems[name]
+            values = wep_values_by_iteration(sys_, F(3, 4), F(1, 4), 12)
+            assert len(values) == 13
+            for r, wep in enumerate(iter_weps(sys_, 12)):
+                assert values[r] == wep.eval_xy(F(3, 4), F(1, 4)), (name, r)
+                assert wep_values_by_iteration(sys_, F(3, 4), F(1, 4), r) \
+                    == values[:r + 1], (name, r)
 
 
 class TestGeneratingFunctions:
