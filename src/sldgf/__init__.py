@@ -1,12 +1,13 @@
 """Exact generating functions for sector-length distributions of
 recursively definable graph-state families."""
 
-from .algebra import (AlgebraError, ExactDivisionError, LaurentPoly3,
-                      NonConstantLeadingTermError, PolyMatrix, RatFunc3,
-                      SingularMatrixError, UniPolyZ, ZeroDenominatorError,
-                      divexact, poly_from_terms, ratfunc_equal,
-                      ratfunc_normalize, series_coefficients, solve_linear,
-                      solve_linear_raw, uni_gcd, uni_reduce, uni_specialize)
+from .algebra import (AlgebraError, CertificateError, ExactDivisionError,
+                      LaurentPoly3, NonConstantLeadingTermError, PolyMatrix,
+                      RatFunc3, SingularMatrixError, UniPolyZ,
+                      ZeroDenominatorError, divexact, poly_from_terms,
+                      ratfunc_equal, ratfunc_normalize, series_coefficients,
+                      solve_linear, solve_linear_raw, uni_gcd, uni_reduce,
+                      uni_specialize)
 from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
                        CriterionResult, DegenerateSingularityError,
                        NoThresholdError, SingularityReport,
@@ -23,7 +24,7 @@ from .family import (BUILTIN_FAMILIES, EMPTY_GRAPH, SINGLE_VERTEX, FamilyError,
 from .oracle import (DEFAULT_VERTEX_CAP, VertexCapExceeded,
                      sld_bruteforce_colouring, sld_bruteforce_stabilizer)
 from .transfer import (TransferSystem, VertexState, build_transfer_system,
-                       colouring_weight, decode_states, encode_states,
+                       certify_family_gf, colouring_weight, decode_states, encode_states,
                        evolution_matrix, family_gf, initial_state_column,
                        iter_weps, restriction_matrix, wep_by_iteration,
                        wep_values_by_iteration)
@@ -32,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # algebra
-    "AlgebraError", "ExactDivisionError", "LaurentPoly3",
+    "AlgebraError", "CertificateError", "ExactDivisionError", "LaurentPoly3",
     "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3",
     "SingularMatrixError", "UniPolyZ", "ZeroDenominatorError", "divexact",
     "poly_from_terms", "ratfunc_equal", "ratfunc_normalize",
@@ -56,7 +57,7 @@ __all__ = [
     "sld_bruteforce_stabilizer",
     # transfer
     "TransferSystem", "VertexState", "build_transfer_system",
-    "colouring_weight", "decode_states", "encode_states", "evolution_matrix",
+    "certify_family_gf", "colouring_weight", "decode_states", "encode_states", "evolution_matrix",
     "family_gf", "initial_state_column", "iter_weps", "restriction_matrix",
     "wep_by_iteration", "wep_values_by_iteration",
 ]

@@ -2,7 +2,9 @@
 
 Sparse trivariate Laurent polynomials in x, y, z over arbitrary-precision
 rationals, rational functions p/q, polynomial matrices with fraction-free
-(Bareiss/Montante) linear solving, and univariate polynomials in z.
+(Bareiss/Montante) linear solving (kept as a reference), univariate
+polynomials in z, and the univariate sequence tools (Berlekamp-Massey,
+Laurent interpolation) from which the family generating functions are built.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -14,7 +16,8 @@ Conventions baked in here and relied on everywhere else:
   every rendering (JSON, LaTeX, text) is byte-stable,
 * rational-function canonicalisation clears Laurent monomials and integer
   content and fixes a sign, but never attempts a multivariate gcd; equality
-  is decided by cross-multiplication.
+  is decided by cross-multiplication. Family generating functions need none:
+  they are built reduced, so their canonical pairs compare exactly.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class NonConstantLeadingTermError(AlgebraError):
 
 class ExactDivisionError(AlgebraError):
     """Polynomial division was requested where the quotient is not exact."""
+
+
+class CertificateError(AlgebraError):
+    """A closed form disagrees with the exact members it must reproduce."""
 
 
 def _as_fraction(value: int | Fraction | str) -> Fraction:
@@ -694,6 +701,54 @@ def solve_linear(m: PolyMatrix, b: PolyMatrix) -> list[RatFunc3]:
     """Solve m @ u = b for a column matrix b, componentwise as RatFunc3."""
     nums, den = solve_linear_raw(m, b.column(0))
     return [ratfunc_normalize(num, den) for num in nums]
+
+
+# -- univariate sequences and interpolation over the rationals ---------------
+
+
+def _berlekamp_massey(seq: Sequence[Fraction]) -> tuple[list[Fraction], int]:
+    """Shortest linear recurrence of a sequence (Massey 1969).
+
+    Returns (c, order) with c[0] = 1 and len(c) <= order + 1 such that
+    sum_i c[i] seq[n - i] = 0 for every order <= n < len(seq). The pair is
+    unique once len(seq) >= 2 * order.
+    """
+    c, prev = [Fraction(1)], [Fraction(1)]
+    order, gap, prev_disc = 0, 1, Fraction(1)
+    for n, s in enumerate(seq):
+        disc = s + sum(c[i] * seq[n - i] for i in range(1, len(c)))
+        if disc == 0:
+            gap += 1
+            continue
+        factor = disc / prev_disc
+        new = c + [Fraction(0)] * max(0, len(prev) + gap - len(c))
+        for i, b in enumerate(prev):
+            new[i + gap] -= factor * b
+        if 2 * order <= n:
+            prev, prev_disc, order, gap = c, disc, n + 1 - order, 1
+        else:
+            gap += 1
+        c = new
+    while c[-1] == 0:
+        c.pop()
+    return c, order
+
+
+def _interpolate_laurent(points: Sequence[Fraction], values: Sequence[Fraction],
+                         low: int, high: int) -> dict[int, Fraction]:
+    """Coefficients {e: c_e} of sum_{low <= e <= high} c_e t^e through the
+    first high - low + 1 of the (nonzero, distinct) points (Newton form)."""
+    n = high - low + 1
+    ts = list(points[:n])
+    dd = [v / t ** low for t, v in zip(ts, values)]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
+    poly = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        poly = [dd[i] - ts[i] * poly[0]] + [
+            a - ts[i] * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+    return {low + k: a for k, a in enumerate(poly) if a}
 
 
 # -- univariate polynomials in z ---------------------------------------------

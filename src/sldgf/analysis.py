@@ -7,10 +7,12 @@ finding and the residue/asymptotic evaluations, done in mpmath at a working
 precision well beyond double.
 
 Singularity analysis operates on the univariate specialisation of the
-family generating function after cancelling its common univariate factor:
-the cancelled factors are artifacts of the unreduced multivariate form, not
-singularities of the function, and removing them is what makes the dominant
-root genuinely dominant (and real-positive, as nonnegative series demand).
+family generating function after cancelling its common univariate factor.
+The family generating functions are reduced by construction, so a common
+factor appears only where numerator and denominator happen to share a root
+at the chosen point; it is not a singularity of the function, and removing
+it keeps the dominant root genuinely dominant (and real-positive, as
+nonnegative series demand).
 """
 
 from __future__ import annotations

@@ -25,13 +25,14 @@ import mpmath as mp
 from .algebra import LaurentPoly3, series_coefficients
 from .analysis import (AnalysisError, NoThresholdError, _reduced_specialisation,
                        critical_lambda_asymptotic, critical_lambda_sweep,
-                       concentratable_entanglement, dominant_singularity,
-                       fidelity_asymptotic, fidelity_sweep, to_rational)
+                       dominant_singularity, fidelity_asymptotic,
+                       fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
                      parse_family_spec, realize, serialize_family_spec,
                      sld_from_wep)
 from .oracle import sld_bruteforce_colouring, sld_bruteforce_stabilizer
-from .transfer import build_transfer_system, family_gf, wep_by_iteration
+from .transfer import (build_transfer_system, family_gf, wep_by_iteration,
+                       wep_values_by_iteration)
 
 FIG3_FAMILIES = ("path", "star", "cycle")
 FIG3_LAMBDA = "0.8"
@@ -248,11 +249,11 @@ def _member_range(args, default_low: int = 0) -> list[int]:
 
 def _cmd_ce(args) -> int:
     sys_ = _cached_system(_spec_key(args))
-    rows = []
-    for r in _member_range(args):
-        cbar, cval = concentratable_entanglement(sys_, r)
-        rows.append({"family": sys_.spec.name, "r": r,
-                     "c_bar": _rational_str(cbar), "c": _rational_str(cval)})
+    r_values = _member_range(args)
+    cbars = wep_values_by_iteration(sys_, Fraction(3, 4), Fraction(1, 4),
+                                    max(r_values))
+    rows = [{"family": sys_.spec.name, "r": r, "c_bar": _rational_str(cbars[r]),
+             "c": _rational_str(1 - cbars[r])} for r in r_values]
     if args.format == "csv":
         _emit(_csv_text(["family", "r", "c_bar", "c"],
                         [[row["family"], str(row["r"]), row["c_bar"],

@@ -11,9 +11,12 @@ extends to a full replacement-graph state, fresh vertices start at external
 parity zero) and a restriction matrix (drop everything outside the next
 boundary, folding dropped black neighbours into the parities). The weight
 enumerator of member r is the component sum of the step matrix iterated on
-the base graph's state vector; the family generating function is the prefix
-plus the geometric series of the step matrix, resolved by an exact
-fraction-free linear solve.
+the base graph's state vector. The family generating function is derived
+from the minimal linear recurrence of the members: Berlekamp-Massey on exact
+specialised iterates gives the reduced denominator at sample points, which
+is interpolated back to a trivariate polynomial. The result is reduced by
+construction and certified against the exact members (Cayley-Hamilton bounds
+how many must agree) before it is returned.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (LaurentPoly3, PolyMatrix, RatFunc3, ratfunc_normalize,
-                      solve_linear_raw)
+from .algebra import (CertificateError, LaurentPoly3,
+                      NonConstantLeadingTermError, PolyMatrix, RatFunc3,
+                      _berlekamp_massey, _interpolate_laurent,
+                      ratfunc_normalize, series_coefficients)
 from .family import FamilySpec, Graph
 
 WHITE_EVEN, WHITE_ODD, BLACK_EVEN, BLACK_ODD = range(4)
@@ -243,27 +248,83 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     return list(_weps(sys, r_max, (x0, y0)))
 
 
+def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
+    """Reduced denominator of sum_k W_(start+k) z^k and its recurrence order.
+
+    From the recursion start on, W_r is homogeneous of degree n0 + s (r -
+    start) with s the qubit step, so the series is x^n0 G(y/x, x^s z). At
+    points t the values W_r(1, t) obey the minimal recurrence whose
+    connection polynomial is the reduced denominator Q(t, u) of G, normalised
+    to Q(t, 0) = 1; Berlekamp-Massey finds it from 2 dim values. Points where
+    the order drops below the largest seen are skipped. Q divides
+    det(I - u T(1, t)), whose u^k coefficient has t-exponents between k e_lo
+    and k e_hi (the extreme y-exponents of T), so each coefficient of Q is
+    interpolated as a Laurent polynomial over that range and re-homogenised.
+    """
+    n, start, step = sys.dimension, sys.z_shift, sys.spec.qubit_step
+    ey = [e[1] for row in sys.t.data for entry in row for e in entry.terms]
+    lo, hi = min(ey), max(ey)
+    order, samples, t = 0, [], Fraction(1)
+    while not samples or len(samples) <= order * (hi - lo):
+        t += 1
+        seq = wep_values_by_iteration(sys, 1, t, start + 2 * n - 1)[start:]
+        c, length = _berlekamp_massey(seq)
+        if length > order:
+            order, samples = length, []
+        if length == order:
+            samples.append((t, c + [Fraction(0)] * (order + 1 - len(c))))
+    points = [t for t, _ in samples]
+    terms = {}
+    for k in range(order + 1):
+        q_k = _interpolate_laurent(points, [c[k] for _, c in samples],
+                                   k * lo, k * hi)
+        for e, coeff in q_k.items():
+            terms[(step * k - e, e, k)] = coeff
+    return LaurentPoly3(terms), order
+
+
+def certify_family_gf(sys: TransferSystem, gf: RatFunc3) -> None:
+    """Prove that gf is the family's generating function, or raise.
+
+    The members from the recursion start on satisfy the Cayley-Hamilton
+    recurrence of order dim T, so gf minus the true function has a numerator
+    of z-degree at most M = max(deg_z p + dim, deg_z q + start + dim - 1);
+    agreement of the series on z^0 .. z^M therefore proves the identity.
+    Raises CertificateError on the first member that disagrees, or when gf
+    has no power series because q(x, y, 0) is not a nonzero constant.
+    """
+    n = sys.dimension
+    bound = max(gf.num.max_degree_z() + n,
+                gf.den.max_degree_z() + sys.z_shift + n - 1)
+    try:
+        series = series_coefficients(gf, bound)
+    except NonConstantLeadingTermError as exc:
+        raise CertificateError(f"{sys.spec.name}: {exc}") from exc
+    for r, wep in enumerate(iter_weps(sys, bound)):
+        if series[r] != wep:
+            raise CertificateError(
+                f"{sys.spec.name}: closed form disagrees with member {r}")
+
+
 def family_gf(sys: TransferSystem) -> RatFunc3:
     """Closed-form generating function of the family's weight enumerators.
 
-    Prefix members contribute explicit powers of z; from the recursion start
-    on, the geometric series of the step matrix is resolved exactly through
-    a fraction-free solve of (I - z T) u = v, and the generating function is
-    prefix + z^start * (component sum of u), canonicalised.
+    The denominator is the reduced one of the minimal recurrence the members
+    obey (see _minimal_denominator); the numerator is that denominator times
+    the first start + order members, truncated below z^(start + order). The
+    pair is therefore reduced by construction, canonicalised, and certified
+    against the exact members by certify_family_gf before it is returned.
     """
     if sys._gf is not None:
         return sys._gf
-    n = sys.dimension
-    z = LaurentPoly3.var("z")
-    m = PolyMatrix.identity(n) - sys.t.scale(z)
-    nums, den = solve_linear_raw(m, sys.v.column(0))
-    series_num = LaurentPoly3.zero()
-    for num in nums:
-        series_num = series_num + num
-    prefix = LaurentPoly3.zero()
-    for r, w in enumerate(sys.prefix_weps):
-        prefix = prefix + w.shift((0, 0, r))
-    total_num = prefix * den + series_num.shift((0, 0, sys.z_shift))
-    gf = ratfunc_normalize(total_num, den)
+    den, order = _minimal_denominator(sys)
+    cut = sys.z_shift + order
+    head = LaurentPoly3.zero()
+    for r, wep in enumerate(iter_weps(sys, cut - 1)):
+        head = head + wep.shift((0, 0, r))
+    num = LaurentPoly3({e: c for e, c in (den * head).terms.items()
+                        if e[2] < cut})
+    gf = ratfunc_normalize(num, den)
+    certify_family_gf(sys, gf)
     sys._gf = gf
     return gf

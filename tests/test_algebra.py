@@ -11,6 +11,7 @@ from sldgf import (LaurentPoly3, NonConstantLeadingTermError, PolyMatrix,
                    divexact, poly_from_terms, ratfunc_equal, ratfunc_normalize,
                    series_coefficients, solve_linear, solve_linear_raw,
                    uni_gcd, uni_reduce, uni_specialize)
+from sldgf.algebra import _berlekamp_massey, _interpolate_laurent
 
 from golden_forms import GOLDEN_GF
 
@@ -198,6 +199,26 @@ class TestSolveLinear:
                     acc = acc + m.data[i][j] * nums[j]
                 assert acc == b[i] * den
         assert solved >= 8
+
+
+class TestRecurrenceTools:
+    def test_berlekamp_massey_finds_fibonacci(self):
+        seq = [F(1), F(1)]
+        while len(seq) < 10:
+            seq.append(seq[-1] + seq[-2])
+        assert _berlekamp_massey(seq) == ([1, -1, -1], 2)
+
+    def test_order_exceeds_degree_when_numerator_is_long(self):
+        # 1/(1 - 2u) + u^3 = (1 + u^3 - 2u^4)/(1 - 2u): the recurrence is
+        # c = 1 - 2u, but it only holds from n = 5 on
+        seq = [F(2) ** k + (k == 3) for k in range(10)]
+        assert _berlekamp_massey(seq) == ([1, -2], 5)
+
+    def test_laurent_interpolation_round_trip(self):
+        target = {-2: F(3), 0: F(-1), 3: F(1, 2)}
+        points = [F(k, 3) for k in range(1, 7)]
+        values = [sum(c * t ** e for e, c in target.items()) for t in points]
+        assert _interpolate_laurent(points, values, -2, 3) == target
 
 
 class TestSeriesCoefficients:

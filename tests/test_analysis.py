@@ -233,6 +233,16 @@ class TestCriterion:
         assert values == sorted(values)
         assert values[-1] < 1.0
 
+    @pytest.mark.parametrize("name, partner", [
+        ("cycle", "path"), ("complete_bipartite_2", "pusteblume")])
+    def test_shared_denominator_gives_shared_threshold(self, systems, name,
+                                                       partner):
+        # each pair shares its published denominator, so the asymptotic
+        # thresholds coincide; both need the reduced generating function
+        approx = critical_lambda_asymptotic(systems[name])
+        assert approx == pytest.approx(
+            critical_lambda_asymptotic(systems[partner]), abs=1e-8)
+
     def test_criterion_sweep_collects_members(self, systems):
         from sldgf import criterion_sweep
         result = criterion_sweep(systems["path"], [1, 2, 3],

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import sldgf
@@ -104,6 +105,22 @@ def test_ce_csv():
     lines = cp.stdout.strip().splitlines()
     assert lines[0] == "family,r,c_bar,c"
     assert lines[-1] == "star,5,17/32,15/32"
+
+
+def test_ce_sweep_rows_equal_per_member_values(capsys):
+    # the rows come from one specialised sweep; each must equal the value of
+    # its member evaluated on its own
+    import sldgf.cli as cli
+    from sldgf import build_transfer_system, concentratable_entanglement
+
+    cli._cached_system.cache_clear()
+    assert cli.main(["ce", "--family", "grid_2", "--r-max", "12"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["r"] for row in rows] == list(range(13))
+    sys_ = build_transfer_system(builtin("grid_2"))
+    for row in rows:
+        assert (Fraction(row["c_bar"]), Fraction(row["c"])) == \
+            concentratable_entanglement(sys_, row["r"])
 
 
 def test_fidelity_report_schema():

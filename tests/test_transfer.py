@@ -4,15 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from sldgf import (BUILTIN_FAMILIES, Graph, LaurentPoly3, PolyMatrix,
-                   colouring_weight, decode_states, encode_states,
-                   evolution_matrix, family_gf, iter_weps, poly_from_terms,
-                   ratfunc_equal, ratfunc_normalize, restriction_matrix,
-                   series_coefficients, solve_linear_raw, wep_by_iteration,
-                   wep_values_by_iteration)
+from sldgf import (BUILTIN_FAMILIES, CertificateError, Graph, LaurentPoly3,
+                   PolyMatrix, RatFunc3, build_transfer_system,
+                   certify_family_gf, colouring_weight, decode_states,
+                   encode_states, evolution_matrix, family_gf, iter_weps,
+                   parse_family_spec, poly_from_terms, ratfunc_equal,
+                   ratfunc_normalize, restriction_matrix, series_coefficients,
+                   solve_linear_raw, wep_by_iteration, wep_values_by_iteration)
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from golden_forms import GOLDEN_GF
+from test_custom_family import CATERPILLAR
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
@@ -26,6 +28,21 @@ VERTEX = Graph.from_edges(1, [])
 
 def mono(ex, ey, c=1):
     return LaurentPoly3.monomial(ex, ey, 0, c)
+
+
+def fraction_free_gf(sys_):
+    """Reference generating function: prefix plus z^start times the component
+    sum of the fraction-free solution of (I - zT) u = v."""
+    m = PolyMatrix.identity(sys_.dimension) - sys_.t.scale(Z)
+    nums, den = solve_linear_raw(m, sys_.v.column(0))
+    total = ZERO
+    for num in nums:
+        total = total + num
+    prefix = ZERO
+    for r, w in enumerate(sys_.prefix_weps):
+        prefix = prefix + w.shift((0, 0, r))
+    return ratfunc_normalize(prefix * den + total.shift((0, 0, sys_.z_shift)),
+                             den)
 
 
 class TestStateIndexing:
@@ -233,7 +250,10 @@ class TestIteration:
 class TestGeneratingFunctions:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GF))
     def test_golden_forms(self, systems, name):
-        assert ratfunc_equal(family_gf(systems[name]), GOLDEN_GF[name])
+        gf = family_gf(systems[name])
+        assert ratfunc_equal(gf, GOLDEN_GF[name])
+        # reduced by construction: the canonical pair is the published one
+        assert gf == GOLDEN_GF[name]
 
     def test_path_pair_is_exactly_the_closed_form(self, systems):
         gf = family_gf(systems["path"])
@@ -265,6 +285,27 @@ class TestGeneratingFunctions:
     def test_cycle_gf_equals_golden_by_cross_multiplication(self, systems):
         gf = family_gf(systems["cycle"])
         assert ratfunc_equal(gf, GOLDEN_GF["cycle"])
-        # the assembled pair is larger than the golden one (no multivariate
-        # gcd is attempted), equality holds only across the cross product
-        assert gf.den.num_terms() >= GOLDEN_GF["cycle"].den.num_terms()
+        assert (gf.num, gf.den) == (GOLDEN_GF["cycle"].num,
+                                    GOLDEN_GF["cycle"].den)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GF))
+    def test_certificate_rejects_a_perturbed_numerator(self, systems, name):
+        gf = family_gf(systems[name])
+        certify_family_gf(systems[name], gf)
+        exp, _ = gf.num.sorted_terms()[-1]
+        bumped = RatFunc3(gf.num + LaurentPoly3({exp: 1}), gf.den)
+        with pytest.raises(CertificateError):
+            certify_family_gf(systems[name], bumped)
+        # a denominator without a constant z^0 slice has no power series
+        with pytest.raises(CertificateError):
+            certify_family_gf(systems[name], RatFunc3(gf.num, gf.den * X))
+
+    @pytest.mark.parametrize("name", ["path", "star", "pusteblume",
+                                      "joint_squares", "caterpillar"])
+    def test_matches_fraction_free_reference(self, systems, name):
+        # the 1-vertex-boundary families are small enough for the reference
+        # solve of (I - zT) u = v; the caterpillar has Laurent step entries
+        # and a negative qubit offset
+        sys_ = (build_transfer_system(parse_family_spec(CATERPILLAR))
+                if name == "caterpillar" else systems[name])
+        assert ratfunc_equal(family_gf(sys_), fraction_free_gf(sys_))
