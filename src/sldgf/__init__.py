@@ -1,13 +1,11 @@
 """Exact generating functions for sector-length distributions of
 recursively definable graph-state families."""
 
-from .algebra import (AlgebraError, CertificateError, ExactDivisionError,
-                      LaurentPoly3, NonConstantLeadingTermError, PolyMatrix,
-                      RatFunc3, SingularMatrixError, UniPolyZ,
-                      ZeroDenominatorError, divexact, poly_from_terms,
+from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
+                      NonConstantLeadingTermError, PolyMatrix, RatFunc3,
+                      UniPolyZ, ZeroDenominatorError, poly_from_terms,
                       ratfunc_equal, ratfunc_normalize, series_coefficients,
-                      solve_linear, solve_linear_raw, uni_gcd, uni_reduce,
-                      uni_specialize)
+                      uni_gcd, uni_reduce, uni_specialize)
 from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
                        CriterionResult, DegenerateSingularityError,
                        NoThresholdError, SingularityReport,
@@ -23,22 +21,20 @@ from .family import (BUILTIN_FAMILIES, EMPTY_GRAPH, SINGLE_VERTEX, FamilyError,
                      wep_from_sld)
 from .oracle import (DEFAULT_VERTEX_CAP, VertexCapExceeded,
                      sld_bruteforce_colouring, sld_bruteforce_stabilizer)
-from .transfer import (TransferSystem, VertexState, build_transfer_system,
-                       certify_family_gf, colouring_weight, decode_states, encode_states,
-                       evolution_matrix, family_gf, initial_state_column,
-                       iter_weps, restriction_matrix, wep_by_iteration,
+from .transfer import (TransferSystem, build_transfer_system,
+                       certify_family_gf, colouring_weight, decode_states,
+                       encode_states, family_gf, iter_weps, wep_by_iteration,
                        wep_values_by_iteration)
 
 __version__ = "0.1.0"
 
 __all__ = [
     # algebra
-    "AlgebraError", "CertificateError", "ExactDivisionError", "LaurentPoly3",
-    "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3",
-    "SingularMatrixError", "UniPolyZ", "ZeroDenominatorError", "divexact",
-    "poly_from_terms", "ratfunc_equal", "ratfunc_normalize",
-    "series_coefficients", "solve_linear", "solve_linear_raw", "uni_gcd",
-    "uni_reduce", "uni_specialize",
+    "AlgebraError", "CertificateError", "LaurentPoly3",
+    "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3", "UniPolyZ",
+    "ZeroDenominatorError", "poly_from_terms", "ratfunc_equal",
+    "ratfunc_normalize", "series_coefficients", "uni_gcd", "uni_reduce",
+    "uni_specialize",
     # analysis
     "AnalysisError", "CEClosedFormReport", "ClusteredRootsError",
     "CriterionResult", "DegenerateSingularityError", "NoThresholdError",
@@ -56,8 +52,7 @@ __all__ = [
     "DEFAULT_VERTEX_CAP", "VertexCapExceeded", "sld_bruteforce_colouring",
     "sld_bruteforce_stabilizer",
     # transfer
-    "TransferSystem", "VertexState", "build_transfer_system",
-    "certify_family_gf", "colouring_weight", "decode_states", "encode_states", "evolution_matrix",
-    "family_gf", "initial_state_column", "iter_weps", "restriction_matrix",
-    "wep_by_iteration", "wep_values_by_iteration",
+    "TransferSystem", "build_transfer_system", "certify_family_gf",
+    "colouring_weight", "decode_states", "encode_states", "family_gf",
+    "iter_weps", "wep_by_iteration", "wep_values_by_iteration",
 ]

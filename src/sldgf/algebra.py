@@ -1,10 +1,12 @@
 """Exact arithmetic kernel.
 
 Sparse trivariate Laurent polynomials in x, y, z over arbitrary-precision
-rationals, rational functions p/q, polynomial matrices with fraction-free
-(Bareiss/Montante) linear solving (kept as a reference), univariate
-polynomials in z, and the univariate sequence tools (Berlekamp-Massey,
-Laurent interpolation) from which the family generating functions are built.
+rationals, rational functions p/q, the dense polynomial-matrix container
+that holds transfer matrices, univariate polynomials in z, and the
+univariate sequence tools (Berlekamp-Massey, Laurent interpolation) from
+which the family generating functions are built. No linear solve lives
+here: the fraction-free (Bareiss/Montante) solve that once derived the
+generating functions is a test-only reference in tests/fraction_free.py.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -39,16 +41,8 @@ class ZeroDenominatorError(AlgebraError):
     """A rational function was built with a zero denominator."""
 
 
-class SingularMatrixError(AlgebraError):
-    """Fraction-free elimination hit a matrix with zero determinant."""
-
-
 class NonConstantLeadingTermError(AlgebraError):
     """Series extraction needs q(x, y, 0) to be a nonzero constant."""
-
-
-class ExactDivisionError(AlgebraError):
-    """Polynomial division was requested where the quotient is not exact."""
 
 
 class CertificateError(AlgebraError):
@@ -418,38 +412,6 @@ def poly_from_terms(terms: Iterable[tuple[int, int, int, int | Fraction]]) -> La
     return LaurentPoly3(acc)
 
 
-def divexact(num: LaurentPoly3, den: LaurentPoly3) -> LaurentPoly3:
-    """Exact division in the Laurent polynomial ring.
-
-    Raises ExactDivisionError if den does not divide num exactly; this is a
-    hard internal error when triggered from fraction-free elimination.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return LaurentPoly3()
-    # Shift both operands so all exponents are nonnegative; minimal exponents
-    # are additive under multiplication, so the quotient picks up the offset.
-    na = num.min_exponents()
-    nb = den.min_exponents()
-    a = num.shift((-na[0], -na[1], -na[2]))
-    b = den.shift((-nb[0], -nb[1], -nb[2]))
-    lead_b, lc_b = max(b.terms.items())
-    quotient: dict[Exponent, Fraction] = {}
-    rem = a
-    while rem.terms:
-        lead_r, lc_r = max(rem.terms.items())
-        e = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2])
-        if e[0] < 0 or e[1] < 0 or e[2] < 0:
-            raise ExactDivisionError("inexact polynomial division")
-        c = lc_r / lc_b
-        quotient[e] = c
-        rem = rem - b.shift(e).scale(c)
-    result = LaurentPoly3(quotient)
-    offset = (na[0] - nb[0], na[1] - nb[1], na[2] - nb[2])
-    return result.shift(offset)
-
-
 def _normalise_pair(p, q, sign: Fraction | None = None):
     """Scale p and q, both LaurentPoly3 or both UniPolyZ, by one rational so
     that their coefficients become integers with joint content 1 and the
@@ -578,13 +540,6 @@ class PolyMatrix:
         return PolyMatrix([[LaurentPoly3.zero() for _ in range(cols)]
                            for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        m = PolyMatrix.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = LaurentPoly3.const(1)
-        return m
-
     def __getitem__(self, key: tuple[int, int]) -> LaurentPoly3:
         return self.data[key[0]][key[1]]
 
@@ -593,114 +548,8 @@ class PolyMatrix:
             return NotImplemented
         return self.data == other.data
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise AlgebraError("matrix shape mismatch")
-        out = PolyMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                other_row = other.data[k]
-                for j in range(other.cols):
-                    b = other_row[j]
-                    if b.is_zero():
-                        continue
-                    out.data[i][j] = out.data[i][j] + a * b
-        return out
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AlgebraError("matrix shape mismatch")
-        return PolyMatrix([[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.data, other.data)])
-
-    def scale(self, factor: LaurentPoly3) -> "PolyMatrix":
-        return PolyMatrix([[entry * factor for entry in row] for row in self.data])
-
     def column(self, j: int = 0) -> list[LaurentPoly3]:
         return [row[j] for row in self.data]
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [e.to_json() for row in self.data for e in row]}
-
-
-def _fraction_free_jordan(aug: list[list[LaurentPoly3]],
-                          n: int) -> list[list[LaurentPoly3]]:
-    """Fraction-free Gauss-Jordan (Montante) elimination in place.
-
-    ``aug`` has n rows and at least n columns; the first n columns are the
-    square system. On return every diagonal entry equals the determinant up
-    to the sign of the row swaps, and column j >= n holds the row's
-    diagonal entry times solution_j. All intermediate divisions are exact.
-    """
-    width = len(aug[0])
-    prev = LaurentPoly3.const(1)
-    for k in range(n):
-        if aug[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not aug[r][k].is_zero():
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise SingularMatrixError("zero determinant")
-        pivot = aug[k][k]
-        pivot_row = aug[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = aug[i]
-            factor = row[k]
-            if factor.is_zero():
-                for j in range(width):
-                    if j == k:
-                        continue
-                    entry = row[j]
-                    if not entry.is_zero():
-                        row[j] = divexact(pivot * entry, prev)
-            else:
-                for j in range(width):
-                    if j == k:
-                        continue
-                    row[j] = divexact(pivot * row[j] - factor * pivot_row[j], prev)
-                row[k] = LaurentPoly3.zero()
-        prev = pivot
-    return aug
-
-
-def solve_linear_raw(m: PolyMatrix,
-                     b: Sequence[LaurentPoly3]) -> tuple[list[LaurentPoly3], LaurentPoly3]:
-    """Solve m @ u = b exactly; returns (numerators, common denominator).
-
-    The solution is u_i = numerators[i] / denominator with denominator equal
-    to det(m) up to sign. Raises SingularMatrixError when det(m) == 0.
-    """
-    if m.rows != m.cols:
-        raise AlgebraError("solve_linear needs a square matrix")
-    n = m.rows
-    if len(b) != n:
-        raise AlgebraError("right-hand side has wrong length")
-    aug = [list(m.data[i]) + [b[i]] for i in range(n)]
-    aug = _fraction_free_jordan(aug, n)
-    det = aug[n - 1][n - 1]
-    nums = []
-    for i in range(n):
-        num = aug[i][n]
-        if aug[i][i] != det:
-            # Diagonal entries can only differ by the bookkeeping sign of row
-            # swaps; rescale so every numerator is relative to one denominator.
-            num = divexact(num * det, aug[i][i])
-        nums.append(num)
-    return nums, det
-
-
-def solve_linear(m: PolyMatrix, b: PolyMatrix) -> list[RatFunc3]:
-    """Solve m @ u = b for a column matrix b, componentwise as RatFunc3."""
-    nums, den = solve_linear_raw(m, b.column(0))
-    return [ratfunc_normalize(num, den) for num in nums]
 
 
 # -- univariate sequences and interpolation over the rationals ---------------

@@ -4,8 +4,8 @@ Subcommands: families, gf, wep, sld, verify, ce, fidelity, critical-lambda,
 figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
-malformed custom spec), 3 analysis failures (for instance no asymptotic
-threshold, or a degenerate dominant singularity).
+malformed custom spec, negative member index), 3 analysis failures (for
+instance no asymptotic threshold, or a degenerate dominant singularity).
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_wep(args) -> int:
-    wep = wep_by_iteration(_cached_system(_spec_key(args)), args.r)
+    wep = wep_by_iteration(_cached_system(_spec_key(args)),
+                           _member_range(args)[0])
     if args.format == "latex":
         _emit(wep.latex())
     elif args.format == "text":
@@ -144,7 +145,7 @@ def _cmd_wep(args) -> int:
 
 def _cmd_sld(args) -> int:
     sld = sld_from_wep(wep_by_iteration(_cached_system(_spec_key(args)),
-                                        args.r))
+                                        _member_range(args)[0]))
     if args.format == "csv":
         rows = [[str(k), str(a)] for k, a in enumerate(sld)]
         _emit(_csv_text(["k", "a_k"], rows))
@@ -239,11 +240,20 @@ def _fmt_sld(sld) -> str:
     return "[" + " ".join(str(a) for a in sld) + "]"
 
 
+def _member_index(flag: str, value: int) -> int:
+    if value < 0:
+        raise FamilyError(f"{flag} must be a nonnegative member index, "
+                          f"got {value}")
+    return value
+
+
 def _member_range(args, default_low: int = 0) -> list[int]:
+    """The member given by -r, or the sweep default_low..--r-max."""
     if args.r is not None:
-        return [args.r]
+        return [_member_index("-r", args.r)]
     if args.r_max is not None:
-        return list(range(default_low, args.r_max + 1))
+        return list(range(default_low,
+                          _member_index("--r-max", args.r_max) + 1))
     raise FamilyError("specify a member with -r or a sweep with --r-max")
 
 

@@ -6,17 +6,20 @@ into the removed part of the graph. States are indexed 2*colour + parity
 (white-even 0, white-odd 1, black-even 2, black-odd 3); a k-vertex boundary
 is indexed base 4 with position 0 most significant.
 
-One cut-and-glue step is the product of an evolution matrix (boundary state
-extends to a full replacement-graph state, fresh vertices start at external
-parity zero) and a restriction matrix (drop everything outside the next
-boundary, folding dropped black neighbours into the parities). The weight
-enumerator of member r is the component sum of the step matrix iterated on
-the base graph's state vector. The family generating function is derived
-from the minimal linear recurrence of the members: Berlekamp-Massey on exact
-specialised iterates gives the reduced denominator at sample points, which
-is interpolated back to a trivariate polynomial. The result is reduced by
-construction and certified against the exact members (Cayley-Hamilton bounds
-how many must agree) before it is returned.
+One cut-and-glue step maps each boundary state and each colouring of the
+fresh replacement vertices (external parity zero) onto the next boundary:
+everything outside it is dropped, and dropped black neighbours fold into
+the parities. The step matrix is built from that map in one pass, with
+2^fresh entries per column, never enumerating the full replacement-graph
+state space. The weight enumerator of member r is the component sum of the
+step matrix iterated on the base graph's state vector. The family
+generating function is derived from the minimal linear recurrence of the
+members: Berlekamp-Massey on exact specialised iterates gives the reduced
+denominator at sample points, which is interpolated back to a trivariate
+polynomial. The result is reduced by construction and certified against the
+exact members (Cayley-Hamilton bounds how many must agree) before it is
+returned. The fraction-free solve of (I - zT) u = v that this replaced is
+kept as a test-only reference in tests/fraction_free.py.
 """
 
 from __future__ import annotations
@@ -33,22 +36,6 @@ from .algebra import (CertificateError, LaurentPoly3,
 from .family import FamilySpec, Graph
 
 WHITE_EVEN, WHITE_ODD, BLACK_EVEN, BLACK_ODD = range(4)
-
-
-@dataclass(frozen=True)
-class VertexState:
-    """Colour (0 white, 1 black) and external parity (0 even, 1 odd)."""
-
-    colour: int
-    parity: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.colour + self.parity
-
-    @staticmethod
-    def from_index(index: int) -> "VertexState":
-        return VertexState(index >> 1, index & 1)
 
 
 def decode_states(index: int, size: int) -> list[tuple[int, int]]:
@@ -92,84 +79,19 @@ def colouring_weight(g: Graph, colours: Sequence[int],
     return weight
 
 
-def evolution_matrix(h: Graph, j: Graph, phi: Sequence[int]) -> PolyMatrix:
-    """Evolution from boundary subgraph h into replacement graph j.
+def _restriction(g: Graph, retained: Sequence[int]):
+    """Map a full state of g, one (colour, parity) pair per vertex, onto the
+    composite index of the ordered vertex list ``retained``: a retained
+    vertex keeps its colour and adds the black count of its dropped
+    neighbours to its parity."""
+    kept = set(retained)
+    dropped = [[u for u in g.neighbours(v) if u not in kept] for v in retained]
 
-    phi[v] is the j-vertex that inherits h-vertex v. The (j-state, h-state)
-    entry is the monomial x^d y^(|j|-|h|-d) with d the admissible-count
-    difference, for every j-state that agrees with the h-state on phi's
-    image and gives all fresh vertices external parity zero; other entries
-    are zero.
-    """
-    if len(phi) != h.vertex_count:
-        raise ValueError("phi must map every boundary vertex")
-    if len(set(phi)) != len(phi):
-        raise ValueError("phi must be injective")
-    image = set(phi)
-    fresh = [v for v in range(j.vertex_count) if v not in image]
-    growth = j.vertex_count - h.vertex_count
-    out = PolyMatrix.zeros(4 ** j.vertex_count, 4 ** h.vertex_count)
-    for state_h in range(4 ** h.vertex_count):
-        pairs = decode_states(state_h, h.vertex_count)
-        w_h = colouring_weight(h, [c for c, _ in pairs], [p for _, p in pairs])
-        for fill in range(1 << len(fresh)):
-            j_states: list[tuple[int, int]] = [(0, 0)] * j.vertex_count
-            for hv, (c, p) in enumerate(pairs):
-                j_states[phi[hv]] = (c, p)
-            for t, v in enumerate(fresh):
-                j_states[v] = ((fill >> t) & 1, 0)
-            w_j = colouring_weight(j, [c for c, _ in j_states],
-                                   [p for _, p in j_states])
-            delta = w_j - w_h
-            state_j = encode_states(j_states)
-            out.data[state_j][state_h] = LaurentPoly3.monomial(
-                delta, growth - delta, 0)
-    return out
-
-
-def restriction_matrix(j: Graph, retained: Sequence[int]) -> PolyMatrix:
-    """Restriction of graph j to the ordered vertex list ``retained``.
-
-    0/1 matrix: a retained vertex keeps its colour and adds the black count
-    of its dropped neighbours to its parity.
-    """
-    if len(set(retained)) != len(retained):
-        raise ValueError("retained vertices must be distinct")
-    if any(not 0 <= v < j.vertex_count for v in retained):
-        raise ValueError("retained vertex outside the graph")
-    retained_set = set(retained)
-    dropped_neighbours = {v: [u for u in j.neighbours(v) if u not in retained_set]
-                          for v in retained}
-    one = LaurentPoly3.const(1)
-    out = PolyMatrix.zeros(4 ** len(retained), 4 ** j.vertex_count)
-    for state_j in range(4 ** j.vertex_count):
-        pairs = decode_states(state_j, j.vertex_count)
-        new_states = []
-        for v in retained:
-            c, p = pairs[v]
-            p = (p + sum(pairs[u][0] for u in dropped_neighbours[v])) % 2
-            new_states.append((c, p))
-        out.data[encode_states(new_states)][state_j] = one
-    return out
-
-
-def initial_state_column(g: Graph, boundary: Sequence[int]) -> PolyMatrix:
-    """State vector of a fully built graph g, restricted to the boundary.
-
-    Enumerates all colourings of g (with nothing outside the graph, every
-    external parity is zero), weights each by x^(admissible) y^(rest), and
-    folds the result through the restriction onto the boundary.
-    """
-    n = g.vertex_count
-    column = PolyMatrix.zeros(4 ** n, 1)
-    zeros = [0] * n
-    for mask in range(1 << n):
-        colours = [(mask >> v) & 1 for v in range(n)]
-        w = colouring_weight(g, colours, zeros)
-        state = encode_states([(c, 0) for c in colours])
-        column.data[state][0] = column.data[state][0] + LaurentPoly3.monomial(
-            w, n - w, 0)
-    return restriction_matrix(g, boundary) @ column
+    def restrict(pairs: Sequence[tuple[int, int]]) -> int:
+        return encode_states(
+            [(pairs[v][0], (pairs[v][1] + sum(pairs[u][0] for u in d)) % 2)
+             for v, d in zip(retained, dropped)])
+    return restrict
 
 
 @dataclass
@@ -189,14 +111,47 @@ class TransferSystem:
 
 
 def build_transfer_system(spec: FamilySpec) -> TransferSystem:
-    """Assemble the transfer system of a validated family description."""
+    """Assemble the transfer system of a validated family description.
+
+    Column s of the step matrix T extends boundary state s into the
+    replacement graph: the glued vertices inherit the boundary pairs, and
+    each fill of the fresh vertices (external parity zero) adds the monomial
+    x^d y^(growth - d), d the admissible-count difference, at the row of its
+    restriction onto the next boundary. The initial vector v weights every
+    colouring of the base graph by x^(admissible) y^(rest) at the row of
+    its restriction onto the boundary.
+    """
     spec.validate()
-    h = spec.base_graph.induced(spec.boundary)
-    phi = [spec.glue_map[v] for v in spec.boundary]
-    next_boundary = [spec.next_boundary_map[v] for v in spec.boundary]
-    t = restriction_matrix(spec.replacement, next_boundary) @ \
-        evolution_matrix(h, spec.replacement, phi)
-    v = initial_state_column(spec.base_graph, spec.boundary)
+    g, j, k = spec.base_graph, spec.replacement, len(spec.boundary)
+    h = g.induced(spec.boundary)
+    phi = [spec.glue_map[b] for b in spec.boundary]
+    image = set(phi)
+    fresh = [u for u in range(j.vertex_count) if u not in image]
+    growth = len(fresh)
+    to_next = _restriction(j, [spec.next_boundary_map[b] for b in spec.boundary])
+    t = PolyMatrix.zeros(4 ** k, 4 ** k)
+    for state in range(4 ** k):
+        pairs = decode_states(state, k)
+        w_h = colouring_weight(h, [c for c, _ in pairs], [p for _, p in pairs])
+        full = [(0, 0)] * j.vertex_count
+        for u, pair in zip(phi, pairs):
+            full[u] = pair
+        for fill in range(1 << growth):
+            for i, u in enumerate(fresh):
+                full[u] = ((fill >> i) & 1, 0)
+            d = colouring_weight(j, [c for c, _ in full],
+                                 [p for _, p in full]) - w_h
+            row = to_next(full)
+            t.data[row][state] = t.data[row][state] + LaurentPoly3.monomial(
+                d, growth - d, 0)
+    n = g.vertex_count
+    to_boundary = _restriction(g, spec.boundary)
+    v = PolyMatrix.zeros(4 ** k, 1)
+    for mask in range(1 << n):
+        colours = [(mask >> u) & 1 for u in range(n)]
+        w = colouring_weight(g, colours, [0] * n)
+        row = to_boundary([(c, 0) for c in colours])
+        v.data[row][0] = v.data[row][0] + LaurentPoly3.monomial(w, n - w, 0)
     return TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
                           z_shift=spec.recursion_start, spec=spec)
 

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import sldgf
 from sldgf import builtin, serialize_family_spec
 
@@ -76,6 +78,21 @@ def test_verify_parallel_matches_serial():
 def test_unknown_family_exits_two():
     cp = run_cli("sld", "--family", "moebius", "-r", "3")
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("ce", "--family", "path", "-r", "-1"),
+    ("fidelity", "--family", "path", "-r", "-1", "--lambda", "0.5"),
+    ("ce", "--family", "path", "--r-max", "-1"),
+    ("wep", "--family", "path", "-r", "-1"),
+    ("sld", "--family", "path", "-r", "-1"),
+], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r"])
+def test_negative_member_index_exits_two(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
 
 
 def test_unknown_subcommand_exits_two():

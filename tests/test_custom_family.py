@@ -1,10 +1,12 @@
-"""End-to-end pipeline on a family that is not in the catalog.
+"""End-to-end pipeline on families that are not in the catalog.
 
 The caterpillar family replaces its growth vertex by a three-vertex star
 whose centre inherits the old edges and one of whose leaves grows next;
-member sizes follow n(r) = 2r - 1. Nothing here is pinned to the catalog:
-agreement of series extraction, iteration, and both oracles on a family
-the code has never seen is the whole point.
+member sizes follow n(r) = 2r - 1. The 3-wide ladder extrudes its last
+3-vertex rung by a fresh one, so its boundary has three vertices and 64
+states. Nothing here is pinned to the catalog: agreement of series
+extraction, iteration, and both oracles on a family the code has never seen
+is the whole point.
 """
 
 import json
@@ -28,6 +30,20 @@ CATERPILLAR = {
                      "terms": [{"e": [0, 0, 0], "c": "1"}]}],
     "recursion_start": 1,
     "qubit_count": {"offset": -1, "step": 2},
+}
+
+LADDER_3 = {
+    "name": "ladder_3",
+    "base_graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+    "boundary": [0, 1, 2],
+    "replacement": {"n": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5],
+                                      [0, 3], [1, 4], [2, 5]]},
+    "glue_map": {"0": 0, "1": 1, "2": 2},
+    "next_boundary_map": {"0": 3, "1": 4, "2": 5},
+    "prefix_weps": [{"vars": ["x", "y", "z"],
+                     "terms": [{"e": [0, 0, 0], "c": "1"}]}],
+    "recursion_start": 1,
+    "qubit_count": {"offset": 0, "step": 3},
 }
 
 
@@ -68,3 +84,26 @@ def test_caterpillar_entanglement_values_are_exact():
     sld = sld_from_wep(wep)
     expected = sum(a * lam ** k for k, a in enumerate(sld)) / 2 ** sld.n
     assert fidelity_exact(sys_, lam, 3) == expected
+
+
+def test_three_vertex_boundary_ladder():
+    # family_gf is left out: the recurrence has order 16 and deriving it
+    # takes over a minute, while T and the members up to 12 qubits take
+    # milliseconds
+    spec = parse_family_spec(json.dumps(LADDER_3))
+    sys_ = build_transfer_system(spec)
+    assert (sys_.t.rows, sys_.t.cols) == (64, 64)
+    assert sum(not e.is_zero() for row in sys_.t.data for e in row) == 512
+    for col in range(64):
+        assert sum(row[col].eval_xy(1, 1) for row in sys_.t.data) == 2 ** 3
+
+    for r, wep in enumerate(iter_weps(sys_, 4)):
+        if r < 1:
+            continue
+        graph = realize(spec, r)
+        assert graph.vertex_count == spec.qubit_count(r) == 3 * r
+        colouring = sld_bruteforce_colouring(graph)
+        assert colouring == sld_bruteforce_stabilizer(graph)
+        assert sld_from_wep(wep) == colouring
+        assert colouring.sectors == brute_sectors(graph.vertex_count,
+                                                  graph.sorted_edges())

@@ -1,18 +1,20 @@
 """Transfer matrices, initial vectors, iteration, and generating functions."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from sldgf import (BUILTIN_FAMILIES, CertificateError, Graph, LaurentPoly3,
-                   PolyMatrix, RatFunc3, build_transfer_system,
-                   certify_family_gf, colouring_weight, decode_states,
-                   encode_states, evolution_matrix, family_gf, iter_weps,
+from sldgf import (BUILTIN_FAMILIES, CertificateError, FamilyError, Graph,
+                   LaurentPoly3, PolyMatrix, RatFunc3, build_transfer_system,
+                   builtin, certify_family_gf, colouring_weight,
+                   decode_states, encode_states, family_gf, iter_weps,
                    parse_family_spec, poly_from_terms, ratfunc_equal,
-                   ratfunc_normalize, restriction_matrix, series_coefficients,
-                   solve_linear_raw, wep_by_iteration, wep_values_by_iteration)
+                   ratfunc_normalize, series_coefficients, wep_by_iteration,
+                   wep_values_by_iteration)
 
 from conftest import brute_sectors, wep_terms_from_sectors
+from fraction_free import resolvent_matrix, solve_linear_raw
 from golden_forms import GOLDEN_GF
 from test_custom_family import CATERPILLAR
 
@@ -33,8 +35,7 @@ def mono(ex, ey, c=1):
 def fraction_free_gf(sys_):
     """Reference generating function: prefix plus z^start times the component
     sum of the fraction-free solution of (I - zT) u = v."""
-    m = PolyMatrix.identity(sys_.dimension) - sys_.t.scale(Z)
-    nums, den = solve_linear_raw(m, sys_.v.column(0))
+    nums, den = solve_linear_raw(resolvent_matrix(sys_.t), sys_.v.column(0))
     total = ZERO
     for num in nums:
         total = total + num
@@ -46,13 +47,6 @@ def fraction_free_gf(sys_):
 
 
 class TestStateIndexing:
-    def test_vertex_state_round_trip(self):
-        from sldgf import VertexState
-        for index in range(4):
-            state = VertexState.from_index(index)
-            assert state.index == index
-        assert VertexState(1, 0).index == 2  # black-even
-
     def test_composite_index_is_base_four_msb_first(self):
         states = [(1, 1), (0, 0), (1, 0)]  # bo, we, be
         index = encode_states(states)
@@ -81,10 +75,6 @@ class TestColouringWeight:
 
 
 class TestStepMatrices:
-    def test_evolution_identity(self):
-        e = evolution_matrix(VERTEX, VERTEX, [0])
-        assert e == PolyMatrix.identity(4)
-
     def test_path_step_matrix_display(self, systems):
         t = systems["path"].t
         expected = [
@@ -104,20 +94,6 @@ class TestStepMatrices:
             [ZERO, ZERO, mono(0, 1), mono(0, 1)],
         ]
         assert t.data == expected
-
-    def test_restriction_identity(self):
-        r = restriction_matrix(VERTEX, [0])
-        assert r == PolyMatrix.identity(4)
-
-    def test_restriction_folds_dropped_black_neighbour(self):
-        # two-vertex chain (v, w); dropping a black-even v flips w's parity
-        edge = Graph.from_edges(2, [(0, 1)])
-        r = restriction_matrix(edge, [1])
-        state_in = encode_states([(1, 0), (0, 0)])   # v black-even, w white-even
-        state_out = encode_states([(0, 1)])          # w white-odd
-        assert r.data[state_out][state_in] == ONE
-        column = [i for i in range(16) if not r.data[state_out][i].is_zero()]
-        assert state_in in column
 
     def test_step_entries_are_homogeneous_of_fixed_degree(self, systems):
         # entries collect one monomial per extension branch; branches can
@@ -175,25 +151,16 @@ class TestStepMatrices:
         assert systems["grid_2"].dimension == 16
         assert systems["joint_squares"].dimension == 4
 
-    def test_evolution_rejects_non_injective_map(self):
-        two = Graph(2, frozenset())
-        with pytest.raises(ValueError, match="injective"):
-            evolution_matrix(two, PATH3, [1, 1])
-
-    def test_restriction_rejects_bad_vertex_lists(self):
-        with pytest.raises(ValueError):
-            restriction_matrix(PATH3, [0, 0])
-        with pytest.raises(ValueError):
-            restriction_matrix(PATH3, [5])
-
-    def test_matrix_json_is_row_major(self, systems):
-        t = systems["path"].t
-        blob = t.to_json()
-        assert blob["rows"] == blob["cols"] == 4
-        assert len(blob["entries"]) == 16
-        # row 2, column 0 holds the x^-1 y^2 entry
-        entry = blob["entries"][2 * 4 + 0]
-        assert entry["terms"] == [{"e": [-1, 2, 0], "c": "1"}]
+    @pytest.mark.parametrize("field, bad, message", [
+        ("next_boundary_map", {0: 2, 1: 2}, "injective"),
+        ("glue_map", {0: 0, 1: 4}, "outside the replacement"),
+    ], ids=["non-injective-next-boundary", "glue-outside-replacement"])
+    def test_build_rejects_bad_vertex_maps(self, field, bad, message):
+        # built directly, not parsed, so the validate() call inside
+        # build_transfer_system is the only check on the bad map
+        spec = dataclasses.replace(builtin("grid_2"), **{field: bad})
+        with pytest.raises(FamilyError, match=message):
+            build_transfer_system(spec)
 
 
 class TestIteration:
@@ -267,8 +234,8 @@ class TestGeneratingFunctions:
         for name in ("path", "star"):
             sys_ = systems[name]
             v1 = PolyMatrix([[X], [ZERO], [Y], [ZERO]])
-            m = PolyMatrix.identity(4) - sys_.t.scale(Z)
-            nums, den = solve_linear_raw(m, v1.column(0))
+            nums, den = solve_linear_raw(resolvent_matrix(sys_.t),
+                                         v1.column(0))
             total = ZERO
             for num in nums:
                 total = total + num
