@@ -7,20 +7,20 @@ from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       ratfunc_equal, ratfunc_normalize, series_coefficients,
                       uni_gcd, uni_reduce, uni_specialize)
 from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
-                       CriterionResult, DegenerateSingularityError,
+                       DegenerateSingularityError, LeadingTerm,
                        NoThresholdError, SingularityReport,
                        ce_closed_form_check, coefficient_asymptotic,
                        concentratable_entanglement, criterion_asymptotic_ratio,
-                       criterion_q, criterion_sweep, critical_lambda,
+                       criterion_q, critical_lambda,
                        critical_lambda_asymptotic, critical_lambda_sweep,
                        dominant_singularity, fidelity_asymptotic,
-                       fidelity_exact, fidelity_sweep, to_rational)
-from .family import (BUILTIN_FAMILIES, EMPTY_GRAPH, SINGLE_VERTEX, FamilyError,
-                     FamilySpec, Graph, SLD, builtin, parse_family_spec,
-                     realize, serialize_family_spec, sld_from_wep,
-                     wep_from_sld)
-from .oracle import (DEFAULT_VERTEX_CAP, VertexCapExceeded,
-                     sld_bruteforce_colouring, sld_bruteforce_stabilizer)
+                       fidelity_exact, fidelity_leading_term, fidelity_sweep,
+                       to_rational)
+from .family import (BUILTIN_FAMILIES, FamilyError, FamilySpec, Graph, SLD,
+                     builtin, parse_family_spec, realize,
+                     serialize_family_spec, sld_from_wep, wep_from_sld)
+from .oracle import (VertexCapExceeded, sld_bruteforce_colouring,
+                     sld_bruteforce_stabilizer)
 from .transfer import (TransferSystem, build_transfer_system,
                        certify_family_gf, colouring_weight, decode_states,
                        encode_states, family_gf, iter_weps, wep_by_iteration,
@@ -37,19 +37,19 @@ __all__ = [
     "uni_specialize",
     # analysis
     "AnalysisError", "CEClosedFormReport", "ClusteredRootsError",
-    "CriterionResult", "DegenerateSingularityError", "NoThresholdError",
+    "DegenerateSingularityError", "LeadingTerm", "NoThresholdError",
     "SingularityReport", "ce_closed_form_check", "coefficient_asymptotic",
     "concentratable_entanglement", "criterion_asymptotic_ratio",
-    "criterion_q", "criterion_sweep", "critical_lambda",
-    "critical_lambda_asymptotic", "critical_lambda_sweep",
-    "dominant_singularity", "fidelity_asymptotic", "fidelity_exact",
-    "fidelity_sweep", "to_rational",
+    "criterion_q", "critical_lambda", "critical_lambda_asymptotic",
+    "critical_lambda_sweep", "dominant_singularity", "fidelity_asymptotic",
+    "fidelity_exact", "fidelity_leading_term", "fidelity_sweep",
+    "to_rational",
     # family
-    "BUILTIN_FAMILIES", "EMPTY_GRAPH", "SINGLE_VERTEX", "FamilyError",
-    "FamilySpec", "Graph", "SLD", "builtin", "parse_family_spec", "realize",
-    "serialize_family_spec", "sld_from_wep", "wep_from_sld",
+    "BUILTIN_FAMILIES", "FamilyError", "FamilySpec", "Graph", "SLD",
+    "builtin", "parse_family_spec", "realize", "serialize_family_spec",
+    "sld_from_wep", "wep_from_sld",
     # oracle
-    "DEFAULT_VERTEX_CAP", "VertexCapExceeded", "sld_bruteforce_colouring",
+    "VertexCapExceeded", "sld_bruteforce_colouring",
     "sld_bruteforce_stabilizer",
     # transfer
     "TransferSystem", "build_transfer_system", "certify_family_gf",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, int, int]
 
@@ -625,16 +625,6 @@ class UniPolyZ:
         if not isinstance(other, UniPolyZ):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
-
-    def __call__(self, z0: int | Fraction) -> Fraction:
-        z0 = _as_fraction(z0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z0 + c
-        return acc
 
     def derivative(self) -> "UniPolyZ":
         return UniPolyZ([c * k for k, c in enumerate(self.coeffs)][1:])

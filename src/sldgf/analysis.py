@@ -13,6 +13,10 @@ factor appears only where numerator and denominator happen to share a root
 at the chosen point; it is not a singularity of the function, and removing
 it keeps the dominant root genuinely dominant (and real-positive, as
 nonnegative series demand).
+
+Every asymptotic goes through one pole kernel: `_simple_pole` (the dominant
+root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
+`_leading_term` joins into a `LeadingTerm`.
 """
 
 from __future__ import annotations
@@ -164,6 +168,43 @@ def _reduced_specialisation(sys: TransferSystem, x0: Fraction,
     return uni_reduce(p, q)
 
 
+def _simple_pole(q: UniPolyZ) -> SingularityReport:
+    """Dominant root of q, which must be unique and simple."""
+    report = dominant_singularity(q)
+    if not report.unique or report.multiplicity != 1:
+        raise DegenerateSingularityError(
+            report, "dominant singularity is not unique and simple")
+    return report
+
+
+def _residue(p: UniPolyZ, dq: UniPolyZ, z) -> mp.mpc:
+    """Residue -p(z)/q'(z) of p/q at a simple root z of q."""
+    return -_eval_mp(p, z) / _eval_mp(dq, z)
+
+
+@dataclass
+class LeadingTerm:
+    """Simple dominant pole of p/q and its residue: the coefficient of z^r
+    is residue * z*^(-r-1) plus terms smaller by (1/modulus_gap)^r."""
+
+    report: SingularityReport
+    residue: mp.mpc
+
+    def coefficient(self, r: int) -> mp.mpf:
+        with mp.workdps(WORKING_DPS):
+            return mp.re(self.residue * self.report.z_star ** (-r - 1))
+
+
+def _leading_term(p: UniPolyZ, q: UniPolyZ) -> LeadingTerm:
+    report = _simple_pole(q)
+    with mp.workdps(WORKING_DPS):
+        z = report.z_star
+        if abs(_eval_mp(p, z)) <= mp.mpf("1e-25") * max(1, abs(z)):
+            raise DegenerateSingularityError(
+                report, "numerator vanishes at the dominant singularity")
+        return LeadingTerm(report, _residue(p, q.derivative(), z))
+
+
 # -- concentratable entanglement ---------------------------------------------
 
 
@@ -208,7 +249,7 @@ def ce_closed_form_check(sys: TransferSystem, r_max: int,
                     raise ClusteredRootsError(
                         "denominator roots cluster; residue form is ambiguous")
         dq = q.derivative()
-        residues = [-_eval_mp(rem, z) / _eval_mp(dq, z) for z in roots]
+        residues = [_residue(rem, dq, z) for z in roots]
         exact = wep_values_by_iteration(sys, Fraction(3, 4), Fraction(1, 4),
                                         r_max)
         max_err = 0.0
@@ -230,47 +271,41 @@ def ce_closed_form_check(sys: TransferSystem, r_max: int,
 # -- fidelity under uniform depolarizing noise --------------------------------
 
 
-def fidelity_exact(sys: TransferSystem, lam, r: int) -> Fraction:
-    """Exact fidelity of member r under depolarizing noise strength lam:
-    the member's weight enumerator evaluated at (1/2, lam/2)."""
+def _noise_parameter(lam) -> Fraction:
     lam = to_rational(lam)
     if not 0 <= lam <= 1:
         raise AnalysisError("noise parameter must lie in [0, 1]")
-    return wep_values_by_iteration(sys, Fraction(1, 2), lam / 2, r)[r]
+    return lam
+
+
+def fidelity_exact(sys: TransferSystem, lam, r: int) -> Fraction:
+    """Exact fidelity of member r under depolarizing noise strength lam:
+    the member's weight enumerator evaluated at (1/2, lam/2)."""
+    return fidelity_sweep(sys, lam, r)[r]
 
 
 def fidelity_sweep(sys: TransferSystem, lam, r_max: int) -> list[Fraction]:
     """Exact fidelities of members 0..r_max (one specialised iteration)."""
-    lam = to_rational(lam)
-    if not 0 <= lam <= 1:
-        raise AnalysisError("noise parameter must lie in [0, 1]")
+    lam = _noise_parameter(lam)
     return wep_values_by_iteration(sys, Fraction(1, 2), lam / 2, r_max)
 
 
-def fidelity_asymptotic(sys: TransferSystem, lam, r: int) -> mp.mpf:
-    """Leading-singularity approximation of the fidelity of member r.
+def fidelity_leading_term(sys: TransferSystem, lam) -> LeadingTerm:
+    """Leading singular term of the fidelity generating function at lam.
 
     Requires the reduced specialised denominator to have a unique simple
-    dominant root z*; the value is -p(z*)/q'(z*) * z*^(-r-1).
-
-    This is the leading term only. Its relative error decays like
-    (1/modulus_gap)^r, with modulus_gap taken from the SingularityReport of
-    the denominator: for star at lam = 0.8 it is exactly (8/9)^r + (1/9)^r.
+    dominant root z*. The relative error of the approximation to member r
+    decays like (1/modulus_gap)^r, with modulus_gap taken from the term's
+    report: for star at lam = 0.8 it is exactly (8/9)^r + (1/9)^r.
     """
     lam = to_rational(lam)
-    with mp.workdps(WORKING_DPS):
-        p, q = _reduced_specialisation(sys, Fraction(1, 2), lam / 2)
-        report = dominant_singularity(q)
-        if not report.unique or report.multiplicity != 1:
-            raise DegenerateSingularityError(
-                report, "dominant singularity is not unique and simple")
-        z = report.z_star
-        pval = _eval_mp(p, z)
-        if abs(pval) <= mp.mpf("1e-25") * max(1, abs(z)):
-            raise DegenerateSingularityError(
-                report, "numerator vanishes at the dominant singularity")
-        value = -pval / _eval_mp(q.derivative(), z) * z ** (-r - 1)
-        return mp.re(value)
+    return _leading_term(*_reduced_specialisation(sys, Fraction(1, 2), lam / 2))
+
+
+def fidelity_asymptotic(sys: TransferSystem, lam, r: int) -> mp.mpf:
+    """Leading-singularity approximation of the fidelity of member r:
+    -p(z*)/q'(z*) * z*^(-r-1), see fidelity_leading_term."""
+    return fidelity_leading_term(sys, lam).coefficient(r)
 
 
 def coefficient_asymptotic(p: UniPolyZ, q: UniPolyZ, r: int,
@@ -307,9 +342,7 @@ def criterion_q(sys: TransferSystem, lam,
     Q1 = sum_k (n-k) lam^(2k) A_k and Q2 = sum_k k lam^(2k) A_k; the state
     is certified entangled when the difference is negative.
     """
-    lam = to_rational(lam)
-    if not 0 <= lam <= 1:
-        raise AnalysisError("noise parameter must lie in [0, 1]")
+    lam = _noise_parameter(lam)
     sld = sld_from_wep(wep_by_iteration(sys, r))
     mu = lam * lam
     n = sld.n
@@ -322,12 +355,6 @@ def criterion_q(sys: TransferSystem, lam,
             q2 += k * a * power
         power *= mu
     return q1, q2, q1 - q2
-
-
-def _criterion_poly(sld: SLD) -> list[int]:
-    """Integer coefficients of Q as a polynomial in mu = lam^2."""
-    n = sld.n
-    return [(n - 2 * k) * a for k, a in enumerate(sld)]
 
 
 def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
@@ -345,7 +372,8 @@ def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
 def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     if tol <= 0:
         raise AnalysisError("tolerance must be positive")
-    coeffs = _criterion_poly(sld)
+    # integer coefficients of Q = Q1 - Q2 as a polynomial in mu = lam^2
+    coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
     if _poly_sign_at(coeffs, Fraction(1)) >= 0:
         return None
     grid = 1024
@@ -370,21 +398,20 @@ def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
 
 def critical_lambda(sys: TransferSystem, r: int,
                     tol: float = 1e-10) -> float | None:
-    """Largest noise strength at which member r's criterion changes sign.
-
-    Returns sqrt(mu_c) where mu_c is found by scanning mu downward from 1
-    and bisecting the first sign change; None when the criterion is not
-    negative at lam = 1 (the member is never certified entangled).
-    """
-    if r < 1:
-        raise AnalysisError("criterion thresholds need a member with qubits")
-    return _critical_lambda_from_sld(sld_from_wep(wep_by_iteration(sys, r)),
-                                     tol)
+    """Largest noise strength at which member r's criterion changes sign;
+    None when member r is never certified entangled (see
+    critical_lambda_sweep)."""
+    return critical_lambda_sweep(sys, [r], tol)[0][1]
 
 
 def critical_lambda_sweep(sys: TransferSystem, r_values,
                           tol: float = 1e-10) -> list[tuple[int, float | None]]:
-    """Critical noise strengths for several members in one iteration pass."""
+    """Critical noise strengths for several members in one iteration pass.
+
+    Each is sqrt(mu_c), where mu_c is found by scanning mu downward from 1
+    and bisecting the first sign change; None when the criterion is not
+    negative at lam = 1 (the member is never certified entangled).
+    """
     wanted = sorted(set(r_values))
     if not wanted:
         return []
@@ -408,10 +435,7 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam: Fraction) -> mp.mpf:
     mu = lam * lam
     with mp.workdps(WORKING_DPS):
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
-        report = dominant_singularity(q)
-        if not report.unique or report.multiplicity != 1:
-            raise DegenerateSingularityError(
-                report, f"degenerate dominant singularity at lam = {lam}")
+        report = _simple_pole(q)
         z = report.z_star
         gf_den = family_gf(sys).den
         num = _eval_mp(_univariate(gf_den.partial("x"), Fraction(1), mu), z)
@@ -476,35 +500,3 @@ def critical_lambda_asymptotic(sys: TransferSystem,
             else:
                 hi = mid
         return float((lo + hi) / 2)
-
-
-@dataclass
-class CriterionResult:
-    """Per-member critical noise strengths and the asymptotic threshold.
-
-    ``q_data`` optionally carries the integer criterion-polynomial
-    coefficients (in mu = lam^2) per member.
-    """
-
-    family: str
-    entries: list[tuple[int, float | None]]
-    lambda_c_approx: float | None
-    q_data: list[tuple[int, list[int]]] | None = None
-
-
-def criterion_sweep(sys: TransferSystem, r_values, tol: float = 1e-10,
-                    include_asymptotic: bool = True,
-                    include_q_data: bool = False) -> CriterionResult:
-    """Critical noise strengths for a list of member indices."""
-    entries = critical_lambda_sweep(sys, r_values, tol)
-    q_data = None
-    if include_q_data:
-        wanted = {r for r, _ in entries}
-        q_data = [(r, _criterion_poly(sld_from_wep(wep)))
-                  for r, wep in enumerate(iter_weps(sys, max(wanted)))
-                  if r in wanted]
-    approx = None
-    if include_asymptotic:
-        approx = critical_lambda_asymptotic(sys, tol)
-    return CriterionResult(family=sys.spec.name, entries=entries,
-                           lambda_c_approx=approx, q_data=q_data)

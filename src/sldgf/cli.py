@@ -4,7 +4,8 @@ Subcommands: families, gf, wep, sld, verify, ce, fidelity, critical-lambda,
 figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
-malformed custom spec, negative member index), 3 analysis failures (for
+malformed custom spec, negative member index, --lambda that is not a number
+in [0, 1], --tol or --jobs that is not positive), 3 analysis failures (for
 instance no asymptotic threshold, or a degenerate dominant singularity).
 """
 
@@ -23,10 +24,9 @@ from pathlib import Path
 import mpmath as mp
 
 from .algebra import LaurentPoly3, series_coefficients
-from .analysis import (AnalysisError, NoThresholdError, _reduced_specialisation,
+from .analysis import (AnalysisError, NoThresholdError,
                        critical_lambda_asymptotic, critical_lambda_sweep,
-                       dominant_singularity, fidelity_asymptotic,
-                       fidelity_sweep, to_rational)
+                       fidelity_leading_term, fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
                      parse_family_spec, realize, serialize_family_spec,
                      sld_from_wep)
@@ -37,6 +37,11 @@ from .transfer import (build_transfer_system, family_gf, wep_by_iteration,
 FIG3_FAMILIES = ("path", "star", "cycle")
 FIG3_LAMBDA = "0.8"
 FIG4_FAMILIES = ("path", "star", "joint_squares")
+FIG_R_MAX = {"fig3": 60, "fig4": 100}
+
+
+class UsageError(Exception):
+    """A command-line value the command cannot run with (exit code 2)."""
 
 
 def _rational_str(value: Fraction) -> str:
@@ -171,6 +176,8 @@ def _verify_row(spec_key: str, r: int) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     spec_key = _spec_key(args)
     sys_ = _cached_system(spec_key)
     spec = sys_.spec
@@ -242,8 +249,8 @@ def _fmt_sld(sld) -> str:
 
 def _member_index(flag: str, value: int) -> int:
     if value < 0:
-        raise FamilyError(f"{flag} must be a nonnegative member index, "
-                          f"got {value}")
+        raise UsageError(f"{flag} must be a nonnegative member index, "
+                         f"got {value}")
     return value
 
 
@@ -254,7 +261,18 @@ def _member_range(args, default_low: int = 0) -> list[int]:
     if args.r_max is not None:
         return list(range(default_low,
                           _member_index("--r-max", args.r_max) + 1))
-    raise FamilyError("specify a member with -r or a sweep with --r-max")
+    raise UsageError("specify a member with -r or a sweep with --r-max")
+
+
+def _noise_arg(text: str) -> Fraction:
+    """The --lambda value as an exact rational in [0, 1]."""
+    try:
+        lam = to_rational(text)
+    except (ValueError, ZeroDivisionError):
+        lam = None
+    if lam is None or not 0 <= lam <= 1:
+        raise UsageError(f"--lambda must be a number in [0, 1], got {text!r}")
+    return lam
 
 
 def _cmd_ce(args) -> int:
@@ -274,30 +292,26 @@ def _cmd_ce(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    sys_ = _cached_system(_spec_key(args))
-    lam = to_rational(args.lam)
+    lam = _noise_arg(args.lam)
     r_values = _member_range(args)
+    sys_ = _cached_system(_spec_key(args))
     exact = fidelity_sweep(sys_, lam, max(r_values))
-    if args.asymptotic:
-        _, q = _reduced_specialisation(sys_, Fraction(1, 2), lam / 2)
-        report = dominant_singularity(q)
+    lead = fidelity_leading_term(sys_, lam) if args.asymptotic else None
     rows = []
     for r in r_values:
         row = {"family": sys_.spec.name, "r": r, "lambda": args.lam,
                "F_exact": _rational_str(exact[r]), "F_approx": None,
                "z_star": None, "gap": None}
-        if args.asymptotic:
-            row.update({"F_approx": float(fidelity_asymptotic(sys_, lam, r)),
-                        "z_star": float(mp.re(report.z_star)),
-                        "gap": float(report.modulus_gap)})
+        if lead is not None:
+            row.update({"F_approx": float(lead.coefficient(r)),
+                        "z_star": float(mp.re(lead.report.z_star)),
+                        "gap": float(lead.report.modulus_gap)})
         rows.append(row)
     if args.format == "csv":
         header = ["family", "r", "lambda", "F_exact", "F_approx", "z_star",
                   "gap"]
-        body = [[row["family"], str(row["r"]), row["lambda"], row["F_exact"],
-                 "" if row["F_approx"] is None else repr(row["F_approx"]),
-                 "" if row["z_star"] is None else repr(row["z_star"]),
-                 "" if row["gap"] is None else repr(row["gap"])]
+        body = [[row["family"], str(row["r"]), row["lambda"], row["F_exact"]]
+                + ["" if row[k] is None else repr(row[k]) for k in header[4:]]
                 for row in rows]
         _emit(_csv_text(header, body))
     else:
@@ -306,6 +320,8 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_critical_lambda(args) -> int:
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol!r}")
     sys_ = _cached_system(_spec_key(args))
     entries = [{"r": r, "value": value} for r, value in
                critical_lambda_sweep(sys_, _member_range(args, default_low=1),
@@ -326,16 +342,18 @@ def _cmd_critical_lambda(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    r_max = _member_index("--r-max", FIG_R_MAX[args.which]
+                          if args.r_max is None else args.r_max)
     if args.which == "fig3":
-        r_max = args.r_max if args.r_max is not None else 60
         header = ["family", "r", "n", "lambda", "f_exact", "f_approx", "delta"]
         rows = []
         lam = to_rational(FIG3_LAMBDA)
         for name in FIG3_FAMILIES:
             sys_ = _cached_system("builtin:" + name)
             exact = fidelity_sweep(sys_, lam, r_max)
+            lead = fidelity_leading_term(sys_, lam)
             for r in range(1, r_max + 1):
-                approx = fidelity_asymptotic(sys_, lam, r)
+                approx = lead.coefficient(r)
                 with mp.workdps(40):
                     ex = mp.mpf(exact[r].numerator) / exact[r].denominator
                     delta = abs(ex - approx)
@@ -345,7 +363,6 @@ def _cmd_figure(args) -> int:
         text = _csv_text(header, rows)
         filename = "fig3.csv"
     else:
-        r_max = args.r_max if args.r_max is not None else 100
         header = ["family", "r", "n", "lambda_c", "lambda_c_approx"]
         rows = []
         for name in FIG4_FAMILIES:
@@ -464,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FamilyError as exc:
+    except (FamilyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisError as exc:

@@ -8,9 +8,9 @@ import pytest
 from sldgf import (DegenerateSingularityError, UniPolyZ, builtin,
                    ce_closed_form_check, coefficient_asymptotic,
                    concentratable_entanglement, criterion_q, critical_lambda,
-                   critical_lambda_asymptotic, dominant_singularity,
-                   fidelity_asymptotic, fidelity_exact, fidelity_sweep,
-                   realize, wep_by_iteration)
+                   critical_lambda_asymptotic, critical_lambda_sweep,
+                   dominant_singularity, fidelity_asymptotic, fidelity_exact,
+                   fidelity_sweep, realize, wep_by_iteration)
 
 from conftest import brute_sectors
 
@@ -243,17 +243,12 @@ class TestCriterion:
         assert approx == pytest.approx(
             critical_lambda_asymptotic(systems[partner]), abs=1e-8)
 
-    def test_criterion_sweep_collects_members(self, systems):
-        from sldgf import criterion_sweep
-        result = criterion_sweep(systems["path"], [1, 2, 3],
-                                 include_asymptotic=False,
-                                 include_q_data=True)
-        assert result.family == "path"
-        assert [r for r, _ in result.entries] == [1, 2, 3]
-        assert result.entries[0][1] is None
-        assert result.entries[1][1] == pytest.approx(3 ** -0.25, abs=1e-9)
-        assert result.lambda_c_approx is None
-        assert result.q_data[1] == (2, [2, 0, -6])  # bell: 2 - 6 mu^2
+    def test_critical_lambda_sweep_collects_members(self, systems):
+        entries = critical_lambda_sweep(systems["path"], [3, 1, 2, 3])
+        assert [r for r, _ in entries] == [1, 2, 3]
+        assert entries[0][1] is None
+        assert entries[1][1] == pytest.approx(3 ** -0.25, abs=1e-9)
+        assert entries[1][1] == critical_lambda(systems["path"], 2)
 
     def test_negative_member_rejected(self, systems):
         with pytest.raises(ValueError):

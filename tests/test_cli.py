@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import sldgf
@@ -86,13 +88,36 @@ def test_unknown_family_exits_two():
     ("ce", "--family", "path", "--r-max", "-1"),
     ("wep", "--family", "path", "-r", "-1"),
     ("sld", "--family", "path", "-r", "-1"),
-], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r"])
+    ("fidelity", "--family", "path", "-r", "3", "--lambda", "abc"),
+    ("fidelity", "--family", "path", "-r", "3", "--lambda", "2"),
+    ("critical-lambda", "--family", "path", "-r", "3", "--tol", "0"),
+    ("critical-lambda", "--family", "path", "-r", "3", "--tol", "-1"),
+    ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "0"),
+    ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "-2"),
+    ("figure", "fig3", "--r-max", "-1"),
+    ("figure", "fig4", "--r-max", "-1"),
+], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r",
+        "fidelity-lambda-text", "fidelity-lambda-above-one", "tol-zero",
+        "tol-negative", "jobs-zero", "jobs-negative", "fig3-r-max",
+        "fig4-r-max"])
 def test_negative_member_index_exits_two(args):
+    # a negative member index and each malformed option value above is a
+    # usage error
     cp = run_cli(*args)
     assert cp.returncode == 2
     assert cp.stdout == ""
     assert cp.stderr.startswith("error:")
     assert "Traceback" not in cp.stderr
+
+
+def test_cli_imports_no_private_names():
+    # the command layer uses only the public surface of the other modules
+    tree = ast.parse(Path(sldgf.__file__).with_name("cli.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("sldgf"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_unknown_subcommand_exits_two():
@@ -151,6 +176,37 @@ def test_fidelity_report_schema():
     assert isinstance(data["F_approx"], float)
     assert isinstance(data["z_star"], float)
     assert data["gap"] > 1
+
+
+@pytest.mark.parametrize("family", ["path", "grid_2"])
+def test_fidelity_asymptotic_finds_the_pole_once(monkeypatch, capsys, family):
+    # one leading term serves every row of the sweep
+    import sldgf.cli as cli
+    from sldgf import (analysis, build_transfer_system, fidelity_asymptotic,
+                       fidelity_leading_term)
+
+    calls = []
+    dominant_singularity = analysis.dominant_singularity
+
+    def counted(q):
+        calls.append(q)
+        return dominant_singularity(q)
+
+    monkeypatch.setattr(analysis, "dominant_singularity", counted)
+    cli._cached_system.cache_clear()
+    assert cli.main(["fidelity", "--family", family, "--r-max", "12",
+                     "--lambda", "0.8", "--asymptotic"]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["r"] for row in rows] == list(range(13))
+    sys_ = build_transfer_system(builtin(family))
+    report = fidelity_leading_term(sys_, "0.8").report
+    for row in rows:
+        assert row["F_approx"] == float(
+            fidelity_asymptotic(sys_, Fraction(4, 5), row["r"]))
+        assert row["z_star"] == float(mp.re(report.z_star))
+        assert row["gap"] == float(report.modulus_gap)
 
 
 def test_critical_lambda_report_schema():
