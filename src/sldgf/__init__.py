@@ -9,13 +9,12 @@ from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
 from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
                        DegenerateSingularityError, LeadingTerm,
                        NoThresholdError, SingularityReport,
-                       ce_closed_form_check, coefficient_asymptotic,
-                       concentratable_entanglement, criterion_asymptotic_ratio,
-                       criterion_q, critical_lambda,
-                       critical_lambda_asymptotic, critical_lambda_sweep,
-                       dominant_singularity, fidelity_asymptotic,
-                       fidelity_exact, fidelity_leading_term, fidelity_sweep,
-                       to_rational)
+                       ce_closed_form_check, concentratable_entanglement,
+                       criterion_asymptotic_ratio, criterion_q,
+                       critical_lambda, critical_lambda_asymptotic,
+                       critical_lambda_sweep, dominant_singularity,
+                       fidelity_asymptotic, fidelity_exact,
+                       fidelity_leading_term, fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, FamilySpec, Graph, SLD,
                      builtin, parse_family_spec, realize,
                      serialize_family_spec, sld_from_wep, wep_from_sld)
@@ -38,7 +37,7 @@ __all__ = [
     # analysis
     "AnalysisError", "CEClosedFormReport", "ClusteredRootsError",
     "DegenerateSingularityError", "LeadingTerm", "NoThresholdError",
-    "SingularityReport", "ce_closed_form_check", "coefficient_asymptotic",
+    "SingularityReport", "ce_closed_form_check",
     "concentratable_entanglement", "criterion_asymptotic_ratio",
     "criterion_q", "critical_lambda", "critical_lambda_asymptotic",
     "critical_lambda_sweep", "dominant_singularity", "fidelity_asymptotic",

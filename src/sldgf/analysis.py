@@ -21,6 +21,7 @@ root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,11 +80,17 @@ def _mpf_from_fraction(value: Fraction) -> mp.mpf:
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
-def _eval_mp(poly: UniPolyZ, z) -> mp.mpc:
-    acc = mp.mpc(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * z + _mpf_from_fraction(c)
-    return acc
+def _mp_poly(poly: UniPolyZ):
+    """poly as a Horner evaluator at mpmath points, its coefficients
+    converted to mpf once, at the working precision of the call."""
+    coeffs = [_mpf_from_fraction(c) for c in reversed(poly.coeffs)]
+
+    def at(z) -> mp.mpc:
+        acc = mp.mpc(0)
+        for c in coeffs:
+            acc = acc * z + c
+        return acc
+    return at
 
 
 def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
@@ -93,15 +100,15 @@ def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
     scale = max(abs(c) for c in q.coeffs)
     coeffs_high_first = [float(c / scale) for c in reversed(q.coeffs)]
     estimates = np.roots(coeffs_high_first)
-    dq = q.derivative()
+    q_at, dq_at = _mp_poly(q), _mp_poly(q.derivative())
     roots = []
     for est in estimates:
         z = mp.mpc(est)
         for _ in range(8):
-            d = _eval_mp(dq, z)
+            d = dq_at(z)
             if abs(d) < mp.mpf("1e-30"):
                 break
-            step = _eval_mp(q, z) / d
+            step = q_at(z) / d
             z = z - step
             if abs(step) < mp.mpf("1e-35") * max(1, abs(z)):
                 break
@@ -179,7 +186,7 @@ def _simple_pole(q: UniPolyZ) -> SingularityReport:
 
 def _residue(p: UniPolyZ, dq: UniPolyZ, z) -> mp.mpc:
     """Residue -p(z)/q'(z) of p/q at a simple root z of q."""
-    return -_eval_mp(p, z) / _eval_mp(dq, z)
+    return -_mp_poly(p)(z) / _mp_poly(dq)(z)
 
 
 @dataclass
@@ -199,7 +206,7 @@ def _leading_term(p: UniPolyZ, q: UniPolyZ) -> LeadingTerm:
     report = _simple_pole(q)
     with mp.workdps(WORKING_DPS):
         z = report.z_star
-        if abs(_eval_mp(p, z)) <= mp.mpf("1e-25") * max(1, abs(z)):
+        if abs(_mp_poly(p)(z)) <= mp.mpf("1e-25") * max(1, abs(z)):
             raise DegenerateSingularityError(
                 report, "numerator vanishes at the dominant singularity")
         return LeadingTerm(report, _residue(p, q.derivative(), z))
@@ -298,7 +305,7 @@ def fidelity_leading_term(sys: TransferSystem, lam) -> LeadingTerm:
     decays like (1/modulus_gap)^r, with modulus_gap taken from the term's
     report: for star at lam = 0.8 it is exactly (8/9)^r + (1/9)^r.
     """
-    lam = to_rational(lam)
+    lam = _noise_parameter(lam)
     return _leading_term(*_reduced_specialisation(sys, Fraction(1, 2), lam / 2))
 
 
@@ -306,30 +313,6 @@ def fidelity_asymptotic(sys: TransferSystem, lam, r: int) -> mp.mpf:
     """Leading-singularity approximation of the fidelity of member r:
     -p(z*)/q'(z*) * z*^(-r-1), see fidelity_leading_term."""
     return fidelity_leading_term(sys, lam).coefficient(r)
-
-
-def coefficient_asymptotic(p: UniPolyZ, q: UniPolyZ, r: int,
-                           trust_multiplicity: bool = False) -> mp.mpf:
-    """General asymptotic coefficient of p/q with an m-fold dominant root:
-    (-1)^m * m * p(z*) / q^(m)(z*) * r^(m-1) * z*^(-r-m).
-
-    For m > 1 the numerically clustered multiplicity must be trusted
-    explicitly; by default only the simple case runs.
-    """
-    with mp.workdps(WORKING_DPS):
-        report = dominant_singularity(q)
-        m = report.multiplicity
-        if m > 1 and not trust_multiplicity:
-            raise DegenerateSingularityError(
-                report, "multiple dominant root; pass trust_multiplicity=True "
-                        "to apply the general formula")
-        z = report.z_star
-        dq = q
-        for _ in range(m):
-            dq = dq.derivative()
-        value = ((-1) ** m * m * _eval_mp(p, z) / _eval_mp(dq, z)
-                 * mp.mpf(r) ** (m - 1) * z ** (-r - m))
-        return mp.re(value)
 
 
 # -- purity-based entanglement criterion --------------------------------------
@@ -369,31 +352,39 @@ def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
-    if tol <= 0:
+def _bisect(right_of_crossing, width, tol: float,
+            edge: Fraction) -> Fraction | None:
+    """Midpoint of a dyadic bracket of width below tol around the one
+    crossing in (0, 1), or None when edge is not right of the crossing.
+
+    Both threshold criteria change sign at most once on (0, 1), so the
+    points right of the crossing form one interval reaching up to 1, and
+    halving [0, 1] needs no scan for a bracket. width(lo, hi) < tol stops
+    the halving, after 200 halvings at the latest; the dyadic brackets are
+    those a scan on any coarser dyadic grid would have found and bisected.
+    """
+    if not tol > 0:
         raise AnalysisError("tolerance must be positive")
-    # integer coefficients of Q = Q1 - Q2 as a polynomial in mu = lam^2
-    coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
-    if _poly_sign_at(coeffs, Fraction(1)) >= 0:
+    if not right_of_crossing(edge):
         return None
-    grid = 1024
-    lo = None
-    for k in range(grid - 1, -1, -1):
-        mu = Fraction(k, grid)
-        if _poly_sign_at(coeffs, mu) >= 0:
-            lo, hi = mu, Fraction(k + 1, grid)
-            break
-    if lo is None:  # Q(0) = n > 0, so a sign change always exists
-        raise AnalysisError("criterion sign change not found")
+    lo, hi = Fraction(0), Fraction(1)
     for _ in range(200):
-        if math.sqrt(hi) - math.sqrt(lo) < tol:
+        if width(lo, hi) < tol:
             break
         mid = (lo + hi) / 2
-        if _poly_sign_at(coeffs, mid) < 0:
+        if right_of_crossing(mid):
             hi = mid
         else:
             lo = mid
-    return math.sqrt((lo + hi) / 2)
+    return (lo + hi) / 2
+
+
+def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
+    # integer coefficients of Q = Q1 - Q2 as a polynomial in mu = lam^2
+    coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
+    mu = _bisect(lambda mu: _poly_sign_at(coeffs, mu) < 0,
+                 lambda lo, hi: math.sqrt(hi) - math.sqrt(lo), tol, Fraction(1))
+    return None if mu is None else math.sqrt(mu)
 
 
 def critical_lambda(sys: TransferSystem, r: int,
@@ -408,9 +399,12 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
                           tol: float = 1e-10) -> list[tuple[int, float | None]]:
     """Critical noise strengths for several members in one iteration pass.
 
-    Each is sqrt(mu_c), where mu_c is found by scanning mu downward from 1
-    and bisecting the first sign change; None when the criterion is not
-    negative at lam = 1 (the member is never certified entangled).
+    Each is sqrt(mu_c), with mu_c the root of P(mu) = sum_k (n-2k) A_k mu^k
+    found by bisection, and None when P(1) >= 0 (the member is never
+    certified entangled). P has one sign change at most on (0, inf):
+    P = W * (n - 2 kbar) with W = sum_k A_k mu^k > 0 and kbar = mu W'/W
+    the mean of k under the weights A_k mu^k, and d kbar / d ln mu is their
+    variance, so kbar never decreases.
     """
     wanted = sorted(set(r_values))
     if not wanted:
@@ -425,21 +419,21 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
     return out
 
 
-def criterion_asymptotic_ratio(sys: TransferSystem, lam: Fraction) -> mp.mpf:
+def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
     """Large-member limit of Q1/Q2 at noise strength lam.
 
     Evaluated as dq/dx over lam^2 * dq/dy at (1, lam^2, z*), with z* the
     dominant root of the reduced specialised denominator; the numerator
     factors cancel against the denominator at any genuine simple pole.
     """
-    mu = lam * lam
+    mu = _noise_parameter(lam) ** 2
     with mp.workdps(WORKING_DPS):
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
         report = _simple_pole(q)
         z = report.z_star
         gf_den = family_gf(sys).den
-        num = _eval_mp(_univariate(gf_den.partial("x"), Fraction(1), mu), z)
-        den = _eval_mp(_univariate(gf_den.partial("y"), Fraction(1), mu), z)
+        num = _mp_poly(_univariate(gf_den.partial("x"), Fraction(1), mu))(z)
+        den = _mp_poly(_univariate(gf_den.partial("y"), Fraction(1), mu))(z)
         if abs(den) <= mp.mpf("1e-25") * max(1, abs(num)):
             raise DegenerateSingularityError(
                 report, f"criterion ratio is indeterminate at lam = {lam}")
@@ -450,11 +444,13 @@ def critical_lambda_asymptotic(sys: TransferSystem,
                                tol: float = 1e-10) -> float:
     """Member-independent limit of the critical noise strength.
 
-    Bisects the crossing of the asymptotic criterion ratio through 1 on a
-    bracketing interval found by a grid scan of (0, 1). When the ratio
-    approaches 1 only at the right boundary (it stays above 1 inside, as for
-    star-like families), the threshold sits at the boundary and 1.0 is
-    returned.
+    Bisects the crossing of the asymptotic criterion ratio through 1. The
+    ratio is lim_r Q1_r/Q2_r = lim_r (n/kbar_r - 1), a limit of functions
+    that never increase in lam (see critical_lambda_sweep), so it crosses 1
+    once at most. The edge point 1 - 2^-20 is evaluated first: when the
+    ratio is still above 1 there, no interior crossing exists, and when it
+    approaches 1 only at the right boundary (within 1e-3, as for star-like
+    families) the threshold sits at the boundary and 1.0 is returned.
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
@@ -462,41 +458,16 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     Lambert W function.
     """
     with mp.workdps(WORKING_DPS):
+        @functools.cache
         def h(lam: Fraction) -> mp.mpf:
             return criterion_asymptotic_ratio(sys, lam) - 1
 
-        grid = 64
-        bracket = None
-        previous = None
-        for k in range(1, grid):
-            lam = Fraction(k, grid)
-            try:
-                value = h(lam)
-            except DegenerateSingularityError:
-                previous = None
-                continue
-            if previous is not None and mp.sign(value) != mp.sign(previous[1]):
-                bracket = (previous[0], lam)
-                break
-            previous = (lam, value)
-        if bracket is None:
-            edge = Fraction(1) - Fraction(1, 1 << 20)
-            try:
-                edge_value = h(edge)
-            except DegenerateSingularityError:
-                edge_value = None
-            if edge_value is not None and abs(edge_value) < 1e-3:
-                return 1.0
-            raise NoThresholdError(
-                "asymptotic criterion ratio has no sign change in [0, 1]")
-        lo, hi = bracket
-        sign_lo = mp.sign(h(lo))
-        for _ in range(200):
-            if float(hi - lo) < tol:
-                break
-            mid = (lo + hi) / 2
-            if mp.sign(h(mid)) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+        edge = Fraction(1) - Fraction(1, 1 << 20)
+        lam = _bisect(lambda lam: h(lam) <= 0, lambda lo, hi: float(hi - lo),
+                      tol, edge)
+        if lam is not None:
+            return float(lam)
+        if h(edge) < 1e-3:
+            return 1.0
+        raise NoThresholdError(
+            "asymptotic criterion ratio has no sign change in [0, 1]")

@@ -1,17 +1,26 @@
 """Entanglement, fidelity, singularity, and threshold computations."""
 
+import ast
+import math
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sldgf import (DegenerateSingularityError, UniPolyZ, builtin,
-                   ce_closed_form_check, coefficient_asymptotic,
-                   concentratable_entanglement, criterion_q, critical_lambda,
+from sldgf import (SLD, AnalysisError, DegenerateSingularityError, UniPolyZ,
+                   builtin, ce_closed_form_check, concentratable_entanglement,
+                   criterion_asymptotic_ratio, criterion_q, critical_lambda,
                    critical_lambda_asymptotic, critical_lambda_sweep,
                    dominant_singularity, fidelity_asymptotic, fidelity_exact,
-                   fidelity_sweep, realize, wep_by_iteration)
+                   fidelity_leading_term, fidelity_sweep, iter_weps, realize,
+                   sld_from_wep, wep_by_iteration)
+from sldgf import analysis
 
+import threshold_reference as reference
 from conftest import brute_sectors
 
 
@@ -163,23 +172,16 @@ class TestFidelityAsymptotic:
                                   / exact[r].denominator - approx))
             assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
-    def test_general_formula_behind_opt_in(self):
-        # 1 / (1-z)^2 has coefficients r + 1
-        p = UniPolyZ([1])
-        q = UniPolyZ([1, -2, 1])
-        with pytest.raises(DegenerateSingularityError):
-            coefficient_asymptotic(p, q, 50)
-        value = coefficient_asymptotic(p, q, 200, trust_multiplicity=True)
-        assert abs(value / 201 - 1) < 0.01
-
-    def test_general_formula_reduces_to_the_simple_one(self, systems):
-        from sldgf import family_gf, uni_reduce, uni_specialize
-        lam = F(4, 5)
-        pr, qr = uni_reduce(*uni_specialize(family_gf(systems["path"]),
-                                            F(1, 2), lam / 2))
-        general = coefficient_asymptotic(pr, qr, 30)
-        specific = fidelity_asymptotic(systems["path"], lam, 30)
-        assert abs(general - specific) < 1e-30
+    @pytest.mark.parametrize("lam", [F(2), F(-1, 2)])
+    @pytest.mark.parametrize("entry", [
+        fidelity_leading_term,
+        lambda sys_, lam: fidelity_asymptotic(sys_, lam, 10),
+        criterion_asymptotic_ratio,
+    ], ids=["leading_term", "asymptotic", "criterion_ratio"])
+    def test_noise_outside_unit_interval_rejected(self, systems, entry, lam):
+        # the same range check as fidelity_sweep and criterion_q
+        with pytest.raises(AnalysisError, match="noise parameter"):
+            entry(systems["path"], lam)
 
 
 class TestCriterion:
@@ -266,3 +268,117 @@ class TestCriterion:
             gaps.append(abs(float(q1 / q2) - limit))
         assert gaps[1] < gaps[0]
         assert gaps[1] < 4.5 / 200
+
+
+# -- threshold searches: one bisection against the grid-scan reference -------
+
+# the limits as the 64-cell scan found them, at the default tolerance
+LIMITS = {"path": 0.6896438679250423, "star": 1.0,
+          "cycle": 0.6896438679250423, "pusteblume": 1.0,
+          "complete_bipartite_2": 1.0, "joint_squares": 0.701259733439656,
+          "grid_2": 0.6632184480840806}
+BOUNDARY = ("star", "pusteblume", "complete_bipartite_2")
+
+
+@st.composite
+def valid_slds(draw):
+    """A_0 = 1 and nonnegative A_1..A_n summing to 2^n - 1, n <= 40."""
+    n = draw(st.integers(1, 40))
+    weights = draw(st.lists(st.integers(0, 1 << 20), min_size=n,
+                            max_size=n).filter(any))
+    total = (1 << n) - 1
+    rest = [total * w // sum(weights) for w in weights]
+    rest[draw(st.integers(0, n - 1))] += total - sum(rest)
+    return SLD((1, *rest))
+
+
+def counted(module, name):
+    """Patch module.name with a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return mock.patch.object(module, name, wrapper), calls
+
+
+class TestThresholdBisection:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_slds())
+    def test_member_search_matches_the_scan(self, sld):
+        # one sign change at most, so halving [0, 1] lands on the scan's
+        # bracket; the scan alone costs up to 1024 sign evaluations
+        for tol in (1e-10, 1e-6):
+            patch, calls = counted(analysis, "_poly_sign_at")
+            with patch:
+                value = analysis._critical_lambda_from_sld(sld, tol)
+            assert value == reference.critical_lambda_from_sld(sld, tol)
+            assert len(calls) <= 64
+
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_builtin_members_match_the_scan(self, systems, name):
+        slds = [sld_from_wep(w) for w in iter_weps(systems[name], 60)][1:]
+        patch, calls = counted(analysis, "_poly_sign_at")
+        with patch:
+            found = [analysis._critical_lambda_from_sld(s, 1e-10) for s in slds]
+        assert found == [reference.critical_lambda_from_sld(s, 1e-10)
+                         for s in slds]
+        assert len(calls) <= 64 * len(slds)
+
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_limit_pinned_with_few_pole_searches(self, systems, name):
+        patch, calls = counted(analysis, "dominant_singularity")
+        with patch:
+            value = critical_lambda_asymptotic(systems[name])
+        assert value == LIMITS[name]
+        # the edge point alone decides a boundary limit; an interior one
+        # needs it plus one ratio per halving down to 1e-10
+        if name in BOUNDARY:
+            assert len(calls) == 1
+        else:
+            assert len(calls) <= 36
+
+    @pytest.mark.parametrize("name", ["path", "grid_2"])
+    def test_coarse_tolerance_stays_within_tolerance(self, systems, name):
+        # above the scan's cell width of 1/64 the bisection stops at a
+        # coarser bracket, whose midpoint is still within tol
+        patch, calls = counted(analysis, "dominant_singularity")
+        with patch:
+            value = critical_lambda_asymptotic(systems[name], tol=0.1)
+        assert abs(value - LIMITS[name]) < 0.1
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("name", ["path", "star"])
+    def test_limit_rejects_bad_tolerance(self, systems, name, tol):
+        with pytest.raises(AnalysisError, match="tolerance"):
+            critical_lambda_asymptotic(systems[name], tol=tol)
+
+    def test_degenerate_ratio_propagates(self, systems, monkeypatch):
+        # a degenerate pole on the way is reported, not stepped over
+        real = analysis.criterion_asymptotic_ratio
+
+        def degenerate_at_half(sys_, lam):
+            if lam == F(1, 2):
+                raise DegenerateSingularityError(None, "degenerate at 1/2")
+            return real(sys_, lam)
+
+        monkeypatch.setattr(analysis, "criterion_asymptotic_ratio",
+                            degenerate_at_half)
+        with pytest.raises(DegenerateSingularityError, match="at 1/2"):
+            critical_lambda_asymptotic(systems["path"])
+
+    def test_no_degenerate_singularity_is_caught(self):
+        # analysis failures propagate to the caller instead of being skipped
+        src = Path(analysis.__file__).parent
+        caught = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ExceptHandler) and node.type:
+                    names = {n.id if isinstance(n, ast.Name) else n.attr
+                             for n in ast.walk(node.type)
+                             if isinstance(n, (ast.Name, ast.Attribute))}
+                    if "DegenerateSingularityError" in names:
+                        caught.append(f"{path.name}:{node.lineno}")
+        assert caught == []
