@@ -11,19 +11,35 @@ fresh replacement vertices (external parity zero) onto the next boundary:
 everything outside it is dropped, and dropped black neighbours fold into
 the parities. The step matrix is built from that map in one pass, with
 2^fresh entries per column, never enumerating the full replacement-graph
-state space. The weight enumerator of member r is the component sum of the
-step matrix iterated on the base graph's state vector. The family
-generating function is derived from the minimal linear recurrence of the
-members: Berlekamp-Massey on exact specialised iterates gives the reduced
-denominator at sample points, which is interpolated back to a trivariate
-polynomial. The result is reduced by construction and certified against the
-exact members (Cayley-Hamilton bounds how many must agree) before it is
-returned. The fraction-free solve of (I - zT) u = v that this replaced is
-kept as a test-only reference in tests/fraction_free.py.
+state space. The weight enumerator of member r is the component sum
+1^T T^r v of the step matrix iterated on the base graph's state vector.
+
+Most boundary states are interchangeable for that sum. The states are
+partitioned into the coarsest backward-lumpable blocks (Kemeny & Snell,
+Finite Markov Chains, ch. 6): for every block C and state s, the sum of
+T[i][s] over the rows i in C depends only on the block of s. With P the
+state-to-block indicator matrix this is P^T T = T' P^T, and with 1^T =
+1^T P^T and v' = P^T v every member is 1^T T'^r v' exactly. The partition
+is found by refinement on exact column-block sums, and the identity is
+checked entry by entry whenever a TransferSystem is made. Every member,
+generating function and certificate is computed on the quotient T'; T and
+v stay the paper's matrix and vector.
+
+The family generating function is derived from the minimal linear
+recurrence of the members: Berlekamp-Massey on exact specialised iterates
+gives the reduced denominator at sample points, which is interpolated back
+to a trivariate polynomial inside a window bounded by the cycle means of
+T'. The result is reduced by construction and certified against the exact
+members (Cayley-Hamilton on T' bounds how many must agree) before it is
+returned. Certifying on T' is sound because its members are the members,
+by the checked identity. The fraction-free solve of (I - zT) u = v that
+this replaced is kept as a test-only reference in tests/fraction_free.py,
+and the iteration of the unlumped T in tests/unlumped.py.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,16 +110,113 @@ def _restriction(g: Graph, retained: Sequence[int]):
     return restrict
 
 
+@dataclass(frozen=True)
+class Quotient:
+    """Exactly lumped step operator: block_of[s] is the block of boundary
+    state s, rows[C] lists the nonzero entries (D, T'[C][D]) of the
+    quotient step matrix, and v[C] sums the initial vector over block C."""
+
+    block_of: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, LaurentPoly3], ...], ...]
+    v: tuple[LaurentPoly3, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+
+def _block_sums(t: PolyMatrix, block_of: Sequence[int],
+                state: int) -> dict[int, LaurentPoly3]:
+    """Nonzero sums of column `state` of t over the rows of each block."""
+    sums: dict[int, LaurentPoly3] = {}
+    for i, row in enumerate(t.data):
+        if not row[state].is_zero():
+            b = block_of[i]
+            sums[b] = sums.get(b, LaurentPoly3.zero()) + row[state]
+    return {b: e for b, e in sums.items() if not e.is_zero()}
+
+
+def _block_vector(v: PolyMatrix, block_of: Sequence[int],
+                  count: int) -> tuple[LaurentPoly3, ...]:
+    """P^T v: the initial vector summed over each of the count blocks."""
+    out = [LaurentPoly3.zero()] * count
+    for i, e in enumerate(v.column(0)):
+        out[block_of[i]] = out[block_of[i]] + e
+    return tuple(out)
+
+
+def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
+    """Coarsest backward-lumpable partition of the states and its quotient.
+
+    Starting from one block, each round splits a block by the column-block
+    sums of its states. Any lumpable partition refines every round's, so
+    the first round that splits nothing gives the coarsest one. Blocks are
+    numbered in the order of their first state.
+    """
+    n = t.rows
+    block_of, count = [0] * n, 1
+    while True:
+        keys: dict = {}
+        split = [keys.setdefault((block_of[s], frozenset(
+            _block_sums(t, block_of, s).items())), len(keys))
+            for s in range(n)]
+        if len(keys) == count:
+            break
+        block_of, count = split, len(keys)
+    first = {}
+    for s, b in enumerate(block_of):
+        first.setdefault(b, s)
+    columns = [_block_sums(t, block_of, first[d]) for d in range(count)]
+    rows = tuple(tuple((d, columns[d][c]) for d in range(count)
+                       if c in columns[d]) for c in range(count))
+    return Quotient(tuple(block_of), rows, _block_vector(v, block_of, count))
+
+
 @dataclass
 class TransferSystem:
-    """Step matrix, initial vector, and prefix data of one family."""
+    """Step matrix, initial vector, their exact quotient, and prefix data
+    of one family.
+
+    t, v and dimension are the paper's 4^k-state matrix and vector. The
+    quotient is what every member, generating function and certificate is
+    computed from; making a TransferSystem checks P^T T = T' P^T and
+    v' = P^T v entry by entry and raises CertificateError if either fails.
+    """
 
     t: PolyMatrix
     v: PolyMatrix
+    quotient: Quotient
     prefix_weps: tuple[LaurentPoly3, ...]
     z_shift: int
     spec: FamilySpec
-    _gf: RatFunc3 | None = field(default=None, repr=False, compare=False)
+    _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def __post_init__(self):
+        q, n = self.quotient, self.t.rows
+        m = q.dimension
+        if len(q.block_of) != n or set(q.block_of) != set(range(m)):
+            raise CertificateError(
+                f"{self.spec.name}: lumping is not a partition of the states")
+        # T' as the iteration reads it: repeated entries add up
+        columns = [{} for _ in range(m)]
+        for c, row in enumerate(q.rows):
+            for d, e in row:
+                if not 0 <= d < m:
+                    raise CertificateError(
+                        f"{self.spec.name}: lumped step matrix names "
+                        f"block {d} of {m}")
+                columns[d][c] = columns[d].get(c, LaurentPoly3.zero()) + e
+        columns = [{c: e for c, e in col.items() if not e.is_zero()}
+                   for col in columns]
+        for s in range(n):
+            if _block_sums(self.t, q.block_of, s) != columns[q.block_of[s]]:
+                raise CertificateError(
+                    f"{self.spec.name}: lumped step matrix fails "
+                    f"P^T T = T' P^T at state {s}")
+        if _block_vector(self.v, q.block_of, m) != q.v:
+            raise CertificateError(
+                f"{self.spec.name}: lumped initial vector is not P^T v")
 
     @property
     def dimension(self) -> int:
@@ -152,12 +265,13 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
         w = colouring_weight(g, colours, [0] * n)
         row = to_boundary([(c, 0) for c in colours])
         v.data[row][0] = v.data[row][0] + LaurentPoly3.monomial(w, n - w, 0)
-    return TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
+    return TransferSystem(t=t, v=v, quotient=_lump(t, v),
+                          prefix_weps=spec.prefix_weps,
                           z_shift=spec.recursion_start, spec=spec)
 
 
 def _weps(sys: TransferSystem, r_max: int, point=None):
-    """Yield W_0 .. W_r_max by iterating the step matrix on sparse rows.
+    """Yield W_0 .. W_r_max by iterating the quotient step matrix.
 
     Without a point the members are exact polynomials; with point =
     (x0, y0) every entry is first evaluated there, so the same recursion
@@ -172,9 +286,8 @@ def _weps(sys: TransferSystem, r_max: int, point=None):
         yield at(w)
     if r_max < sys.z_shift:
         return
-    rows = [[(k, at(e)) for k, e in enumerate(row) if not e.is_zero()]
-            for row in sys.t.data]
-    vec = [at(e) for e in sys.v.column(0)]
+    rows = [[(k, at(e)) for k, e in row] for row in sys.quotient.rows]
+    vec = [at(e) for e in sys.quotient.v]
     for r in range(sys.z_shift, r_max + 1):
         if r > sys.z_shift:
             vec = [sum((c * vec[k] for k, c in row), zero) for row in rows]
@@ -203,6 +316,30 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     return list(_weps(sys, r_max, (x0, y0)))
 
 
+def _min_cycle_mean(rows, weight) -> Fraction | None:
+    """Least mean weight over the cycles of the graph with an edge c -> d of
+    weight weight(e) for each entry (d, e) of rows[c]; None without a cycle.
+
+    Karp (1978), with walks starting anywhere: D_k(v) is the least weight
+    of a k-edge walk ending at v, and the least cycle mean is the minimum
+    over v of max_k (D_n(v) - D_k(v)) / (n - k). O(n m) in exact arithmetic.
+    """
+    n = len(rows)
+    walks = [[0] * n]
+    for _ in range(n):
+        last, nxt = walks[-1], [None] * n
+        for c, row in enumerate(rows):
+            if last[c] is not None:
+                for d, e in row:
+                    w = last[c] + weight(e)
+                    if nxt[d] is None or w < nxt[d]:
+                        nxt[d] = w
+        walks.append(nxt)
+    return min((max(Fraction(walks[n][v] - walks[k][v], n - k)
+                    for k in range(n))
+                for v in range(n) if walks[n][v] is not None), default=None)
+
+
 def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     """Reduced denominator of sum_k W_(start+k) z^k and its recurrence order.
 
@@ -210,17 +347,31 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     start) with s the qubit step, so the series is x^n0 G(y/x, x^s z). At
     points t the values W_r(1, t) obey the minimal recurrence whose
     connection polynomial is the reduced denominator Q(t, u) of G, normalised
-    to Q(t, 0) = 1; Berlekamp-Massey finds it from 2 dim values. Points where
-    the order drops below the largest seen are skipped. Q divides
-    det(I - u T(1, t)), whose u^k coefficient has t-exponents between k e_lo
-    and k e_hi (the extreme y-exponents of T), so each coefficient of Q is
-    interpolated as a Laurent polynomial over that range and re-homogenised.
+    to Q(t, 0) = 1; Berlekamp-Massey finds it from 2 dim T' values. Points
+    where the order drops below the largest seen are skipped.
+
+    Q divides det(I - u T'(1, t)), and with both normalised to 1 at u = 0
+    the Newton polygon of Q lies inside that of the determinant. The u^k
+    coefficient of the determinant sums over covers of k states by disjoint
+    cycles, so its t-exponents lie between k m_min and k m_max, the least
+    and greatest cycle means of T' weighted by its least and greatest
+    y-exponents. Each coefficient of Q is interpolated as a Laurent
+    polynomial over [ceil(k m_min), floor(k m_max)] and re-homogenised.
+    Without a cycle T' is nilpotent, the members stop after start + dim T'
+    - 1, and the denominator is 1.
     """
-    n, start, step = sys.dimension, sys.z_shift, sys.spec.qubit_step
-    ey = [e[1] for row in sys.t.data for entry in row for e in entry.terms]
-    lo, hi = min(ey), max(ey)
+    q = sys.quotient
+    n, start, step = q.dimension, sys.z_shift, sys.spec.qubit_step
+    m_min = _min_cycle_mean(q.rows, lambda e: min(ey for _, ey, _ in e.terms))
+    if m_min is None:
+        return LaurentPoly3.const(1), n
+    m_max = -_min_cycle_mean(q.rows,
+                             lambda e: -max(ey for _, ey, _ in e.terms))
+    windows = [(math.ceil(k * m_min), math.floor(k * m_max))
+               for k in range(n + 1)]
     order, samples, t = 0, [], Fraction(1)
-    while not samples or len(samples) <= order * (hi - lo):
+    while not samples or len(samples) < max(
+            hi - lo + 1 for lo, hi in windows[:order + 1]):
         t += 1
         seq = wep_values_by_iteration(sys, 1, t, start + 2 * n - 1)[start:]
         c, length = _berlekamp_massey(seq)
@@ -231,8 +382,10 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     points = [t for t, _ in samples]
     terms = {}
     for k in range(order + 1):
-        q_k = _interpolate_laurent(points, [c[k] for _, c in samples],
-                                   k * lo, k * hi)
+        lo, hi = windows[k]
+        if lo > hi:
+            continue
+        q_k = _interpolate_laurent(points, [c[k] for _, c in samples], lo, hi)
         for e, coeff in q_k.items():
             terms[(step * k - e, e, k)] = coeff
     return LaurentPoly3(terms), order
@@ -242,13 +395,14 @@ def certify_family_gf(sys: TransferSystem, gf: RatFunc3) -> None:
     """Prove that gf is the family's generating function, or raise.
 
     The members from the recursion start on satisfy the Cayley-Hamilton
-    recurrence of order dim T, so gf minus the true function has a numerator
-    of z-degree at most M = max(deg_z p + dim, deg_z q + start + dim - 1);
-    agreement of the series on z^0 .. z^M therefore proves the identity.
+    recurrence of order dim T' (the quotient's members are the members), so
+    gf minus the true function has a numerator of z-degree at most
+    M = max(deg_z p + dim T', deg_z q + start + dim T' - 1); agreement of
+    the series on z^0 .. z^M therefore proves the identity.
     Raises CertificateError on the first member that disagrees, or when gf
     has no power series because q(x, y, 0) is not a nonzero constant.
     """
-    n = sys.dimension
+    n = sys.quotient.dimension
     bound = max(gf.num.max_degree_z() + n,
                 gf.den.max_degree_z() + sys.z_shift + n - 1)
     try:

@@ -18,6 +18,7 @@ from sldgf import (build_transfer_system, family_gf, iter_weps,
                    sld_from_wep, wep_by_iteration)
 
 from conftest import brute_sectors
+from golden_forms import LADDER_3_GF
 
 CATERPILLAR = {
     "name": "caterpillar",
@@ -87,17 +88,24 @@ def test_caterpillar_entanglement_values_are_exact():
 
 
 def test_three_vertex_boundary_ladder():
-    # family_gf is left out: the recurrence has order 16 and deriving it
-    # takes over a minute, while T and the members up to 12 qubits take
-    # milliseconds
+    # the 64 states lump exactly to 18, on which the order-16 recurrence is
+    # derived and certified in seconds
     spec = parse_family_spec(json.dumps(LADDER_3))
     sys_ = build_transfer_system(spec)
     assert (sys_.t.rows, sys_.t.cols) == (64, 64)
     assert sum(not e.is_zero() for row in sys_.t.data for e in row) == 512
     for col in range(64):
         assert sum(row[col].eval_xy(1, 1) for row in sys_.t.data) == 2 ** 3
+    assert sys_.quotient.dimension == 18
 
-    for r, wep in enumerate(iter_weps(sys_, 4)):
+    gf = family_gf(sys_)
+    assert gf == LADDER_3_GF
+    assert (gf.num.num_terms(), gf.den.num_terms()) == (208, 213)
+    assert gf.den.max_degree_z() == 16
+
+    series = series_coefficients(gf, 6)
+    for r, wep in enumerate(iter_weps(sys_, 6)):
+        assert series[r] == wep
         if r < 1:
             continue
         graph = realize(spec, r)
@@ -105,5 +113,7 @@ def test_three_vertex_boundary_ladder():
         colouring = sld_bruteforce_colouring(graph)
         assert colouring == sld_bruteforce_stabilizer(graph)
         assert sld_from_wep(wep) == colouring
-        assert colouring.sectors == brute_sectors(graph.vertex_count,
-                                                  graph.sorted_edges())
+        if r <= 5:
+            # the plain-Python count takes seconds at 18 qubits
+            assert colouring.sectors == brute_sectors(graph.vertex_count,
+                                                      graph.sorted_edges())

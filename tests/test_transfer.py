@@ -1,22 +1,30 @@
 """Transfer matrices, initial vectors, iteration, and generating functions."""
 
 import dataclasses
+import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sldgf import (BUILTIN_FAMILIES, CertificateError, FamilyError, Graph,
-                   LaurentPoly3, PolyMatrix, RatFunc3, build_transfer_system,
-                   builtin, certify_family_gf, colouring_weight,
-                   decode_states, encode_states, family_gf, iter_weps,
-                   parse_family_spec, poly_from_terms, ratfunc_equal,
-                   ratfunc_normalize, series_coefficients, wep_by_iteration,
+from sldgf import (BUILTIN_FAMILIES, CertificateError, FamilyError,
+                   FamilySpec, Graph, LaurentPoly3, PolyMatrix, RatFunc3,
+                   TransferSystem, build_transfer_system, builtin,
+                   certify_family_gf, colouring_weight, decode_states,
+                   encode_states, family_gf, iter_weps, parse_family_spec,
+                   poly_from_terms, ratfunc_equal, ratfunc_normalize,
+                   series_coefficients, wep_by_iteration,
                    wep_values_by_iteration)
+from sldgf import transfer
+from sldgf.transfer import Quotient, _lump, _min_cycle_mean
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
 from golden_forms import GOLDEN_GF
-from test_custom_family import CATERPILLAR
+from test_custom_family import CATERPILLAR, LADDER_3
+from unlumped import unlumped_weps
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
@@ -276,3 +284,167 @@ class TestGeneratingFunctions:
         sys_ = (build_transfer_system(parse_family_spec(CATERPILLAR))
                 if name == "caterpillar" else systems[name])
         assert ratfunc_equal(family_gf(sys_), fraction_free_gf(sys_))
+
+
+def custom_system(name):
+    doc = {"caterpillar": CATERPILLAR, "ladder_3": LADDER_3}[name]
+    return build_transfer_system(parse_family_spec(json.dumps(doc)))
+
+
+QUOTIENT_DIMENSIONS = {
+    "path": 3, "star": 3, "pusteblume": 3, "joint_squares": 3,
+    "caterpillar": 3, "cycle": 9, "complete_bipartite_2": 5, "grid_2": 6,
+    "ladder_3": 18}
+
+
+@st.composite
+def family_specs(draw):
+    """Valid families with a 1-2 vertex boundary, a base graph of up to 4
+    vertices and a replacement of up to 5, the next boundary inducing the
+    boundary's subgraph as validate() demands."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(k, 4))
+    m = draw(st.integers(k, 5))
+
+    def edges(size):
+        pairs = list(itertools.combinations(range(size), 2))
+        return set(draw(st.sets(st.sampled_from(pairs)))) if pairs else set()
+    base, rep = edges(n), edges(m)
+    boundary = draw(st.permutations(range(n)))[:k]
+    glue = draw(st.permutations(range(m)))[:k]
+    nxt = draw(st.permutations(range(m)))[:k]
+    if k == 2:
+        rep.discard(tuple(sorted(nxt)))
+        if tuple(sorted(boundary)) in base:
+            rep.add(tuple(sorted(nxt)))
+    spec = FamilySpec(
+        name="generated", base_graph=Graph.from_edges(n, sorted(base)),
+        boundary=tuple(boundary), replacement=Graph.from_edges(m, sorted(rep)),
+        glue_map=dict(zip(boundary, glue)),
+        next_boundary_map=dict(zip(boundary, nxt)),
+        prefix_weps=(ONE,), recursion_start=1, qubit_offset=n - (m - k),
+        qubit_step=m - k)
+    spec.validate()
+    return spec
+
+
+def weighted_digraphs():
+    """Rows of (target, weight) edges on 1-5 vertices, at most one edge
+    per ordered pair."""
+    return st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 5)),
+                 max_size=n, unique_by=lambda edge: edge[0]),
+        min_size=n, max_size=n))
+
+
+class TestLumping:
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
+    def test_quotient_dimensions(self, systems, name):
+        sys_ = systems.get(name) or custom_system(name)
+        assert sys_.quotient.dimension == QUOTIENT_DIMENSIONS[name]
+        assert sys_.dimension == 4 ** len(sys_.spec.boundary)
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
+    def test_lumped_members_equal_unlumped(self, systems, name):
+        sys_ = systems.get(name) or custom_system(name)
+        assert list(iter_weps(sys_, 40)) == list(unlumped_weps(sys_, 40))
+
+    def test_lumped_values_equal_unlumped(self, systems):
+        for name in BUILTIN_FAMILIES:
+            sys_ = systems[name]
+            assert wep_values_by_iteration(sys_, F(1, 2), F(2, 5), 60) == \
+                list(unlumped_weps(sys_, 60, (F(1, 2), F(2, 5)))), name
+
+    @pytest.mark.parametrize("tamper", ["entry", "dropped-entry",
+                                        "repeated-entry", "foreign-block",
+                                        "start", "block"])
+    def test_tampered_quotient_raises(self, systems, tamper):
+        sys_ = systems["grid_2"]
+        q = sys_.quotient
+        rows, start, block_of = list(q.rows), list(q.v), list(q.block_of)
+        if tamper == "entry":
+            (d, e), *rest = rows[0]
+            rows[0] = ((d, e + X * Y),) + tuple(rest)
+        elif tamper == "dropped-entry":
+            rows[-1] = rows[-1][:-1]
+        elif tamper == "repeated-entry":
+            # the iteration adds both copies
+            rows[0] = rows[0] + rows[0][-1:]
+        elif tamper == "foreign-block":
+            rows[0] = rows[0] + ((len(rows), ONE),)
+        elif tamper == "start":
+            start[0] = start[0] + ONE
+        else:
+            block_of[block_of.index(1)] = 0
+        bad = Quotient(tuple(block_of), tuple(rows), tuple(start))
+        with pytest.raises(CertificateError, match="grid_2"):
+            dataclasses.replace(sys_, quotient=bad)
+
+    def test_untampered_quotient_is_accepted(self, systems):
+        sys_ = systems["cycle"]
+        rebuilt = dataclasses.replace(sys_, quotient=_lump(sys_.t, sys_.v))
+        assert rebuilt.quotient == sys_.quotient
+
+    def test_replaced_system_derives_its_own_gf(self, systems):
+        # the cached generating function belongs to the system it was
+        # derived from, not to a copy made with another operator
+        path, star = systems["path"], systems["star"]
+        family_gf(path)
+        swapped = dataclasses.replace(path, t=star.t, v=star.v,
+                                      quotient=star.quotient)
+        assert family_gf(swapped) == GOLDEN_GF["star"]
+
+    def test_sampling_window_from_cycle_means(self, systems, monkeypatch):
+        # the window [ceil(k m_min), floor(k m_max)] needs 13 sample sweeps
+        # on grid_2 and 4 on cycle
+        real, calls = transfer.wep_values_by_iteration, []
+        monkeypatch.setattr(transfer, "wep_values_by_iteration",
+                            lambda *a: calls.append(a) or real(*a))
+        for name, sweeps in (("grid_2", 13), ("cycle", 4)):
+            calls.clear()
+            den, order = transfer._minimal_denominator(systems[name])
+            assert den == GOLDEN_GF[name].den or -den == GOLDEN_GF[name].den
+            assert len(calls) == sweeps, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_digraphs())
+    def test_cycle_means_match_enumeration(self, rows):
+        # Karp's least cycle mean against every simple cycle
+        weight = {(c, d): w for c, row in enumerate(rows) for d, w in row}
+        means = []
+        for size in range(1, len(rows) + 1):
+            for cyc in itertools.permutations(range(len(rows)), size):
+                edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+                if all(edge in weight for edge in edges):
+                    means.append(F(sum(weight[e] for e in edges), size))
+        assert _min_cycle_mean(rows, lambda w: w) == min(means, default=None)
+
+    def test_nilpotent_quotient_has_denominator_one(self):
+        # one edge from state 0 to state 1 and no cycle: members stop after
+        # two steps, and the generating function is their polynomial
+        t = PolyMatrix.zeros(4, 4)
+        t.data[1][0] = X
+        v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
+        spec = builtin("path")
+        sys_ = TransferSystem(
+            t=t, v=v, quotient=_lump(t, v), prefix_weps=spec.prefix_weps,
+            z_shift=spec.recursion_start, spec=spec)
+        gf = family_gf(sys_)
+        assert gf.den == ONE
+        assert gf == ratfunc_normalize(ONE + (X + Y) * Z + Z * Z + X * Z ** 3,
+                                       ONE)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs())
+    def test_generated_families_lump_and_certify(self, spec):
+        # the series of family_gf equals the unlumped iteration up to the
+        # Cayley-Hamilton bound of the unlumped T, which proves the pair
+        # without relying on the lumping
+        sys_ = build_transfer_system(spec)
+        gf = family_gf(sys_)
+        n = sys_.dimension
+        bound = max(gf.num.max_degree_z() + n,
+                    gf.den.max_degree_z() + sys_.z_shift + n - 1)
+        reference = list(unlumped_weps(sys_, bound))
+        assert list(iter_weps(sys_, bound)) == reference
+        assert series_coefficients(gf, bound) == reference
