@@ -29,8 +29,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import (LaurentPoly3, UniPolyZ, _univariate, uni_reduce,
-                      uni_specialize)
+from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
 from .family import SLD, sld_from_wep
 from .transfer import (TransferSystem, family_gf, iter_weps, wep_by_iteration,
                        wep_values_by_iteration)
@@ -420,15 +419,6 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _denominator_partials(den: LaurentPoly3) -> tuple[LaurentPoly3,
-                                                      LaurentPoly3]:
-    """dq/dx and dq/dy of a generating function's denominator q. They do
-    not depend on the noise strength, so the criterion ratio builds them
-    once per family, not once per lam."""
-    return den.partial("x"), den.partial("y")
-
-
 def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
     """Large-member limit of Q1/Q2 at noise strength lam.
 
@@ -441,9 +431,9 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
         report = _simple_pole(q)
         z = report.z_star
-        dq_dx, dq_dy = _denominator_partials(family_gf(sys).den)
-        num = _mp_poly(_univariate(dq_dx, Fraction(1), mu))(z)
-        den = _mp_poly(_univariate(dq_dy, Fraction(1), mu))(z)
+        gf_den = family_gf(sys).den
+        num = _mp_poly(_univariate(gf_den.partial("x"), Fraction(1), mu))(z)
+        den = _mp_poly(_univariate(gf_den.partial("y"), Fraction(1), mu))(z)
         if abs(den) <= mp.mpf("1e-25") * max(1, abs(num)):
             raise DegenerateSingularityError(
                 report, f"criterion ratio is indeterminate at lam = {lam}")

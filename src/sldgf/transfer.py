@@ -151,7 +151,8 @@ def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
     Starting from one block, each round splits a block by the column-block
     sums of its states. Any lumpable partition refines every round's, so
     the first round that splits nothing gives the coarsest one. Blocks are
-    numbered in the order of their first state.
+    numbered in the order of their first state. The quotient is checked by
+    _check_lumping before it is returned.
     """
     n = t.rows
     block_of, count = [0] * n, 1
@@ -169,54 +170,59 @@ def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
     columns = [_block_sums(t, block_of, first[d]) for d in range(count)]
     rows = tuple(tuple((d, columns[d][c]) for d in range(count)
                        if c in columns[d]) for c in range(count))
-    return Quotient(tuple(block_of), rows, _block_vector(v, block_of, count))
+    q = Quotient(tuple(block_of), rows, _block_vector(v, block_of, count))
+    _check_lumping(t, v, q)
+    return q
 
 
-@dataclass
+def _check_lumping(t: PolyMatrix, v: PolyMatrix, q: Quotient) -> None:
+    """Check P^T T = T' P^T and v' = P^T v entry by entry, reading T' as
+    the iteration does (repeated entries of a row add up); raise
+    CertificateError if either fails or q.block_of is not a partition."""
+    n, m = t.rows, q.dimension
+    if len(q.block_of) != n or set(q.block_of) != set(range(m)):
+        raise CertificateError("lumping is not a partition of the states")
+    columns = [{} for _ in range(m)]
+    for c, row in enumerate(q.rows):
+        for d, e in row:
+            if not 0 <= d < m:
+                raise CertificateError(
+                    f"lumped step matrix names block {d} of {m}")
+            columns[d][c] = columns[d].get(c, LaurentPoly3.zero()) + e
+    columns = [{c: e for c, e in col.items() if not e.is_zero()}
+               for col in columns]
+    for s in range(n):
+        if _block_sums(t, q.block_of, s) != columns[q.block_of[s]]:
+            raise CertificateError(
+                f"lumped step matrix fails P^T T = T' P^T at state {s}")
+    if _block_vector(v, q.block_of, m) != q.v:
+        raise CertificateError("lumped initial vector is not P^T v")
+
+
+@dataclass(frozen=True)
 class TransferSystem:
     """Step matrix, initial vector, their exact quotient, and prefix data
     of one family.
 
     t, v and dimension are the paper's 4^k-state matrix and vector. The
-    quotient is what every member, generating function and certificate is
-    computed from; making a TransferSystem checks P^T T = T' P^T and
-    v' = P^T v entry by entry and raises CertificateError if either fails.
+    quotient is derived from them when the system is made, and checked
+    against them entry by entry (P^T T = T' P^T, v' = P^T v, raising
+    CertificateError otherwise); every member, generating function and
+    certificate is computed from it. The system is frozen, so the quotient
+    and the cached generating function always belong to t and v.
     """
 
     t: PolyMatrix
     v: PolyMatrix
-    quotient: Quotient
     prefix_weps: tuple[LaurentPoly3, ...]
     z_shift: int
     spec: FamilySpec
+    quotient: Quotient = field(init=False, repr=False, compare=False)
     _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
     def __post_init__(self):
-        q, n = self.quotient, self.t.rows
-        m = q.dimension
-        if len(q.block_of) != n or set(q.block_of) != set(range(m)):
-            raise CertificateError(
-                f"{self.spec.name}: lumping is not a partition of the states")
-        # T' as the iteration reads it: repeated entries add up
-        columns = [{} for _ in range(m)]
-        for c, row in enumerate(q.rows):
-            for d, e in row:
-                if not 0 <= d < m:
-                    raise CertificateError(
-                        f"{self.spec.name}: lumped step matrix names "
-                        f"block {d} of {m}")
-                columns[d][c] = columns[d].get(c, LaurentPoly3.zero()) + e
-        columns = [{c: e for c, e in col.items() if not e.is_zero()}
-                   for col in columns]
-        for s in range(n):
-            if _block_sums(self.t, q.block_of, s) != columns[q.block_of[s]]:
-                raise CertificateError(
-                    f"{self.spec.name}: lumped step matrix fails "
-                    f"P^T T = T' P^T at state {s}")
-        if _block_vector(self.v, q.block_of, m) != q.v:
-            raise CertificateError(
-                f"{self.spec.name}: lumped initial vector is not P^T v")
+        object.__setattr__(self, "quotient", _lump(self.t, self.v))
 
     @property
     def dimension(self) -> int:
@@ -265,8 +271,7 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
         w = colouring_weight(g, colours, [0] * n)
         row = to_boundary([(c, 0) for c in colours])
         v.data[row][0] = v.data[row][0] + LaurentPoly3.monomial(w, n - w, 0)
-    return TransferSystem(t=t, v=v, quotient=_lump(t, v),
-                          prefix_weps=spec.prefix_weps,
+    return TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
                           z_shift=spec.recursion_start, spec=spec)
 
 
@@ -435,5 +440,5 @@ def family_gf(sys: TransferSystem) -> RatFunc3:
                         if e[2] < cut})
     gf = ratfunc_normalize(num, den)
     certify_family_gf(sys, gf)
-    sys._gf = gf
+    object.__setattr__(sys, "_gf", gf)
     return gf

@@ -18,7 +18,7 @@ from sldgf import (BUILTIN_FAMILIES, CertificateError, FamilyError,
                    series_coefficients, wep_by_iteration,
                    wep_values_by_iteration)
 from sldgf import transfer
-from sldgf.transfer import Quotient, _lump, _min_cycle_mean
+from sldgf.transfer import Quotient, _check_lumping, _lump, _min_cycle_mean
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
@@ -377,21 +377,28 @@ class TestLumping:
         else:
             block_of[block_of.index(1)] = 0
         bad = Quotient(tuple(block_of), tuple(rows), tuple(start))
-        with pytest.raises(CertificateError, match="grid_2"):
-            dataclasses.replace(sys_, quotient=bad)
+        with pytest.raises(CertificateError, match="lump"):
+            _check_lumping(sys_.t, sys_.v, bad)
 
     def test_untampered_quotient_is_accepted(self, systems):
         sys_ = systems["cycle"]
-        rebuilt = dataclasses.replace(sys_, quotient=_lump(sys_.t, sys_.v))
-        assert rebuilt.quotient == sys_.quotient
+        _check_lumping(sys_.t, sys_.v, sys_.quotient)
+        assert _lump(sys_.t, sys_.v) == sys_.quotient
+
+    def test_system_is_frozen(self, systems):
+        # the quotient and the cached generating function are derived from
+        # t and v, so neither may be swapped after the system is made
+        path, star = systems["path"], systems["star"]
+        for name, value in (("t", star.t), ("quotient", star.quotient)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(path, name, value)
 
     def test_replaced_system_derives_its_own_gf(self, systems):
         # the cached generating function belongs to the system it was
         # derived from, not to a copy made with another operator
         path, star = systems["path"], systems["star"]
         family_gf(path)
-        swapped = dataclasses.replace(path, t=star.t, v=star.v,
-                                      quotient=star.quotient)
+        swapped = dataclasses.replace(path, t=star.t, v=star.v)
         assert family_gf(swapped) == GOLDEN_GF["star"]
 
     def test_sampling_window_from_cycle_means(self, systems, monkeypatch):
@@ -426,9 +433,8 @@ class TestLumping:
         t.data[1][0] = X
         v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
         spec = builtin("path")
-        sys_ = TransferSystem(
-            t=t, v=v, quotient=_lump(t, v), prefix_weps=spec.prefix_weps,
-            z_shift=spec.recursion_start, spec=spec)
+        sys_ = TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
+                              z_shift=spec.recursion_start, spec=spec)
         gf = family_gf(sys_)
         assert gf.den == ONE
         assert gf == ratfunc_normalize(ONE + (X + Y) * Z + Z * Z + X * Z ** 3,
