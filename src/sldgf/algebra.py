@@ -310,9 +310,14 @@ class LaurentPoly3:
         return result
 
     def eval_xy(self, x0: int | Fraction, y0: int | Fraction) -> Fraction:
-        """Evaluate a z-free polynomial at exact (x0, y0)."""
+        """Evaluate a z-free polynomial at exact (x0, y0); like substitute,
+        raise AlgebraError for 0 to a negative power."""
         x0 = _as_fraction(x0)
         y0 = _as_fraction(y0)
+        for idx, value in enumerate((x0, y0)):
+            if value == 0 and any(exp[idx] < 0 for exp in self.terms):
+                raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "
+                                   "negative exponent")
         total = Fraction(0)
         for (ex, ey, ez), coeff in self.terms.items():
             if ez != 0:

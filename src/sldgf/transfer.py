@@ -25,6 +25,24 @@ checked entry by entry whenever a TransferSystem is made. Every member,
 generating function and certificate is computed on the quotient T'; T and
 v stay the paper's matrix and vector.
 
+The quotient is iterated over Python integers only, in one loop (_sums).
+Its entries are homogeneous with nonnegative integer coefficients (a
+system whose entries are not is refused with AlgebraError), so after the
+shift T'' = x^alpha y^beta T', alpha, beta >= 0 clearing the x^-1 and
+y^-1 entries, it can be evaluated at an integer point. A value at
+(x0, y0) = (a, b)/d iterates T''(a, b) and makes one Fraction per member,
+dividing by d^n a^(alpha m) b^(beta m). A symbolic member is read off by
+Kronecker substitution (Harvey, JSC 2009): T'' is iterated at (1, 2^B),
+and the base-2^B digits of the component sum are the member's
+coefficients. A coefficient is at most the member's value at (1, 1),
+2^n for a family since every column of T' sums to 2^growth there; the
+same loop gives those values first, and 2^B is taken above the largest.
+The digits of each decoded member must add up to its value at (1, 1)
+again, or CertificateError is raised: a carry between digits lowers the
+sum, so it cannot pass silently. Where the division above is undefined,
+at a zero coordinate with alpha or beta positive, the decoded members are
+evaluated instead.
+
 The family generating function is derived from the minimal linear
 recurrence of the members: Berlekamp-Massey on exact specialised iterates
 gives the reduced denominator at sample points, which is interpolated back
@@ -43,9 +61,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .algebra import (CertificateError, LaurentPoly3,
+from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
                       _berlekamp_massey, _interpolate_laurent,
                       ratfunc_normalize, series_coefficients)
@@ -275,35 +293,148 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
                           z_shift=spec.recursion_start, spec=spec)
 
 
-def _weps(sys: TransferSystem, r_max: int, point=None):
-    """Yield W_0 .. W_r_max by iterating the quotient step matrix.
+class _Homogenised(NamedTuple):
+    """The quotient shifted to polynomials with nonnegative int coefficients.
 
-    Without a point the members are exact polynomials; with point =
-    (x0, y0) every entry is first evaluated there, so the same recursion
-    runs over exact rationals and yields the values W_r(x0, y0).
+    rows[C] lists (D, terms of T''[C][D]) and vec[C] the terms of v''[C],
+    a term (i, j, c) standing for c x^i y^j, where T'' = x^alpha y^beta T'
+    and v'' = x^alpha0 y^beta0 v'. With step = (alpha, beta, degree of T')
+    and start = (alpha0, beta0, degree of v'), member start + m has degree
+    degree0 + m degree and equals the component sum of T''^m v'' divided by
+    x^(alpha m + alpha0) y^(beta m + beta0).
     """
-    if point is None:
-        zero, at = LaurentPoly3.zero(), (lambda e: e)
-    else:
-        x0, y0 = Fraction(point[0]), Fraction(point[1])
-        zero, at = Fraction(0), (lambda e: e.eval_xy(x0, y0))
-    for w in sys.prefix_weps[:r_max + 1]:
-        yield at(w)
-    if r_max < sys.z_shift:
-        return
-    rows = [[(k, at(e)) for k, e in row] for row in sys.quotient.rows]
-    vec = [at(e) for e in sys.quotient.v]
-    for r in range(sys.z_shift, r_max + 1):
-        if r > sys.z_shift:
-            vec = [sum((c * vec[k] for k, c in row), zero) for row in rows]
-        yield sum(vec, zero)
+
+    rows: list[list[tuple[int, list[tuple[int, int, int]]]]]
+    vec: list[list[tuple[int, int, int]]]
+    step: tuple[int, int, int]
+    start: tuple[int, int, int]
+
+
+def _shifted(entries: Sequence[LaurentPoly3]):
+    """(alpha, beta, degree) and the terms of x^alpha y^beta e for each
+    entry e, alpha and beta the least shifts that clear negative exponents.
+
+    Raises AlgebraError unless every term is z-free with a nonnegative
+    integer coefficient and all terms share one total degree, as every
+    step matrix and initial vector of a family does (they count colourings).
+    """
+    terms = [e.terms.items() for e in entries]
+    flat = [exp for ts in terms for exp, _ in ts]
+    if len({ex + ey for ex, ey, _ in flat}) > 1 or any(ez for *_, ez in flat) \
+            or any(c.denominator != 1 or c < 0 for ts in terms for _, c in ts):
+        raise AlgebraError("the members need homogeneous, z-free entries with "
+                           "nonnegative integer coefficients")
+    alpha = max([0] + [-ex for ex, _, _ in flat])
+    beta = max([0] + [-ey for _, ey, _ in flat])
+    degree = flat[0][0] + flat[0][1] if flat else 0
+    return (alpha, beta, degree), [
+        [(ex + alpha, ey + beta, c.numerator) for (ex, ey, _), c in ts]
+        for ts in terms]
+
+
+def _homogenise(q: Quotient) -> _Homogenised:
+    step, entries = _shifted([e for row in q.rows for _, e in row])
+    start, vec = _shifted(q.v)
+    it = iter(entries)
+    rows = [[(d, next(it)) for d, _ in row] for row in q.rows]
+    return _Homogenised(rows, vec, step, start)
+
+
+def _at(h: _Homogenised, a: int, b: int):
+    """T''(a, b) as sparse int rows and v''(a, b) as an int vector."""
+    def value(terms):
+        return sum(c * a ** i * b ** j for i, j, c in terms)
+    return ([[(d, value(ts)) for d, ts in row] for row in h.rows],
+            [value(ts) for ts in h.vec])
+
+
+def _sums(rows, vec, steps: int):
+    """Yield the component sums of vec, rows vec, ..., rows^steps vec: the
+    one iteration loop behind every member and value, over Python ints."""
+    yield sum(vec)
+    for _ in range(steps):
+        vec = [sum([c * vec[d] for d, c in row]) for row in rows]
+        yield sum(vec)
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per Kronecker digit for coefficients of at most bound."""
+    return max(1, -(-bound.bit_length() // 8))
+
+
+def _members(h: _Homogenised, steps: int, first: int = 0):
+    """Yield the exact members start + first .. start + steps, decoded from
+    Kronecker digits of 8 width bits (see _weps); digit k of member
+    start + m is the coefficient of y^(k - beta m - beta0)."""
+    ones = list(_sums(*_at(h, 1, 1), steps))
+    width = _digit_bytes(max(ones))
+    (_, beta, degree), (_, beta0, degree0) = h.step, h.start
+    sums = _sums(*_at(h, 1, 1 << 8 * width), steps)
+    for m, (s, one) in enumerate(zip(sums, ones)):
+        if m < first:
+            continue
+        raw = s.to_bytes(-(-s.bit_length() // 8), "little")
+        n, shift, terms, total = degree0 + m * degree, beta * m + beta0, {}, 0
+        for k in range(0, len(raw), width):
+            c = int.from_bytes(raw[k:k + width], "little")
+            if c:
+                e = k // width - shift
+                terms[(n - e, e, 0)] = Fraction(c)
+                total += c
+        if total != one:
+            raise CertificateError(
+                f"member digits sum to {total}, not {one}: a carry crossed "
+                f"a {8 * width}-bit digit")
+        yield LaurentPoly3(terms)
+
+
+def _values(h: _Homogenised, x0: Fraction, y0: Fraction, steps: int) -> list:
+    """Exact values at (x0, y0) of members start .. start + steps.
+
+    With (x0, y0) = (a, b)/d over the least common denominator, member
+    start + m is the component sum of T''(a, b)^m v''(a, b) divided by
+    d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0). Where
+    that divisor vanishes the members themselves are evaluated instead.
+    """
+    (alpha, beta, degree), (alpha0, beta0, degree0) = h.step, h.start
+    d = math.lcm(x0.denominator, y0.denominator)
+    a, b = int(x0 * d), int(y0 * d)
+    if (a == 0 and (alpha or alpha0)) or (b == 0 and (beta or beta0)):
+        return [w.eval_xy(x0, y0) for w in _members(h, steps)]
+    per_step = d ** degree * a ** alpha * b ** beta
+    den, out = d ** degree0 * a ** alpha0 * b ** beta0, []
+    for s in _sums(*_at(h, a, b), steps):
+        out.append(Fraction(s, den))
+        den *= per_step
+    return out
+
+
+def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
+    """Yield the exact members W_r_min .. W_r_max.
+
+    The prefix members are given; the rest come from the integer kernel.
+    The quotient is shifted to T'' = x^alpha y^beta T', a matrix of
+    polynomials with nonnegative integer coefficients, and iterated at the
+    Kronecker point (1, 2^B) over Python ints (_sums). Member start + m is
+    the base-2^B digits of the component sum, shifted back by y^(beta m).
+    The same loop at (1, 1) first gives each member's value there, which
+    bounds every coefficient (2^n for a family), and 2^B is taken above
+    the largest. The digits of each decoded member must add up to that
+    value again; a carry between digits lowers the sum, so a shortfall
+    raises CertificateError. Values at a rational point run the same loop
+    (see _values).
+    """
+    yield from sys.prefix_weps[r_min:r_max + 1]
+    if r_max >= sys.z_shift:
+        yield from _members(_homogenise(sys.quotient), r_max - sys.z_shift,
+                            max(r_min - sys.z_shift, 0))
 
 
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
     """Exact weight enumerator of member r by iterating the step matrix."""
     if r < 0:
         raise ValueError("member index must be nonnegative")
-    return deque(_weps(sys, r), maxlen=1).pop()
+    return deque(_weps(sys, r, r), maxlen=1).pop()
 
 
 def iter_weps(sys: TransferSystem, r_max: int):
@@ -315,10 +446,14 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
                             r_max: int) -> list:
     """Exact values W_r(x0, y0) for r = 0..r_max by specialised iteration.
 
-    Same recursion as wep_by_iteration with the step matrix evaluated at
-    exact rational (x0, y0); much faster for long sweeps.
+    The step matrix is evaluated at the numerators of (x0, y0) over their
+    common denominator, and each member makes one Fraction (see _values).
     """
-    return list(_weps(sys, r_max, (x0, y0)))
+    x0, y0 = Fraction(x0), Fraction(y0)
+    out = [w.eval_xy(x0, y0) for w in sys.prefix_weps[:r_max + 1]]
+    if r_max >= sys.z_shift:
+        out += _values(_homogenise(sys.quotient), x0, y0, r_max - sys.z_shift)
+    return out
 
 
 def _min_cycle_mean(rows, weight) -> Fraction | None:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldgf import (LaurentPoly3, NonConstantLeadingTermError, PolyMatrix,
-                   UniPolyZ, ZeroDenominatorError, poly_from_terms,
+from sldgf import (AlgebraError, LaurentPoly3, NonConstantLeadingTermError,
+                   PolyMatrix, UniPolyZ, ZeroDenominatorError, poly_from_terms,
                    ratfunc_equal, ratfunc_normalize, series_coefficients,
                    uni_gcd, uni_reduce, uni_specialize)
 from sldgf.algebra import _berlekamp_massey, _interpolate_laurent
@@ -51,6 +51,16 @@ class TestPolyOps:
         p = LaurentPoly3.monomial(-1, 2, 0)
         with pytest.raises(ValueError):
             p.substitute("x", 0)
+
+    def test_eval_zero_into_negative_exponent_rejected(self):
+        # the same error as substitute, not a bare ZeroDivisionError
+        p = LaurentPoly3.monomial(-1, 2, 0) + X
+        for point in ((0, 1), (F(0), F(2, 3))):
+            with pytest.raises(AlgebraError, match="x = 0"):
+                p.eval_xy(*point)
+        assert p.eval_xy(2, 0) == 2
+        with pytest.raises(AlgebraError, match="y = 0"):
+            LaurentPoly3.monomial(2, -1, 0).eval_xy(1, 0)
 
     def test_substitute_zero_drops_positive_powers(self):
         p = X * Y + Y

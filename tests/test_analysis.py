@@ -111,6 +111,14 @@ class TestFidelityExact:
             assert values[-1] == 1
             assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_no_noise_leaves_the_all_white_colouring(self, systems):
+        # W(1/2, 0) = 2^-n: cycle and complete_bipartite_2 have y^-1 step
+        # entries, so the value is read from the members themselves
+        for name in ("cycle", "complete_bipartite_2", "grid_2"):
+            sys_ = systems[name]
+            n = [0] + [sys_.spec.qubit_count(r) for r in range(1, 31)]
+            assert fidelity_sweep(sys_, 0, 30) == [F(1, 2 ** k) for k in n]
+
     def test_sweep_matches_single_member(self, systems):
         sweep = fidelity_sweep(systems["star"], "0.8", 12)
         for r in (0, 5, 12):

@@ -165,6 +165,13 @@ def test_ce_sweep_rows_equal_per_member_values(capsys):
             concentratable_entanglement(sys_, row["r"])
 
 
+@pytest.mark.parametrize("family", ["cycle", "complete_bipartite_2"])
+def test_fidelity_without_noise(family):
+    cp = run_cli("fidelity", "--family", family, "-r", "3", "--lambda", "0")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["F_exact"] == "1/8"
+
+
 def test_fidelity_report_schema():
     cp = run_cli("fidelity", "--family", "path", "-r", "10", "--lambda",
                  "0.8", "--asymptotic")

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldgf import (BUILTIN_FAMILIES, CertificateError, FamilyError,
-                   FamilySpec, Graph, LaurentPoly3, PolyMatrix, RatFunc3,
-                   TransferSystem, build_transfer_system, builtin,
+from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
+                   FamilyError, FamilySpec, Graph, LaurentPoly3, PolyMatrix,
+                   RatFunc3, TransferSystem, build_transfer_system, builtin,
                    certify_family_gf, colouring_weight, decode_states,
                    encode_states, family_gf, iter_weps, parse_family_spec,
                    poly_from_terms, ratfunc_equal, ratfunc_normalize,
@@ -211,7 +211,7 @@ class TestIteration:
 
     def test_specialised_iteration_matches_substitution(self, systems):
         # every member, prefix ones below recursion_start included: the
-        # rational recursion agrees with the polynomial one evaluated there
+        # values at a point agree with the symbolic members evaluated there
         for name in BUILTIN_FAMILIES:
             sys_ = systems[name]
             values = wep_values_by_iteration(sys_, F(3, 4), F(1, 4), 12)
@@ -454,3 +454,60 @@ class TestLumping:
         reference = list(unlumped_weps(sys_, bound))
         assert list(iter_weps(sys_, bound)) == reference
         assert series_coefficients(gf, bound) == reference
+
+
+def rational_points():
+    """Points whose coordinates include zero, negative and non-dyadic
+    rationals."""
+    coordinate = st.builds(F, st.integers(-6, 6),
+                           st.sampled_from([1, 2, 3, 5, 7, 12]))
+    return st.tuples(coordinate, coordinate)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs(), st.lists(rational_points(), min_size=1,
+                                    max_size=3))
+    def test_generated_members_and_values_equal_unlumped(self, spec, points):
+        # the reference evaluates the unlumped members, which stays defined
+        # at a zero coordinate where the kernel's homogenised division is not
+        sys_ = build_transfer_system(spec)
+        reference = list(unlumped_weps(sys_, 12))
+        assert list(iter_weps(sys_, 12)) == reference
+        for x0, y0 in points:
+            assert wep_values_by_iteration(sys_, x0, y0, 12) == \
+                [w.eval_xy(x0, y0) for w in reference], (x0, y0)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_zero_coordinates(self, systems, name):
+        sys_ = systems[name]
+        reference = list(unlumped_weps(sys_, 20))
+        for point in ((0, F(1, 3)), (F(-1, 2), 0), (0, 0)):
+            assert wep_values_by_iteration(sys_, *point, 20) == \
+                [w.eval_xy(*point) for w in reference], point
+
+    def test_narrow_digits_raise(self, systems, monkeypatch):
+        # one-byte digits still hold member 3, but carry once a coefficient
+        # passes 255; the digit sums then fall short of the values at (1, 1)
+        sys_ = systems["grid_2"]
+        monkeypatch.setattr(transfer, "_digit_bytes", lambda bound: 1)
+        assert wep_by_iteration(sys_, 3) == list(unlumped_weps(sys_, 3))[3]
+        with pytest.raises(CertificateError, match="carry"):
+            list(iter_weps(sys_, 12))
+        with pytest.raises(CertificateError, match="carry"):
+            wep_values_by_iteration(sys_, 0, F(1, 3), 12)
+
+    def test_non_integer_entries_rejected(self, systems):
+        # the members of a family count colourings; a step matrix that
+        # does not is refused rather than decoded
+        path = systems["path"]
+        for t_entry in (X * F(1, 2), X - Y, X + ONE):
+            t = PolyMatrix.zeros(4, 4)
+            t.data[1][0] = t_entry
+            v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
+            sys_ = TransferSystem(t=t, v=v, prefix_weps=path.prefix_weps,
+                                  z_shift=path.z_shift, spec=path.spec)
+            with pytest.raises(AlgebraError, match="nonnegative integer"):
+                wep_by_iteration(sys_, 4)
+            with pytest.raises(AlgebraError, match="nonnegative integer"):
+                wep_values_by_iteration(sys_, 1, 2, 4)
