@@ -259,7 +259,7 @@ class LaurentPoly3:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    # -- calculus and substitution -------------------------------------------
+    # -- calculus and evaluation ---------------------------------------------
 
     def partial(self, name: str) -> "LaurentPoly3":
         """Formal partial derivative with respect to x, y or z."""
@@ -281,54 +281,12 @@ class LaurentPoly3:
         result.terms = out
         return result
 
-    def substitute(self, name: str, value: int | Fraction) -> "LaurentPoly3":
-        """Substitute an exact rational for one variable."""
-        idx = _VAR_INDEX[name]
-        value = _as_fraction(value)
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if value == 0:
-                if e < 0:
-                    raise AlgebraError(
-                        f"substituting 0 for {name} with negative exponent {e}")
-                if e > 0:
-                    continue
-                scaled = coeff
-            else:
-                scaled = coeff * value ** e
-            new = list(exp)
-            new[idx] = 0
-            key = (new[0], new[1], new[2])
-            acc = out.get(key, Fraction(0)) + scaled
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = out
-        return result
-
     def eval_xy(self, x0: int | Fraction, y0: int | Fraction) -> Fraction:
-        """Evaluate a z-free polynomial at exact (x0, y0); like substitute,
-        raise AlgebraError for 0 to a negative power."""
-        x0 = _as_fraction(x0)
-        y0 = _as_fraction(y0)
-        for idx, value in enumerate((x0, y0)):
-            if value == 0 and any(exp[idx] < 0 for exp in self.terms):
-                raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "
-                                   "negative exponent")
-        total = Fraction(0)
-        for (ex, ey, ez), coeff in self.terms.items():
-            if ez != 0:
-                raise AlgebraError("eval_xy called on a polynomial involving z")
-            term = coeff
-            if ex:
-                term *= x0 ** ex
-            if ey:
-                term *= y0 ** ey
-            total += term
-        return total
+        """Evaluate a z-free polynomial at exact (x0, y0); raise AlgebraError
+        for 0 to a negative power."""
+        if self.max_degree_z():
+            raise AlgebraError("eval_xy called on a polynomial involving z")
+        return _z_coefficients(self, x0, y0)[0]
 
     def z_slice(self, r: int) -> "LaurentPoly3":
         """The coefficient of z^r, as a polynomial in x and y only."""
@@ -343,11 +301,7 @@ class LaurentPoly3:
         """Shared polynomial JSON encoding (terms sorted lexicographically)."""
         terms = []
         for (ex, ey, ez), coeff in self.sorted_terms():
-            if coeff.denominator == 1:
-                c = str(coeff.numerator)
-            else:
-                c = f"{coeff.numerator}/{coeff.denominator}"
-            terms.append({"e": [ex, ey, ez], "c": c})
+            terms.append({"e": [ex, ey, ez], "c": str(coeff)})
         return {"vars": ["x", "y", "z"], "terms": terms}
 
     @staticmethod
@@ -716,14 +670,27 @@ def uni_reduce(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:
     return _normalise_pair(p, q)
 
 
+def _z_coefficients(poly: LaurentPoly3, x0: int | Fraction,
+                    y0: int | Fraction) -> list[Fraction]:
+    """Coefficients, low degree first, of the polynomial in z left by
+    substituting exact (x0, y0) into poly: one pass adding c x0^ex y0^ey to
+    the coefficient of z^ez for each term. Raises AlgebraError for 0 to a
+    negative power."""
+    x0, y0 = _as_fraction(x0), _as_fraction(y0)
+    for idx, value in enumerate((x0, y0)):
+        if value == 0 and any(exp[idx] < 0 for exp in poly.terms):
+            raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "
+                               "negative exponent")
+    coeffs = [Fraction(0)] * (poly.max_degree_z() + 1)
+    for (ex, ey, ez), coeff in poly.terms.items():
+        coeffs[ez] += coeff * x0 ** ex * y0 ** ey
+    return coeffs
+
+
 def _univariate(poly: LaurentPoly3, x0: int | Fraction,
                 y0: int | Fraction) -> UniPolyZ:
     """The polynomial in z left by substituting exact (x0, y0) into poly."""
-    spec = poly.substitute("x", x0).substitute("y", y0)
-    coeffs = [Fraction(0)] * (spec.max_degree_z() + 1)
-    for (_, _, ez), coeff in spec.terms.items():
-        coeffs[ez] += coeff
-    return UniPolyZ(coeffs)
+    return UniPolyZ(_z_coefficients(poly, x0, y0))
 
 
 def uni_specialize(f: RatFunc3, x0: int | Fraction,

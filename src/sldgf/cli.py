@@ -5,8 +5,9 @@ figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
 malformed custom spec, negative member index, --lambda that is not a number
-in [0, 1], --tol or --jobs that is not positive), 3 analysis failures (for
-instance no asymptotic threshold, or a degenerate dominant singularity).
+in [0, 1], --tol or --jobs that is not positive, --max-qubits above the
+brute-force cap), 3 analysis failures (for instance no asymptotic threshold,
+or a degenerate dominant singularity).
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from pathlib import Path
 import mpmath as mp
 
 from .algebra import LaurentPoly3, series_coefficients
-from .analysis import (AnalysisError, NoThresholdError,
-                       critical_lambda_asymptotic, critical_lambda_sweep,
-                       fidelity_leading_term, fidelity_sweep, to_rational)
+from .analysis import (AnalysisError, critical_lambda_asymptotic,
+                       critical_lambda_sweep, fidelity_leading_term,
+                       fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
                      parse_family_spec, realize, serialize_family_spec,
                      sld_from_wep)
-from .oracle import sld_bruteforce_colouring, sld_bruteforce_stabilizer
+from .oracle import (DEFAULT_VERTEX_CAP, sld_bruteforce_colouring,
+                     sld_bruteforce_stabilizer)
 from .transfer import (build_transfer_system, family_gf, wep_by_iteration,
                        wep_values_by_iteration)
 
@@ -42,12 +44,6 @@ FIG_R_MAX = {"fig3": 60, "fig4": 100}
 
 class UsageError(Exception):
     """A command-line value the command cannot run with (exit code 2)."""
-
-
-def _rational_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _sig17(value) -> str:
@@ -140,7 +136,7 @@ def _cmd_wep(args) -> int:
     elif args.format == "text":
         _emit(str(wep))
     elif args.format == "csv":
-        rows = [[str(ey), _rational_str(c)] for (ex, ey, ez), c in
+        rows = [[str(ey), str(c)] for (ex, ey, ez), c in
                 sorted(wep.sorted_terms(), key=lambda t: t[0][1])]
         _emit(_csv_text(["k", "a_k"], rows))
     else:
@@ -178,6 +174,9 @@ def _verify_row(spec_key: str, r: int) -> dict:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
+    if args.max_qubits > DEFAULT_VERTEX_CAP:
+        raise UsageError(f"--max-qubits must be at most the brute-force cap "
+                         f"of {DEFAULT_VERTEX_CAP}, got {args.max_qubits}")
     spec_key = _spec_key(args)
     sys_ = _cached_system(spec_key)
     spec = sys_.spec
@@ -280,8 +279,8 @@ def _cmd_ce(args) -> int:
     r_values = _member_range(args)
     cbars = wep_values_by_iteration(sys_, Fraction(3, 4), Fraction(1, 4),
                                     max(r_values))
-    rows = [{"family": sys_.spec.name, "r": r, "c_bar": _rational_str(cbars[r]),
-             "c": _rational_str(1 - cbars[r])} for r in r_values]
+    rows = [{"family": sys_.spec.name, "r": r, "c_bar": str(cbars[r]),
+             "c": str(1 - cbars[r])} for r in r_values]
     if args.format == "csv":
         _emit(_csv_text(["family", "r", "c_bar", "c"],
                         [[row["family"], str(row["r"]), row["c_bar"],
@@ -300,7 +299,7 @@ def _cmd_fidelity(args) -> int:
     rows = []
     for r in r_values:
         row = {"family": sys_.spec.name, "r": r, "lambda": args.lam,
-               "F_exact": _rational_str(exact[r]), "F_approx": None,
+               "F_exact": str(exact[r]), "F_approx": None,
                "z_star": None, "gap": None}
         if lead is not None:
             row.update({"F_approx": float(lead.coefficient(r)),
@@ -367,10 +366,7 @@ def _cmd_figure(args) -> int:
         rows = []
         for name in FIG4_FAMILIES:
             sys_ = _cached_system("builtin:" + name)
-            try:
-                approx_str = _sig17(critical_lambda_asymptotic(sys_))
-            except NoThresholdError:
-                approx_str = ""
+            approx_str = _sig17(critical_lambda_asymptotic(sys_))
             for r, value in critical_lambda_sweep(sys_, range(1, r_max + 1)):
                 rows.append([name, str(r), str(sys_.spec.qubit_count(r)),
                              "" if value is None else _sig17(value),

@@ -143,7 +143,7 @@ def sld_from_wep(wep: LaurentPoly3) -> SLD:
     return SLD(tuple(sectors))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FamilySpec:
     """Declarative description of a recursively definable graph family.
 
@@ -166,18 +166,10 @@ class FamilySpec:
     recursion_start: int
     qubit_offset: int
     qubit_step: int
-    prefix_graphs: dict[int, Graph] | None = field(default=None, repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FamilySpec):
-            return NotImplemented
-        # prefix_graphs is auxiliary catalog data, not part of the spec identity
-        return (self.name, self.base_graph, self.boundary, self.replacement,
-                self.glue_map, self.next_boundary_map, self.prefix_weps,
-                self.recursion_start, self.qubit_offset, self.qubit_step) == \
-               (other.name, other.base_graph, other.boundary, other.replacement,
-                other.glue_map, other.next_boundary_map, other.prefix_weps,
-                other.recursion_start, other.qubit_offset, other.qubit_step)
+    # auxiliary catalog data, not part of the spec identity
+    prefix_graphs: dict[int, Graph] | None = field(default=None, repr=False,
+                                                   compare=False)
+    __hash__ = None  # unhashable: glue_map and next_boundary_map are dicts
 
     def qubit_count(self, r: int) -> int:
         return self.qubit_offset + self.qubit_step * r

@@ -219,8 +219,9 @@ def _check_lumping(t: PolyMatrix, v: PolyMatrix, q: Quotient) -> None:
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """Step matrix, initial vector, their exact quotient, and prefix data
-    of one family.
+    """Step matrix, initial vector and their exact quotient for the family
+    described by spec, which also gives the prefix members and the
+    recursion start.
 
     t, v and dimension are the paper's 4^k-state matrix and vector. The
     quotient is derived from them when the system is made, and checked
@@ -232,8 +233,6 @@ class TransferSystem:
 
     t: PolyMatrix
     v: PolyMatrix
-    prefix_weps: tuple[LaurentPoly3, ...]
-    z_shift: int
     spec: FamilySpec
     quotient: Quotient = field(init=False, repr=False, compare=False)
     _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
@@ -289,8 +288,7 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
         w = colouring_weight(g, colours, [0] * n)
         row = to_boundary([(c, 0) for c in colours])
         v.data[row][0] = v.data[row][0] + LaurentPoly3.monomial(w, n - w, 0)
-    return TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
-                          z_shift=spec.recursion_start, spec=spec)
+    return TransferSystem(t=t, v=v, spec=spec)
 
 
 class _Homogenised(NamedTuple):
@@ -424,10 +422,11 @@ def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
     raises CertificateError. Values at a rational point run the same loop
     (see _values).
     """
-    yield from sys.prefix_weps[r_min:r_max + 1]
-    if r_max >= sys.z_shift:
-        yield from _members(_homogenise(sys.quotient), r_max - sys.z_shift,
-                            max(r_min - sys.z_shift, 0))
+    start = sys.spec.recursion_start
+    yield from sys.spec.prefix_weps[r_min:r_max + 1]
+    if r_max >= start:
+        yield from _members(_homogenise(sys.quotient), r_max - start,
+                            max(r_min - start, 0))
 
 
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
@@ -450,9 +449,10 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     common denominator, and each member makes one Fraction (see _values).
     """
     x0, y0 = Fraction(x0), Fraction(y0)
-    out = [w.eval_xy(x0, y0) for w in sys.prefix_weps[:r_max + 1]]
-    if r_max >= sys.z_shift:
-        out += _values(_homogenise(sys.quotient), x0, y0, r_max - sys.z_shift)
+    start = sys.spec.recursion_start
+    out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]
+    if r_max >= start:
+        out += _values(_homogenise(sys.quotient), x0, y0, r_max - start)
     return out
 
 
@@ -501,7 +501,7 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     - 1, and the denominator is 1.
     """
     q = sys.quotient
-    n, start, step = q.dimension, sys.z_shift, sys.spec.qubit_step
+    n, start, step = q.dimension, sys.spec.recursion_start, sys.spec.qubit_step
     m_min = _min_cycle_mean(q.rows, lambda e: min(ey for _, ey, _ in e.terms))
     if m_min is None:
         return LaurentPoly3.const(1), n
@@ -544,7 +544,7 @@ def certify_family_gf(sys: TransferSystem, gf: RatFunc3) -> None:
     """
     n = sys.quotient.dimension
     bound = max(gf.num.max_degree_z() + n,
-                gf.den.max_degree_z() + sys.z_shift + n - 1)
+                gf.den.max_degree_z() + sys.spec.recursion_start + n - 1)
     try:
         series = series_coefficients(gf, bound)
     except NonConstantLeadingTermError as exc:
@@ -567,7 +567,7 @@ def family_gf(sys: TransferSystem) -> RatFunc3:
     if sys._gf is not None:
         return sys._gf
     den, order = _minimal_denominator(sys)
-    cut = sys.z_shift + order
+    cut = sys.spec.recursion_start + order
     head = LaurentPoly3.zero()
     for r, wep in enumerate(iter_weps(sys, cut - 1)):
         head = head + wep.shift((0, 0, r))

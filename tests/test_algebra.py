@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sldgf import (AlgebraError, LaurentPoly3, NonConstantLeadingTermError,
-                   PolyMatrix, UniPolyZ, ZeroDenominatorError, poly_from_terms,
-                   ratfunc_equal, ratfunc_normalize, series_coefficients,
-                   uni_gcd, uni_reduce, uni_specialize)
+                   PolyMatrix, RatFunc3, UniPolyZ, ZeroDenominatorError,
+                   poly_from_terms, ratfunc_equal, ratfunc_normalize,
+                   series_coefficients, uni_gcd, uni_reduce, uni_specialize)
 from sldgf.algebra import _berlekamp_massey, _interpolate_laurent
 
 from fraction_free import (SingularMatrixError, divexact, identity,
@@ -44,16 +44,22 @@ class TestPolyOps:
 
     def test_substitute_bell_point(self):
         p = X * X + LaurentPoly3.const(3) * Y * Y
-        assert p.substitute("x", F(3, 4)).substitute("y", F(1, 4)) == \
-            LaurentPoly3.const(F(3, 4))
+        assert p.eval_xy(F(3, 4), F(1, 4)) == F(3, 4)
+        # with z left over, each power of z collects its own coefficient
+        f = ratfunc_normalize(p + p * Z * Z, ONE + X * Z)
+        assert uni_specialize(f, F(3, 4), F(1, 4)) == \
+            (UniPolyZ([3, 0, 3]), UniPolyZ([4, 3]))
 
     def test_substitute_zero_into_negative_exponent_rejected(self):
         p = LaurentPoly3.monomial(-1, 2, 0)
-        with pytest.raises(ValueError):
-            p.substitute("x", 0)
+        with pytest.raises(AlgebraError, match="x = 0"):
+            p.eval_xy(0, 1)
+        f = RatFunc3(LaurentPoly3.monomial(-1, 2, 1) + ONE, ONE)
+        with pytest.raises(AlgebraError, match="x = 0"):
+            uni_specialize(f, 0, 1)
 
     def test_eval_zero_into_negative_exponent_rejected(self):
-        # the same error as substitute, not a bare ZeroDivisionError
+        # an AlgebraError naming the coordinate, not a bare ZeroDivisionError
         p = LaurentPoly3.monomial(-1, 2, 0) + X
         for point in ((0, 1), (F(0), F(2, 3))):
             with pytest.raises(AlgebraError, match="x = 0"):
@@ -61,10 +67,15 @@ class TestPolyOps:
         assert p.eval_xy(2, 0) == 2
         with pytest.raises(AlgebraError, match="y = 0"):
             LaurentPoly3.monomial(2, -1, 0).eval_xy(1, 0)
+        with pytest.raises(AlgebraError, match="involving z"):
+            (X + Z).eval_xy(1, 1)
 
     def test_substitute_zero_drops_positive_powers(self):
         p = X * Y + Y
-        assert p.substitute("x", 0) == Y
+        assert p.eval_xy(0, F(2, 3)) == F(2, 3)
+        # at x = 0 in z's presence: x y z and x z^3 vanish, y and z^2 stay
+        f = ratfunc_normalize(p * Z + Y + Z * Z + X * Z ** 3, ONE + X * Z)
+        assert uni_specialize(f, 0, 2) == (UniPolyZ([2, 2, 1]), UniPolyZ([1]))
 
     def test_laurent_derivative(self):
         p = LaurentPoly3.monomial(-1, 2, 0)

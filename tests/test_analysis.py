@@ -378,7 +378,8 @@ class TestThresholdBisection:
             critical_lambda_asymptotic(systems["path"])
 
     def test_no_degenerate_singularity_is_caught(self):
-        # analysis failures propagate to the caller instead of being skipped
+        # analysis failures propagate to the caller instead of being skipped,
+        # and no command turns a missing threshold into an empty value
         src = Path(analysis.__file__).parent
         caught = []
         for path in sorted(src.glob("*.py")):
@@ -387,6 +388,7 @@ class TestThresholdBisection:
                     names = {n.id if isinstance(n, ast.Name) else n.attr
                              for n in ast.walk(node.type)
                              if isinstance(n, (ast.Name, ast.Attribute))}
-                    if "DegenerateSingularityError" in names:
+                    if names & {"DegenerateSingularityError",
+                                 "NoThresholdError"}:
                         caught.append(f"{path.name}:{node.lineno}")
         assert caught == []

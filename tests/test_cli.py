@@ -94,12 +94,13 @@ def test_unknown_family_exits_two():
     ("critical-lambda", "--family", "path", "-r", "3", "--tol", "-1"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "0"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "-2"),
+    ("verify", "--family", "joint_squares", "--max-qubits", "25"),
     ("figure", "fig3", "--r-max", "-1"),
     ("figure", "fig4", "--r-max", "-1"),
 ], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r",
         "fidelity-lambda-text", "fidelity-lambda-above-one", "tol-zero",
-        "tol-negative", "jobs-zero", "jobs-negative", "fig3-r-max",
-        "fig4-r-max"])
+        "tol-negative", "jobs-zero", "jobs-negative", "max-qubits-above-cap",
+        "fig3-r-max", "fig4-r-max"])
 def test_negative_member_index_exits_two(args):
     # a negative member index and each malformed option value above is a
     # usage error
@@ -289,8 +290,8 @@ def test_verify_exits_one_on_mismatch(monkeypatch, capsys):
     assert "MISMATCH" in out
 
 
-def test_analysis_failure_exits_three(monkeypatch, capsys):
-    # a missing asymptotic threshold is reported, not printed as null
+def _exit_without_threshold(monkeypatch, capsys, argv):
+    """Run argv in process with critical_lambda_asymptotic failing."""
     import sldgf.cli as cli
     from sldgf import NoThresholdError
 
@@ -299,9 +300,24 @@ def test_analysis_failure_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "critical_lambda_asymptotic", no_threshold)
     cli._cached_system.cache_clear()
-    code = cli.main(["critical-lambda", "--family", "path", "--r-max", "3",
-                     "--asymptotic"])
-    captured = capsys.readouterr()
+    code = cli.main(argv)
+    return code, capsys.readouterr()
+
+
+def test_analysis_failure_exits_three(monkeypatch, capsys):
+    # a missing asymptotic threshold is reported, not printed as null
+    code, captured = _exit_without_threshold(
+        monkeypatch, capsys,
+        ["critical-lambda", "--family", "path", "--r-max", "3", "--asymptotic"])
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: no sign change\n"
+
+
+def test_figure_analysis_failure_exits_three(monkeypatch, capsys):
+    # fig4 reports a missing limit instead of writing an empty column
+    code, captured = _exit_without_threshold(
+        monkeypatch, capsys, ["figure", "fig4", "--r-max", "3"])
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: no sign change\n"

@@ -48,10 +48,10 @@ def fraction_free_gf(sys_):
     for num in nums:
         total = total + num
     prefix = ZERO
-    for r, w in enumerate(sys_.prefix_weps):
+    for r, w in enumerate(sys_.spec.prefix_weps):
         prefix = prefix + w.shift((0, 0, r))
-    return ratfunc_normalize(prefix * den + total.shift((0, 0, sys_.z_shift)),
-                             den)
+    shift = (0, 0, sys_.spec.recursion_start)
+    return ratfunc_normalize(prefix * den + total.shift(shift), den)
 
 
 class TestStateIndexing:
@@ -433,8 +433,7 @@ class TestLumping:
         t.data[1][0] = X
         v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
         spec = builtin("path")
-        sys_ = TransferSystem(t=t, v=v, prefix_weps=spec.prefix_weps,
-                              z_shift=spec.recursion_start, spec=spec)
+        sys_ = TransferSystem(t=t, v=v, spec=spec)
         gf = family_gf(sys_)
         assert gf.den == ONE
         assert gf == ratfunc_normalize(ONE + (X + Y) * Z + Z * Z + X * Z ** 3,
@@ -450,7 +449,7 @@ class TestLumping:
         gf = family_gf(sys_)
         n = sys_.dimension
         bound = max(gf.num.max_degree_z() + n,
-                    gf.den.max_degree_z() + sys_.z_shift + n - 1)
+                    gf.den.max_degree_z() + spec.recursion_start + n - 1)
         reference = list(unlumped_weps(sys_, bound))
         assert list(iter_weps(sys_, bound)) == reference
         assert series_coefficients(gf, bound) == reference
@@ -505,8 +504,7 @@ class TestIntegerKernel:
             t = PolyMatrix.zeros(4, 4)
             t.data[1][0] = t_entry
             v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
-            sys_ = TransferSystem(t=t, v=v, prefix_weps=path.prefix_weps,
-                                  z_shift=path.z_shift, spec=path.spec)
+            sys_ = TransferSystem(t=t, v=v, spec=path.spec)
             with pytest.raises(AlgebraError, match="nonnegative integer"):
                 wep_by_iteration(sys_, 4)
             with pytest.raises(AlgebraError, match="nonnegative integer"):

@@ -25,14 +25,15 @@ def unlumped_weps(sys, r_max: int, point=None):
     else:
         x0, y0 = Fraction(point[0]), Fraction(point[1])
         zero, at = Fraction(0), (lambda e: e.eval_xy(x0, y0))
-    for w in sys.prefix_weps[:r_max + 1]:
+    start = sys.spec.recursion_start
+    for w in sys.spec.prefix_weps[:r_max + 1]:
         yield at(w)
-    if r_max < sys.z_shift:
+    if r_max < start:
         return
     rows = [[(k, at(e)) for k, e in enumerate(row) if not e.is_zero()]
             for row in sys.t.data]
     vec = [at(e) for e in sys.v.column(0)]
-    for r in range(sys.z_shift, r_max + 1):
-        if r > sys.z_shift:
+    for r in range(start, r_max + 1):
+        if r > start:
             vec = [sum((c * vec[k] for k, c in row), zero) for row in rows]
         yield sum(vec, zero)
