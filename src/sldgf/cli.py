@@ -4,10 +4,11 @@ Subcommands: families, gf, wep, sld, verify, ce, fidelity, critical-lambda,
 figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
-malformed custom spec, negative member index, --lambda that is not a number
-in [0, 1], --tol or --jobs that is not positive, --max-qubits above the
-brute-force cap), 3 analysis failures (for instance no asymptotic threshold,
-or a degenerate dominant singularity).
+malformed custom spec, negative member index, critical-lambda -r 0, --lambda
+that is not a number in [0, 1], --tol or --jobs that is not positive,
+--max-qubits above the brute-force cap, verify on a family that does not
+grow), 3 analysis failures (for instance no asymptotic threshold, or a
+degenerate dominant singularity).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .algebra import LaurentPoly3, series_coefficients
+from .algebra import series_coefficients
 from .analysis import (AnalysisError, critical_lambda_asymptotic,
                        critical_lambda_sweep, fidelity_leading_term,
                        fidelity_sweep, to_rational)
@@ -33,8 +35,8 @@ from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
                      sld_from_wep)
 from .oracle import (DEFAULT_VERTEX_CAP, sld_bruteforce_colouring,
                      sld_bruteforce_stabilizer)
-from .transfer import (build_transfer_system, family_gf, wep_by_iteration,
-                       wep_values_by_iteration)
+from .transfer import (build_transfer_system, family_gf, iter_weps,
+                       wep_by_iteration, wep_values_by_iteration)
 
 FIG3_FAMILIES = ("path", "star", "cycle")
 FIG3_LAMBDA = "0.8"
@@ -85,7 +87,7 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+    _emit(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -94,6 +96,16 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit_rows(args, header: list[str], rows: list[dict]) -> None:
+    """Write rows as CSV cells in header order, None as an empty cell, or
+    as JSON: the list, or its single row when -r names one member."""
+    if args.format == "csv":
+        _emit(_csv_text(header, [["" if row[k] is None else str(row[k])
+                                  for k in header] for row in rows]))
+    else:
+        _emit_json(rows if args.r is None else rows[0])
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -155,20 +167,16 @@ def _cmd_sld(args) -> int:
     return 0
 
 
-def _verify_row(spec_key: str, r: int) -> dict:
-    sys_ = _cached_system(spec_key)
-    spec = sys_.spec
-    wep = wep_by_iteration(sys_, r)
-    row = {"r": r, "n": spec.qubit_count(r) if r >= 1 else 0,
-           "iteration": wep.to_json(), "colouring": None, "stabilizer": None}
+def _oracles(spec, r: int):
+    """Vertex count and the sector lengths of both brute-force oracles for
+    member r, or None when the member has no graph. This is all the work a
+    verify worker does."""
     try:
         graph = realize(spec, r)
     except FamilyError:
-        return row
-    row["n"] = graph.vertex_count
-    row["colouring"] = list(sld_bruteforce_colouring(graph).sectors)
-    row["stabilizer"] = list(sld_bruteforce_stabilizer(graph).sectors)
-    return row
+        return None
+    return (graph.vertex_count, list(sld_bruteforce_colouring(graph).sectors),
+            list(sld_bruteforce_stabilizer(graph).sectors))
 
 
 def _cmd_verify(args) -> int:
@@ -177,39 +185,33 @@ def _cmd_verify(args) -> int:
     if args.max_qubits > DEFAULT_VERTEX_CAP:
         raise UsageError(f"--max-qubits must be at most the brute-force cap "
                          f"of {DEFAULT_VERTEX_CAP}, got {args.max_qubits}")
-    spec_key = _spec_key(args)
-    sys_ = _cached_system(spec_key)
+    sys_ = _cached_system(_spec_key(args))
     spec = sys_.spec
-    r_max = 0
-    r = 1
-    while spec.qubit_count(r) <= args.max_qubits:
-        r_max = r
-        r += 1
+    if spec.qubit_step < 1:
+        raise UsageError(f"family {spec.name} does not grow: its "
+                         f"qubit_count.step is {spec.qubit_step}")
+    r_max = max(0, (args.max_qubits - spec.qubit_offset) // spec.qubit_step)
     series = series_coefficients(family_gf(sys_), r_max)
-    r_values = list(range(r_max + 1))
+    weps = list(iter_weps(sys_, r_max))
+    r_values = range(r_max + 1)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_verify_row, [spec_key] * len(r_values),
-                                 r_values))
+            found = list(pool.map(_oracles, [spec] * len(r_values), r_values))
     else:
-        rows = [_verify_row(spec_key, r) for r in r_values]
+        found = [_oracles(spec, r) for r in r_values]
     table = []
-    all_ok = True
-    for row in rows:
-        r = row["r"]
-        series_sld = _sld_or_none(series[r])
-        iter_sld = _sld_or_none(LaurentPoly3.from_json(row["iteration"]))
-        checks = [series[r].to_json() == row["iteration"]]
-        for key in ("colouring", "stabilizer"):
-            if row[key] is not None:
-                checks.append(row[key] == iter_sld)
-        ok = all(checks)
-        all_ok = all_ok and ok
+    for r, oracles in zip(r_values, found):
+        n, colouring, stabilizer = oracles or (
+            spec.qubit_count(r) if r >= 1 else 0, None, None)
+        iteration = _sld_or_none(weps[r])
         table.append({
-            "r": r, "n": row["n"],
-            "series": series_sld, "iteration": iter_sld,
-            "colouring": row["colouring"], "stabilizer": row["stabilizer"],
-            "agree": ok})
+            "r": r, "n": n,
+            "series": _sld_or_none(series[r]), "iteration": iteration,
+            "colouring": colouring, "stabilizer": stabilizer,
+            "agree": series[r] == weps[r] and all(
+                sld is None or sld == iteration
+                for sld in (colouring, stabilizer))})
+    all_ok = all(t["agree"] for t in table)
     if args.format == "json":
         _emit_json({"family": spec.name, "max_qubits": args.max_qubits,
                     "rows": table, "ok": all_ok})
@@ -256,7 +258,11 @@ def _member_index(flag: str, value: int) -> int:
 def _member_range(args, default_low: int = 0) -> list[int]:
     """The member given by -r, or the sweep default_low..--r-max."""
     if args.r is not None:
-        return [_member_index("-r", args.r)]
+        r = _member_index("-r", args.r)
+        if r < default_low:
+            raise UsageError(f"-r must be at least {default_low} for "
+                             f"{args.command}, got {r}")
+        return [r]
     if args.r_max is not None:
         return list(range(default_low,
                           _member_index("--r-max", args.r_max) + 1))
@@ -281,12 +287,7 @@ def _cmd_ce(args) -> int:
                                     max(r_values))
     rows = [{"family": sys_.spec.name, "r": r, "c_bar": str(cbars[r]),
              "c": str(1 - cbars[r])} for r in r_values]
-    if args.format == "csv":
-        _emit(_csv_text(["family", "r", "c_bar", "c"],
-                        [[row["family"], str(row["r"]), row["c_bar"],
-                          row["c"]] for row in rows]))
-    else:
-        _emit_json(rows if args.r is None else rows[0])
+    _emit_rows(args, ["family", "r", "c_bar", "c"], rows)
     return 0
 
 
@@ -302,19 +303,14 @@ def _cmd_fidelity(args) -> int:
                "F_exact": str(exact[r]), "F_approx": None,
                "z_star": None, "gap": None}
         if lead is not None:
+            # the gap is infinite when the denominator has a single root
+            gap = float(lead.report.modulus_gap)
             row.update({"F_approx": float(lead.coefficient(r)),
                         "z_star": float(mp.re(lead.report.z_star)),
-                        "gap": float(lead.report.modulus_gap)})
+                        "gap": gap if math.isfinite(gap) else None})
         rows.append(row)
-    if args.format == "csv":
-        header = ["family", "r", "lambda", "F_exact", "F_approx", "z_star",
-                  "gap"]
-        body = [[row["family"], str(row["r"]), row["lambda"], row["F_exact"]]
-                + ["" if row[k] is None else repr(row[k]) for k in header[4:]]
-                for row in rows]
-        _emit(_csv_text(header, body))
-    else:
-        _emit_json(rows if args.r is None else rows[0])
+    _emit_rows(args, ["family", "r", "lambda", "F_exact", "F_approx",
+                      "z_star", "gap"], rows)
     return 0
 
 
@@ -328,15 +324,14 @@ def _cmd_critical_lambda(args) -> int:
     approx = None
     if args.asymptotic:
         approx = critical_lambda_asymptotic(sys_, args.tol)
-    result = {"family": sys_.spec.name, "lambda_c": entries,
-              "lambda_c_approx": approx}
     if args.format == "csv":
-        rows = [[sys_.spec.name, str(e["r"]),
-                 "" if e["value"] is None else repr(e["value"]),
-                 "" if approx is None else repr(approx)] for e in entries]
-        _emit(_csv_text(["family", "r", "lambda_c", "lambda_c_approx"], rows))
+        _emit_rows(args, ["family", "r", "lambda_c", "lambda_c_approx"],
+                   [{"family": sys_.spec.name, "r": e["r"],
+                     "lambda_c": e["value"], "lambda_c_approx": approx}
+                    for e in entries])
     else:
-        _emit_json(result)
+        _emit_json({"family": sys_.spec.name, "lambda_c": entries,
+                    "lambda_c_approx": approx})
     return 0
 
 

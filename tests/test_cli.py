@@ -12,7 +12,9 @@ import mpmath as mp
 import pytest
 
 import sldgf
-from sldgf import builtin, serialize_family_spec
+from sldgf import BUILTIN_FAMILIES, builtin, serialize_family_spec
+
+from test_custom_family import CATERPILLAR
 
 # the child process imports the package from where the tests found it
 SRC = str(Path(sldgf.__file__).resolve().parents[1])
@@ -21,7 +23,8 @@ SRC = str(Path(sldgf.__file__).resolve().parents[1])
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "sldgf", *args]
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(cmd, capture_output=True, text=True,
+    # a command that hangs fails its test instead of stalling the suite
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
 
 
@@ -68,13 +71,29 @@ def test_verify_exits_zero_on_agreement():
     assert "all agree" in cp.stdout
 
 
-def test_verify_parallel_matches_serial():
-    serial = run_cli("verify", "--family", "cycle", "--max-qubits", "8",
-                     "--format", "csv")
-    parallel = run_cli("verify", "--family", "cycle", "--max-qubits", "8",
-                       "--format", "csv", "--jobs", "2")
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+def test_verify_parallel_matches_serial(tmp_path: Path):
+    # the workers receive the family spec itself, built-in or custom
+    spec_file = tmp_path / "caterpillar.json"
+    spec_file.write_text(json.dumps(CATERPILLAR))
+    for source in (("--family", "cycle"), ("--spec", str(spec_file))):
+        args = ("verify", *source, "--max-qubits", "8", "--format", "csv")
+        serial = run_cli(*args)
+        parallel = run_cli(*args, "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 0, serial.stderr
+        assert serial.stdout == parallel.stdout
+
+
+def test_verify_rejects_a_family_that_does_not_grow(tmp_path: Path):
+    # a replacement with as many vertices as the boundary keeps every member
+    # at one qubit, so --max-qubits bounds no member range
+    spec_file = tmp_path / "still.json"
+    spec_file.write_text(json.dumps({
+        **CATERPILLAR, "name": "still", "replacement": {"n": 1, "edges": []},
+        "next_boundary_map": {"0": 0}, "qubit_count": {"offset": 1, "step": 0}}))
+    cp = run_cli("verify", "--spec", str(spec_file))
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
 
 
 def test_unknown_family_exits_two():
@@ -92,6 +111,7 @@ def test_unknown_family_exits_two():
     ("fidelity", "--family", "path", "-r", "3", "--lambda", "2"),
     ("critical-lambda", "--family", "path", "-r", "3", "--tol", "0"),
     ("critical-lambda", "--family", "path", "-r", "3", "--tol", "-1"),
+    ("critical-lambda", "--family", "path", "-r", "0"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "0"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "-2"),
     ("verify", "--family", "joint_squares", "--max-qubits", "25"),
@@ -99,8 +119,8 @@ def test_unknown_family_exits_two():
     ("figure", "fig4", "--r-max", "-1"),
 ], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r",
         "fidelity-lambda-text", "fidelity-lambda-above-one", "tol-zero",
-        "tol-negative", "jobs-zero", "jobs-negative", "max-qubits-above-cap",
-        "fig3-r-max", "fig4-r-max"])
+        "tol-negative", "critical-lambda-r-zero", "jobs-zero",
+        "jobs-negative", "max-qubits-above-cap", "fig3-r-max", "fig4-r-max"])
 def test_negative_member_index_exits_two(args):
     # a negative member index and each malformed option value above is a
     # usage error
@@ -215,6 +235,24 @@ def test_fidelity_asymptotic_finds_the_pole_once(monkeypatch, capsys, family):
             fidelity_asymptotic(sys_, Fraction(4, 5), row["r"]))
         assert row["z_star"] == float(mp.re(report.z_star))
         assert row["gap"] == float(report.modulus_gap)
+
+
+def test_fidelity_gap_without_a_second_root_is_absent(capsys):
+    # at lambda = 1 each reduced denominator has a single root, so there is
+    # no gap; strict JSON has no Infinity to print in its place
+    import sldgf.cli as cli
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    for family in BUILTIN_FAMILIES:
+        argv = ["fidelity", "--family", family, "-r", "3", "--lambda", "1",
+                "--asymptotic"]
+        assert cli.main(argv) == 0
+        row = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert row["gap"] is None and isinstance(row["F_approx"], float)
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",")
 
 
 def test_critical_lambda_report_schema():
