@@ -6,15 +6,14 @@ from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       UniPolyZ, ZeroDenominatorError, poly_from_terms,
                       ratfunc_equal, ratfunc_normalize, series_coefficients,
                       uni_gcd, uni_reduce, uni_specialize)
-from .analysis import (AnalysisError, CEClosedFormReport, ClusteredRootsError,
-                       DegenerateSingularityError, LeadingTerm,
+from .analysis import (AnalysisError, DegenerateSingularityError, LeadingTerm,
                        NoThresholdError, SingularityReport,
-                       ce_closed_form_check, concentratable_entanglement,
-                       criterion_asymptotic_ratio, criterion_q,
-                       critical_lambda, critical_lambda_asymptotic,
-                       critical_lambda_sweep, dominant_singularity,
-                       fidelity_asymptotic, fidelity_exact,
-                       fidelity_leading_term, fidelity_sweep, to_rational)
+                       concentratable_entanglement, criterion_asymptotic_ratio,
+                       criterion_q, critical_lambda,
+                       critical_lambda_asymptotic, critical_lambda_sweep,
+                       dominant_singularity, fidelity_asymptotic,
+                       fidelity_exact, fidelity_leading_term, fidelity_sweep,
+                       to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, FamilySpec, Graph, SLD,
                      builtin, parse_family_spec, realize,
                      serialize_family_spec, sld_from_wep, wep_from_sld)
@@ -35,14 +34,12 @@ __all__ = [
     "ratfunc_normalize", "series_coefficients", "uni_gcd", "uni_reduce",
     "uni_specialize",
     # analysis
-    "AnalysisError", "CEClosedFormReport", "ClusteredRootsError",
-    "DegenerateSingularityError", "LeadingTerm", "NoThresholdError",
-    "SingularityReport", "ce_closed_form_check",
-    "concentratable_entanglement", "criterion_asymptotic_ratio",
-    "criterion_q", "critical_lambda", "critical_lambda_asymptotic",
-    "critical_lambda_sweep", "dominant_singularity", "fidelity_asymptotic",
-    "fidelity_exact", "fidelity_leading_term", "fidelity_sweep",
-    "to_rational",
+    "AnalysisError", "DegenerateSingularityError", "LeadingTerm",
+    "NoThresholdError", "SingularityReport", "concentratable_entanglement",
+    "criterion_asymptotic_ratio", "criterion_q", "critical_lambda",
+    "critical_lambda_asymptotic", "critical_lambda_sweep",
+    "dominant_singularity", "fidelity_asymptotic", "fidelity_exact",
+    "fidelity_leading_term", "fidelity_sweep", "to_rational",
     # family
     "BUILTIN_FAMILIES", "FamilyError", "FamilySpec", "Graph", "SLD",
     "builtin", "parse_family_spec", "realize", "serialize_family_spec",

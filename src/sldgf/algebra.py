@@ -413,11 +413,6 @@ class RatFunc3:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data: Mapping) -> "RatFunc3":
-        return ratfunc_normalize(LaurentPoly3.from_json(data["num"]),
-                                 LaurentPoly3.from_json(data["den"]))
-
     def latex(self) -> str:
         return f"\\frac{{{self.num.latex()}}}{{{self.den.latex()}}}"
 
@@ -498,9 +493,6 @@ class PolyMatrix:
     def zeros(rows: int, cols: int) -> "PolyMatrix":
         return PolyMatrix([[LaurentPoly3.zero() for _ in range(cols)]
                            for _ in range(rows)])
-
-    def __getitem__(self, key: tuple[int, int]) -> LaurentPoly3:
-        return self.data[key[0]][key[1]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):

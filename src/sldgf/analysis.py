@@ -36,6 +36,9 @@ from .transfer import (TransferSystem, family_gf, iter_weps, wep_by_iteration,
 
 WORKING_DPS = 40
 
+# the concentratable entanglement of a member is 1 - W_r at this (x, y)
+CE_POINT = (Fraction(3, 4), Fraction(1, 4))
+
 ROOT_CLUSTER_RTOL = 1e-8
 MODULUS_TIE_RTOL = 1e-8
 REAL_AXIS_RTOL = 1e-10
@@ -52,10 +55,6 @@ class DegenerateSingularityError(AnalysisError):
     def __init__(self, report: "SingularityReport", message: str):
         super().__init__(message)
         self.report = report
-
-
-class ClusteredRootsError(AnalysisError):
-    """Residue reconstruction hit (numerically) multiple roots."""
 
 
 class NoThresholdError(AnalysisError):
@@ -126,7 +125,6 @@ class SingularityReport:
     multiplicity: int
     unique: bool
     modulus_gap: float
-    all_roots: list
 
 
 def dominant_singularity(q: UniPolyZ) -> SingularityReport:
@@ -165,7 +163,7 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
     return SingularityReport(
         z_star=z_star, real_positive=real_positive,
         multiplicity=len(cluster), unique=gap > 1 + MODULUS_TIE_RTOL,
-        modulus_gap=gap, all_roots=roots)
+        modulus_gap=gap)
 
 
 def _reduced_specialisation(sys: TransferSystem, x0: Fraction,
@@ -198,18 +196,18 @@ class LeadingTerm:
     residue: mp.mpc
 
     def coefficient(self, r: int) -> mp.mpf:
+        if r < 0:
+            raise ValueError("member index must be nonnegative")
         with mp.workdps(WORKING_DPS):
             return mp.re(self.residue * self.report.z_star ** (-r - 1))
 
 
 def _leading_term(p: UniPolyZ, q: UniPolyZ) -> LeadingTerm:
+    """The leading term of p/q, reduced by uni_reduce: p is coprime to q,
+    so p(z*) is never zero and the residue is the whole pole."""
     report = _simple_pole(q)
     with mp.workdps(WORKING_DPS):
-        z = report.z_star
-        if abs(_mp_poly(p)(z)) <= mp.mpf("1e-25") * max(1, abs(z)):
-            raise DegenerateSingularityError(
-                report, "numerator vanishes at the dominant singularity")
-        return LeadingTerm(report, _residue(p, q.derivative(), z))
+        return LeadingTerm(report, _residue(p, q.derivative(), report.z_star))
 
 
 # -- concentratable entanglement ---------------------------------------------
@@ -222,57 +220,8 @@ def concentratable_entanglement(sys: TransferSystem,
     The complement is the exact evaluation of the member's weight enumerator
     at (3/4, 1/4); the entanglement itself is one minus that.
     """
-    cbar = wep_values_by_iteration(sys, Fraction(3, 4), Fraction(1, 4), r)[r]
+    cbar = wep_values_by_iteration(sys, *CE_POINT, r)[r]
     return cbar, 1 - cbar
-
-
-@dataclass
-class CEClosedFormReport:
-    """Residue reconstruction of the concentratable-entanglement sequence."""
-
-    r_max: int
-    tol: float
-    roots: list
-    poly_part: list
-    max_abs_error: float
-    ok: bool
-
-
-def ce_closed_form_check(sys: TransferSystem, r_max: int,
-                         tol: float = 1e-10) -> CEClosedFormReport:
-    """Rebuild the exact entanglement complements from denominator roots.
-
-    Splits the reduced specialisation at (3/4, 1/4) into a polynomial part
-    plus a proper fraction, turns the fraction into a sum of residue terms
-    c_i * z_i^(-r), and confirms agreement with the exact values.
-    """
-    with mp.workdps(WORKING_DPS):
-        p, q = _reduced_specialisation(sys, Fraction(3, 4), Fraction(1, 4))
-        poly_part, rem = p.divmod(q)
-        roots = _all_roots(q)
-        for i, a in enumerate(roots):
-            for b in roots[i + 1:]:
-                if mp.fabs(a - b) <= ROOT_CLUSTER_RTOL * max(1, mp.fabs(a)):
-                    raise ClusteredRootsError(
-                        "denominator roots cluster; residue form is ambiguous")
-        dq = q.derivative()
-        residues = [_residue(rem, dq, z) for z in roots]
-        exact = wep_values_by_iteration(sys, Fraction(3, 4), Fraction(1, 4),
-                                        r_max)
-        max_err = 0.0
-        for r in range(r_max + 1):
-            recon = mp.mpc(0)
-            for z, c in zip(roots, residues):
-                recon += c * z ** (-r - 1)
-            if r < len(poly_part.coeffs):
-                recon += _mpf_from_fraction(poly_part.coeffs[r])
-            err = abs(recon - _mpf_from_fraction(exact[r]))
-            max_err = max(max_err, float(err))
-        return CEClosedFormReport(
-            r_max=r_max, tol=tol,
-            roots=[complex(z) for z in roots],
-            poly_part=[str(c) for c in poly_part.coeffs],
-            max_abs_error=max_err, ok=max_err <= tol)
 
 
 # -- fidelity under uniform depolarizing noise --------------------------------

@@ -27,12 +27,11 @@ from pathlib import Path
 import mpmath as mp
 
 from .algebra import series_coefficients
-from .analysis import (AnalysisError, critical_lambda_asymptotic,
-                       critical_lambda_sweep, fidelity_leading_term,
-                       fidelity_sweep, to_rational)
+from .analysis import (CE_POINT, WORKING_DPS, AnalysisError,
+                       critical_lambda_asymptotic, critical_lambda_sweep,
+                       fidelity_leading_term, fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
-                     parse_family_spec, realize, serialize_family_spec,
-                     sld_from_wep)
+                     parse_family_spec, realize, sld_from_wep)
 from .oracle import (DEFAULT_VERTEX_CAP, sld_bruteforce_colouring,
                      sld_bruteforce_stabilizer)
 from .transfer import (build_transfer_system, family_gf, iter_weps,
@@ -59,25 +58,21 @@ def _sig17(value) -> str:
         return mp.nstr(x, 17)
 
 
-def _spec_key(args) -> str:
-    """Cache key for the transfer system: the builtin name, or the
-    validated custom document. Builtins rebuilt from the name keep their
-    prefix graphs (a serialised round trip would drop them)."""
-    if args.spec:
-        try:
-            text = Path(args.spec).read_text()
-        except OSError as exc:
-            raise FamilyError(f"cannot read spec file: {exc}") from exc
-        return "json:" + serialize_family_spec(parse_family_spec(text))
-    return "builtin:" + args.family
+def _system(args):
+    """The transfer system of --family, or of the --spec file, which is
+    read and parsed once."""
+    if not args.spec:
+        return _cached_system(args.family)
+    try:
+        text = Path(args.spec).read_text()
+    except OSError as exc:
+        raise FamilyError(f"cannot read spec file: {exc}") from exc
+    return build_transfer_system(parse_family_spec(text))
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_system(spec_key: str):
-    kind, _, payload = spec_key.partition(":")
-    if kind == "builtin":
-        return build_transfer_system(builtin(payload))
-    return build_transfer_system(parse_family_spec(payload))
+def _cached_system(name: str):
+    return build_transfer_system(builtin(name))
 
 
 def _emit(text: str) -> None:
@@ -130,7 +125,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    gf = family_gf(_cached_system(_spec_key(args)))
+    gf = family_gf(_system(args))
     if args.format == "latex":
         _emit(gf.latex())
     elif args.format == "text":
@@ -141,8 +136,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_wep(args) -> int:
-    wep = wep_by_iteration(_cached_system(_spec_key(args)),
-                           _member_range(args)[0])
+    wep = wep_by_iteration(_system(args), _member_range(args)[0])
     if args.format == "latex":
         _emit(wep.latex())
     elif args.format == "text":
@@ -157,8 +151,7 @@ def _cmd_wep(args) -> int:
 
 
 def _cmd_sld(args) -> int:
-    sld = sld_from_wep(wep_by_iteration(_cached_system(_spec_key(args)),
-                                        _member_range(args)[0]))
+    sld = sld_from_wep(wep_by_iteration(_system(args), _member_range(args)[0]))
     if args.format == "csv":
         rows = [[str(k), str(a)] for k, a in enumerate(sld)]
         _emit(_csv_text(["k", "a_k"], rows))
@@ -185,7 +178,7 @@ def _cmd_verify(args) -> int:
     if args.max_qubits > DEFAULT_VERTEX_CAP:
         raise UsageError(f"--max-qubits must be at most the brute-force cap "
                          f"of {DEFAULT_VERTEX_CAP}, got {args.max_qubits}")
-    sys_ = _cached_system(_spec_key(args))
+    sys_ = _system(args)
     spec = sys_.spec
     if spec.qubit_step < 1:
         raise UsageError(f"family {spec.name} does not grow: its "
@@ -281,10 +274,9 @@ def _noise_arg(text: str) -> Fraction:
 
 
 def _cmd_ce(args) -> int:
-    sys_ = _cached_system(_spec_key(args))
+    sys_ = _system(args)
     r_values = _member_range(args)
-    cbars = wep_values_by_iteration(sys_, Fraction(3, 4), Fraction(1, 4),
-                                    max(r_values))
+    cbars = wep_values_by_iteration(sys_, *CE_POINT, max(r_values))
     rows = [{"family": sys_.spec.name, "r": r, "c_bar": str(cbars[r]),
              "c": str(1 - cbars[r])} for r in r_values]
     _emit_rows(args, ["family", "r", "c_bar", "c"], rows)
@@ -294,7 +286,7 @@ def _cmd_ce(args) -> int:
 def _cmd_fidelity(args) -> int:
     lam = _noise_arg(args.lam)
     r_values = _member_range(args)
-    sys_ = _cached_system(_spec_key(args))
+    sys_ = _system(args)
     exact = fidelity_sweep(sys_, lam, max(r_values))
     lead = fidelity_leading_term(sys_, lam) if args.asymptotic else None
     rows = []
@@ -317,7 +309,7 @@ def _cmd_fidelity(args) -> int:
 def _cmd_critical_lambda(args) -> int:
     if not args.tol > 0:
         raise UsageError(f"--tol must be positive, got {args.tol!r}")
-    sys_ = _cached_system(_spec_key(args))
+    sys_ = _system(args)
     entries = [{"r": r, "value": value} for r, value in
                critical_lambda_sweep(sys_, _member_range(args, default_low=1),
                                      args.tol)]
@@ -343,12 +335,12 @@ def _cmd_figure(args) -> int:
         rows = []
         lam = to_rational(FIG3_LAMBDA)
         for name in FIG3_FAMILIES:
-            sys_ = _cached_system("builtin:" + name)
+            sys_ = _cached_system(name)
             exact = fidelity_sweep(sys_, lam, r_max)
             lead = fidelity_leading_term(sys_, lam)
             for r in range(1, r_max + 1):
                 approx = lead.coefficient(r)
-                with mp.workdps(40):
+                with mp.workdps(WORKING_DPS):
                     ex = mp.mpf(exact[r].numerator) / exact[r].denominator
                     delta = abs(ex - approx)
                 rows.append([name, str(r), str(sys_.spec.qubit_count(r)),
@@ -360,7 +352,7 @@ def _cmd_figure(args) -> int:
         header = ["family", "r", "n", "lambda_c", "lambda_c_approx"]
         rows = []
         for name in FIG4_FAMILIES:
-            sys_ = _cached_system("builtin:" + name)
+            sys_ = _cached_system(name)
             approx_str = _sig17(critical_lambda_asymptotic(sys_))
             for r, value in critical_lambda_sweep(sys_, range(1, r_max + 1)):
                 rows.append([name, str(r), str(sys_.spec.qubit_count(r)),

@@ -231,15 +231,12 @@ def serialize_family_spec(spec: FamilySpec) -> str:
     return json.dumps(spec.to_json(), indent=2)
 
 
-def parse_family_spec(text: str | Mapping) -> FamilySpec:
+def parse_family_spec(text: str) -> FamilySpec:
     """Parse and validate a family description document."""
-    if isinstance(text, str):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FamilyError(f"family spec is not valid JSON: {exc}") from exc
-    else:
-        data = text
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FamilyError(f"family spec is not valid JSON: {exc}") from exc
     required = {"name", "base_graph", "boundary", "replacement", "glue_map",
                 "next_boundary_map", "prefix_weps", "recursion_start",
                 "qubit_count"}

@@ -10,8 +10,6 @@ result is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .family import SLD, Graph
@@ -21,48 +19,23 @@ _BLOCK_BITS = 20
 
 
 class VertexCapExceeded(ValueError):
-    """Graph too large for a 2^n sweep under the configured cap."""
+    """Graph with more than DEFAULT_VERTEX_CAP vertices, too many for a
+    2^n sweep."""
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Symplectic (x_bits, z_bits) representation of an n-qubit Pauli
-    operator; phases are ignored, only supports matter."""
-
-    n: int
-    x_bits: int
-    z_bits: int
-
-    @property
-    def weight(self) -> int:
-        mask = (1 << self.n) - 1
-        return bin((self.x_bits | self.z_bits) & mask).count("1")
+def _check_cap(g: Graph) -> None:
+    if g.vertex_count > DEFAULT_VERTEX_CAP:
+        raise VertexCapExceeded(f"{g.vertex_count} vertices exceed the "
+                                f"brute-force cap of {DEFAULT_VERTEX_CAP}")
 
 
-def stabilizer_element(g: Graph, subset_mask: int) -> PauliString:
-    """Product of the graph-state stabilizer generators picked out by
-    subset_mask (generator v acts as X on v and Z on its neighbours)."""
-    masks = g.neighbour_masks()
-    z_bits = 0
-    for v in range(g.vertex_count):
-        if bin(subset_mask & masks[v]).count("1") % 2:
-            z_bits |= 1 << v
-    return PauliString(g.vertex_count, subset_mask, z_bits)
-
-
-def _check_cap(g: Graph, cap: int) -> None:
-    if g.vertex_count > cap:
-        raise VertexCapExceeded(
-            f"{g.vertex_count} vertices exceed the brute-force cap of {cap}")
-
-
-def sld_bruteforce_colouring(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SLD:
+def sld_bruteforce_colouring(g: Graph) -> SLD:
     """Sector lengths by enumerating black/white colourings.
 
     A vertex is admissible when it is white and has an even number of black
     neighbours; a colouring with w admissible vertices increments A_(n-w).
     """
-    _check_cap(g, cap)
+    _check_cap(g)
     n = g.vertex_count
     if n == 0:
         return SLD((1,))
@@ -84,7 +57,7 @@ def sld_bruteforce_colouring(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SLD:
     return SLD(sectors)
 
 
-def sld_bruteforce_stabilizer(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SLD:
+def sld_bruteforce_stabilizer(g: Graph) -> SLD:
     """Sector lengths by enumerating the stabilizer group.
 
     The generator for vertex i acts as X on i and Z on its neighbours; the
@@ -92,7 +65,7 @@ def sld_bruteforce_stabilizer(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SLD:
     neighbour-count parities. A_k counts elements of Hamming weight k
     (phases are irrelevant to the weight).
     """
-    _check_cap(g, cap)
+    _check_cap(g)
     n = g.vertex_count
     if n == 0:
         return SLD((1,))

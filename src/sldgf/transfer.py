@@ -422,6 +422,8 @@ def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
     raises CertificateError. Values at a rational point run the same loop
     (see _values).
     """
+    if r_max < 0:
+        raise ValueError("member index must be nonnegative")
     start = sys.spec.recursion_start
     yield from sys.spec.prefix_weps[r_min:r_max + 1]
     if r_max >= start:
@@ -431,8 +433,6 @@ def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
 
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
     """Exact weight enumerator of member r by iterating the step matrix."""
-    if r < 0:
-        raise ValueError("member index must be nonnegative")
     return deque(_weps(sys, r, r), maxlen=1).pop()
 
 
@@ -448,6 +448,8 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     The step matrix is evaluated at the numerators of (x0, y0) over their
     common denominator, and each member makes one Fraction (see _values).
     """
+    if r_max < 0:
+        raise ValueError("member index must be nonnegative")
     x0, y0 = Fraction(x0), Fraction(y0)
     start = sys.spec.recursion_start
     out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]

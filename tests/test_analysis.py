@@ -12,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sldgf import (SLD, AnalysisError, DegenerateSingularityError, UniPolyZ,
-                   builtin, ce_closed_form_check, concentratable_entanglement,
+                   builtin, concentratable_entanglement,
                    criterion_asymptotic_ratio, criterion_q, critical_lambda,
                    critical_lambda_asymptotic, critical_lambda_sweep,
                    dominant_singularity, fidelity_asymptotic, fidelity_exact,
                    fidelity_leading_term, fidelity_sweep, iter_weps, realize,
-                   sld_from_wep, wep_by_iteration)
+                   sld_from_wep, wep_by_iteration, wep_values_by_iteration)
 from sldgf import analysis
 
 import threshold_reference as reference
+from ce_reference import ce_closed_form_check
 from conftest import brute_sectors
 
 
@@ -62,6 +63,21 @@ class TestConcentratableEntanglement:
                            + (5 - s5) / (5 * (-1 - s5) ** (r + 1)))
                 exact = mp.mpf(cbar.numerator) / cbar.denominator
                 assert abs(radical - exact) < 1e-10
+
+
+@pytest.mark.parametrize("r", [-1, -2])
+@pytest.mark.parametrize("entry", [
+    lambda sys_, r: list(iter_weps(sys_, r)),
+    lambda sys_, r: wep_values_by_iteration(sys_, 1, 1, r),
+    lambda sys_, r: fidelity_exact(sys_, "0.5", r),
+    lambda sys_, r: concentratable_entanglement(sys_, r),
+    lambda sys_, r: fidelity_asymptotic(sys_, "0.5", r),
+], ids=["iter_weps", "wep_values_by_iteration", "fidelity_exact",
+        "concentratable_entanglement", "fidelity_asymptotic"])
+def test_negative_member_bound_rejected(systems, entry, r):
+    # a negative bound must not slice the prefix members from the end
+    with pytest.raises(ValueError, match="member index must be nonnegative"):
+        entry(systems["path"], r)
 
 
 class TestClosedFormChecks:

@@ -12,7 +12,8 @@ import mpmath as mp
 import pytest
 
 import sldgf
-from sldgf import BUILTIN_FAMILIES, builtin, serialize_family_spec
+from sldgf import (BUILTIN_FAMILIES, builtin, parse_family_spec,
+                   serialize_family_spec)
 
 from test_custom_family import CATERPILLAR
 
@@ -81,6 +82,27 @@ def test_verify_parallel_matches_serial(tmp_path: Path):
         parallel = run_cli(*args, "--jobs", "2")
         assert serial.returncode == parallel.returncode == 0, serial.stderr
         assert serial.stdout == parallel.stdout
+
+
+@pytest.mark.parametrize("argv", [["gf"], ["verify", "--max-qubits", "8"]],
+                         ids=["gf", "verify"])
+def test_spec_is_parsed_once(monkeypatch, capsys, tmp_path: Path, argv):
+    # a --spec command reads its file and parses it once
+    import sldgf.cli as cli
+
+    spec_file = tmp_path / "caterpillar.json"
+    spec_file.write_text(json.dumps(CATERPILLAR))
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_family_spec(text)
+
+    monkeypatch.setattr(cli, "parse_family_spec", counted)
+    cli._cached_system.cache_clear()
+    assert cli.main([*argv, "--spec", str(spec_file)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_verify_rejects_a_family_that_does_not_grow(tmp_path: Path):
@@ -318,8 +340,8 @@ def test_verify_exits_one_on_mismatch(monkeypatch, capsys):
     from sldgf import SLD
 
     monkeypatch.setattr(cli, "sld_bruteforce_colouring",
-                        lambda g, cap=24: SLD((1,) + (0,) * (g.vertex_count - 1)
-                                              + (2 ** g.vertex_count - 1,))
+                        lambda g: SLD((1,) + (0,) * (g.vertex_count - 1)
+                                      + (2 ** g.vertex_count - 1,))
                         if g.vertex_count else SLD((1,)))
     cli._cached_system.cache_clear()
     code = cli.main(["verify", "--family", "path", "--max-qubits", "4"])

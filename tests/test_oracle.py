@@ -39,20 +39,6 @@ def test_three_star_stabilizer_group():
     assert sld_bruteforce_stabilizer(STAR3).sectors == (1, 0, 3, 4)
 
 
-def test_single_stabilizer_elements():
-    from sldgf.oracle import stabilizer_element
-
-    identity = stabilizer_element(EDGE, 0)
-    assert identity.weight == 0
-    both = stabilizer_element(EDGE, 0b11)
-    assert both.x_bits == 0b11 and both.z_bits == 0b11  # Y on both qubits
-    assert both.weight == 2
-    weights = [0] * 3
-    for subset in range(4):
-        weights[stabilizer_element(EDGE, subset).weight] += 1
-    assert tuple(weights) == sld_bruteforce_stabilizer(EDGE).sectors
-
-
 def test_triangle_matches_star():
     # local complementation relates the two graphs; sector lengths agree
     assert sld_bruteforce_colouring(TRIANGLE) == sld_bruteforce_colouring(STAR3)
@@ -107,7 +93,3 @@ def test_cap_exceeded():
         sld_bruteforce_colouring(big)
     with pytest.raises(VertexCapExceeded):
         sld_bruteforce_stabilizer(big)
-    # the cap is configurable
-    medium = Graph.from_edges(5, [(0, 1)])
-    with pytest.raises(VertexCapExceeded):
-        sld_bruteforce_colouring(medium, cap=4)

@@ -281,8 +281,8 @@ class TestGeneratingFunctions:
         # the 1-vertex-boundary families are small enough for the reference
         # solve of (I - zT) u = v; the caterpillar has Laurent step entries
         # and a negative qubit offset
-        sys_ = (build_transfer_system(parse_family_spec(CATERPILLAR))
-                if name == "caterpillar" else systems[name])
+        sys_ = (custom_system(name) if name == "caterpillar"
+                else systems[name])
         assert ratfunc_equal(family_gf(sys_), fraction_free_gf(sys_))
 
 
