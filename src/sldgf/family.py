@@ -237,6 +237,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"family spec is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FamilyError("family spec must be a JSON object")
     required = {"name", "base_graph", "boundary", "replacement", "glue_map",
                 "next_boundary_map", "prefix_weps", "recursion_start",
                 "qubit_count"}

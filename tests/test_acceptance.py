@@ -66,7 +66,7 @@ def test_criterion_2_oracle_agreement(systems):
         spec = sys_.spec
         r_max = 0
         r = 1
-        while spec.qubit_count(r) <= 16:
+        while spec.qubit_count(r) <= 20:
             r_max = r
             r += 1
         series = series_coefficients(family_gf(sys_), r_max)
@@ -93,7 +93,7 @@ def test_criterion_2_oracle_agreement(systems):
     }
     bad_pins = [k for k, ok in pinned.items() if not ok]
     ok = not mismatches and not bad_pins
-    detail = (f"{checked} members up to 16 qubits, series = iteration = "
+    detail = (f"{checked} members up to 20 qubits, series = iteration = "
               f"colouring = stabilizer, {time.time() - start:.1f}s")
     if mismatches:
         detail += f"; member mismatches: {mismatches}"

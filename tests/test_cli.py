@@ -176,6 +176,15 @@ def test_malformed_spec_exits_two(tmp_path: Path):
     assert "error" in cp.stderr
 
 
+def test_non_object_spec_exits_two(tmp_path: Path):
+    # a document that is valid JSON but not an object gets one error line
+    bad = tmp_path / "number.json"
+    bad.write_text("5")
+    cp = run_cli("gf", "--spec", str(bad))
+    assert cp.returncode == 2
+    assert cp.stderr == "error: family spec must be a JSON object\n"
+
+
 def test_custom_spec_file_loads(tmp_path: Path):
     spec_file = tmp_path / "path.json"
     spec_file.write_text(serialize_family_spec(builtin("path")))

@@ -110,6 +110,11 @@ class TestParsing:
         with pytest.raises(FamilyError, match="JSON"):
             parse_family_spec("{not json")
 
+    @pytest.mark.parametrize("text", ["5", "\"x\"", "null", "[1]"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(FamilyError, match="must be a JSON object"):
+            parse_family_spec(text)
+
     def test_unknown_builtin_rejected(self):
         with pytest.raises(FamilyError, match="unknown"):
             builtin("moebius")

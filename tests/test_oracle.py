@@ -5,9 +5,10 @@ import random
 import pytest
 
 from sldgf import (BUILTIN_FAMILIES, FamilyError, Graph, VertexCapExceeded,
-                   builtin, realize, sld_bruteforce_colouring,
+                   builtin, oracle, realize, sld_bruteforce_colouring,
                    sld_bruteforce_stabilizer)
 
+import oracle_reference as reference
 from conftest import brute_sectors
 
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -60,31 +61,75 @@ def test_oracles_agree_on_random_graphs():
         assert sum(a.sectors) == 2 ** n
 
 
+def _assert_matches_reference(g: Graph) -> None:
+    expected = reference.sld_bruteforce_colouring(g)
+    assert expected == reference.sld_bruteforce_stabilizer(g)
+    assert sld_bruteforce_colouring(g) == expected
+    assert sld_bruteforce_stabilizer(g) == expected
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    density = rng.random()
+    return Graph.from_edges(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)
+                                if rng.random() < density])
+
+
+def test_split_tables_match_reference_on_random_graphs():
+    # every size from 0 to 16, so both odd and even splits are covered
+    rng = random.Random(20261018)
+    for n in range(17):
+        for _ in range(3 if n < 14 else 1):
+            _assert_matches_reference(_random_graph(rng, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_split_tables_match_reference_on_empty_and_complete(n):
+    _assert_matches_reference(Graph(n, frozenset()))
+    _assert_matches_reference(Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+
+
 def test_oracles_agree_on_family_members():
     for name in BUILTIN_FAMILIES:
         spec = builtin(name)
         for r in range(0, 20):
-            if r >= 1 and spec.qubit_count(r) > 12:
+            if r >= 1 and spec.qubit_count(r) > 16:
                 break
             try:
                 g = realize(spec, r)
             except FamilyError:
                 continue
-            assert sld_bruteforce_colouring(g) == sld_bruteforce_stabilizer(g)
+            _assert_matches_reference(g)
+
+
+def test_many_small_chunks_match_reference(monkeypatch):
+    # 2^3-mask chunks split both the high rows and the low row
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 3)
+    rng = random.Random(7)
+    for n in range(9, 13):
+        _assert_matches_reference(_random_graph(rng, n))
+
+
+def test_vertex_cap_fits_the_table_words():
+    # the split tables hold one vertex per bit of a uint32 word
+    assert oracle.DEFAULT_VERTEX_CAP <= 32
 
 
 def test_chunked_sweep_matches_iteration():
-    # 21 vertices exceeds the sweep block size, driving the chunked path
+    # 21 vertices span several sweep chunks; 24 is the cap
     from fractions import Fraction
 
     from sldgf import build_transfer_system, wep_values_by_iteration
 
-    chain = Graph.from_edges(21, [(v, v + 1) for v in range(20)])
-    colouring = sld_bruteforce_colouring(chain)
-    assert colouring == sld_bruteforce_stabilizer(chain)
-    sys_ = build_transfer_system(builtin("path"))
-    counted = sum(a * Fraction(2) ** k for k, a in enumerate(colouring))
-    assert counted == wep_values_by_iteration(sys_, 1, 2, 21)[21]
+    values = wep_values_by_iteration(build_transfer_system(builtin("path")),
+                                     1, 2, 24)
+    for n in (21, 24):
+        chain = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        colouring = sld_bruteforce_colouring(chain)
+        assert colouring == sld_bruteforce_stabilizer(chain)
+        counted = sum(a * Fraction(2) ** k for k, a in enumerate(colouring))
+        assert counted == values[n]
 
 
 def test_cap_exceeded():
