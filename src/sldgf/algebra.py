@@ -19,7 +19,9 @@ Conventions baked in here and relied on everywhere else:
 * rational-function canonicalisation clears Laurent monomials and integer
   content and fixes a sign, but never attempts a multivariate gcd; equality
   is decided by cross-multiplication. Family generating functions need none:
-  they are built reduced, so their canonical pairs compare exactly.
+  they are built reduced, so their canonical pairs compare exactly,
+* outside numbers become exact only through _rational (a float by its
+  decimal rendering) and integers through _integer, which never truncates.
 """
 
 from __future__ import annotations
@@ -49,14 +51,25 @@ class CertificateError(AlgebraError):
     """A closed form disagrees with the exact members it must reproduce."""
 
 
-def _as_fraction(value: int | Fraction | str) -> Fraction:
+def _rational(value: int | Fraction | str | float) -> Fraction:
+    """Exact rational from an int, a Fraction, a string such as "4/5" or
+    "0.8", or a float read by its decimal rendering (0.1 is 1/10); raises
+    TypeError on any other type, ValueError on a string that is no number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(repr(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _integer(value: int | Fraction | str | float) -> int:
+    """_rational(value) as an int; AlgebraError if it is not integral."""
+    exact = _rational(value)
+    if exact.denominator != 1:
+        raise AlgebraError(f"{value!r} is not an integer")
+    return exact.numerator
 
 
 class LaurentPoly3:
@@ -77,7 +90,7 @@ class LaurentPoly3:
                 ex, ey, ez = exp
                 if ez < 0:
                     raise AlgebraError(f"negative z exponent in term {exp}")
-                clean[(int(ex), int(ey), int(ez))] = _as_fraction(coeff)
+                clean[(int(ex), int(ey), int(ez))] = _rational(coeff)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -87,8 +100,8 @@ class LaurentPoly3:
         return LaurentPoly3()
 
     @staticmethod
-    def const(value: int | Fraction | str) -> "LaurentPoly3":
-        return LaurentPoly3({(0, 0, 0): _as_fraction(value)})
+    def const(value: int | Fraction | str | float) -> "LaurentPoly3":
+        return LaurentPoly3({(0, 0, 0): _rational(value)})
 
     @staticmethod
     def var(name: str) -> "LaurentPoly3":
@@ -99,7 +112,7 @@ class LaurentPoly3:
     @staticmethod
     def monomial(e_x: int, e_y: int, e_z: int,
                  coeff: int | Fraction = 1) -> "LaurentPoly3":
-        return LaurentPoly3({(e_x, e_y, e_z): _as_fraction(coeff)})
+        return LaurentPoly3({(e_x, e_y, e_z): _rational(coeff)})
 
     # -- predicates and views ----------------------------------------------
 
@@ -222,7 +235,7 @@ class LaurentPoly3:
     __rmul__ = __mul__
 
     def scale(self, factor: int | Fraction) -> "LaurentPoly3":
-        factor = _as_fraction(factor)
+        factor = _rational(factor)
         if factor == 0:
             return LaurentPoly3()
         result = LaurentPoly3.__new__(LaurentPoly3)
@@ -310,11 +323,10 @@ class LaurentPoly3:
             raise AlgebraError("polynomial JSON must declare vars [x, y, z]")
         terms: dict[Exponent, Fraction] = {}
         for item in data["terms"]:
-            e = item["e"]
-            if len(e) != 3:
-                raise AlgebraError(f"bad exponent triple {e!r}")
-            key = (int(e[0]), int(e[1]), int(e[2]))
-            coeff = Fraction(item["c"])
+            key = tuple(map(_integer, item["e"]))
+            if len(key) != 3:
+                raise AlgebraError(f"bad exponent triple {item['e']!r}")
+            coeff = _rational(item["c"])
             if key in terms:
                 raise AlgebraError(f"duplicate exponent triple {key}")
             if coeff != 0:
@@ -362,12 +374,13 @@ Z = LaurentPoly3.var("z")
 ONE = LaurentPoly3.const(1)
 
 
-def poly_from_terms(terms: Iterable[tuple[int, int, int, int | Fraction]]) -> LaurentPoly3:
-    """Build a polynomial from (e_x, e_y, e_z, coefficient) tuples."""
+def poly_from_terms(terms: Iterable[tuple]) -> LaurentPoly3:
+    """Build a polynomial from (e_x, e_y, e_z, coefficient) tuples; each
+    coefficient is read by _rational."""
     acc: dict[Exponent, Fraction] = {}
     for ex, ey, ez, c in terms:
         key = (ex, ey, ez)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
+        acc[key] = acc.get(key, Fraction(0)) + _rational(c)
     return LaurentPoly3(acc)
 
 
@@ -560,7 +573,7 @@ class UniPolyZ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
@@ -668,7 +681,7 @@ def _z_coefficients(poly: LaurentPoly3, x0: int | Fraction,
     substituting exact (x0, y0) into poly: one pass adding c x0^ex y0^ey to
     the coefficient of z^ez for each term. Raises AlgebraError for 0 to a
     negative power."""
-    x0, y0 = _as_fraction(x0), _as_fraction(y0)
+    x0, y0 = _rational(x0), _rational(y0)
     for idx, value in enumerate((x0, y0)):
         if value == 0 and any(exp[idx] < 0 for exp in poly.terms):
             raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "

@@ -29,7 +29,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
+# public here, private in algebra so that bench/spans.py does not wrap it
+from .algebra import (UniPolyZ, _rational as to_rational, _univariate,
+                      uni_reduce, uni_specialize)
 from .family import SLD, sld_from_wep
 from .transfer import (TransferSystem, family_gf, iter_weps, wep_by_iteration,
                        wep_values_by_iteration)
@@ -59,20 +61,6 @@ class DegenerateSingularityError(AnalysisError):
 
 class NoThresholdError(AnalysisError):
     """The asymptotic entanglement criterion has no root in [0, 1]."""
-
-
-def to_rational(value) -> Fraction:
-    """Exact rational from int, Fraction, or decimal string; floats are
-    interpreted through their decimal rendering."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    raise TypeError(f"cannot interpret {value!r} as a noise parameter")
 
 
 def _mpf_from_fraction(value: Fraction) -> mp.mpf:

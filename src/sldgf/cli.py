@@ -124,34 +124,34 @@ def _cmd_families(args) -> int:
     return 0
 
 
-def _cmd_gf(args) -> int:
-    gf = family_gf(_system(args))
+def _emit_poly(args, poly) -> None:
     if args.format == "latex":
-        _emit(gf.latex())
+        _emit(poly.latex())
     elif args.format == "text":
-        _emit(str(gf))
+        _emit(str(poly))
     else:
-        _emit_json(gf.to_json())
+        _emit_json(poly.to_json())
+
+
+def _cmd_gf(args) -> int:
+    _emit_poly(args, family_gf(_system(args)))
     return 0
 
 
 def _cmd_wep(args) -> int:
-    wep = wep_by_iteration(_system(args), _member_range(args)[0])
-    if args.format == "latex":
-        _emit(wep.latex())
-    elif args.format == "text":
-        _emit(str(wep))
-    elif args.format == "csv":
+    wep = wep_by_iteration(_system(args), _member_index("-r", args.r))
+    if args.format == "csv":
         rows = [[str(ey), str(c)] for (ex, ey, ez), c in
                 sorted(wep.sorted_terms(), key=lambda t: t[0][1])]
         _emit(_csv_text(["k", "a_k"], rows))
     else:
-        _emit_json(wep.to_json())
+        _emit_poly(args, wep)
     return 0
 
 
 def _cmd_sld(args) -> int:
-    sld = sld_from_wep(wep_by_iteration(_system(args), _member_range(args)[0]))
+    sld = sld_from_wep(wep_by_iteration(_system(args),
+                                        _member_index("-r", args.r)))
     if args.format == "csv":
         rows = [[str(k), str(a)] for k, a in enumerate(sld)]
         _emit(_csv_text(["k", "a_k"], rows))
@@ -330,9 +330,9 @@ def _cmd_critical_lambda(args) -> int:
 def _cmd_figure(args) -> int:
     r_max = _member_index("--r-max", FIG_R_MAX[args.which]
                           if args.r_max is None else args.r_max)
+    rows = []
     if args.which == "fig3":
         header = ["family", "r", "n", "lambda", "f_exact", "f_approx", "delta"]
-        rows = []
         lam = to_rational(FIG3_LAMBDA)
         for name in FIG3_FAMILIES:
             sys_ = _cached_system(name)
@@ -346,11 +346,8 @@ def _cmd_figure(args) -> int:
                 rows.append([name, str(r), str(sys_.spec.qubit_count(r)),
                              FIG3_LAMBDA, _sig17(exact[r]), _sig17(approx),
                              _sig17(delta)])
-        text = _csv_text(header, rows)
-        filename = "fig3.csv"
     else:
         header = ["family", "r", "n", "lambda_c", "lambda_c_approx"]
-        rows = []
         for name in FIG4_FAMILIES:
             sys_ = _cached_system(name)
             approx_str = _sig17(critical_lambda_asymptotic(sys_))
@@ -358,12 +355,10 @@ def _cmd_figure(args) -> int:
                 rows.append([name, str(r), str(sys_.spec.qubit_count(r)),
                              "" if value is None else _sig17(value),
                              approx_str])
-        text = _csv_text(header, rows)
-        filename = "fig4.csv"
+    text = _csv_text(header, rows)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / filename
+        target = Path(args.out) / f"{args.which}.csv"
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
         _emit(str(target))
     else:

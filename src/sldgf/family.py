@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .algebra import LaurentPoly3, poly_from_terms
+from .algebra import LaurentPoly3, _integer, poly_from_terms
 
 
 class FamilyError(ValueError):
@@ -33,11 +33,14 @@ class Graph:
 
     @staticmethod
     def from_edges(vertex_count: int, edges: Sequence[Sequence[int]]) -> "Graph":
+        vertex_count = _integer(vertex_count)
+        if vertex_count < 0:
+            raise FamilyError(f"negative vertex count {vertex_count}")
         norm = set()
         for e in edges:
             if len(e) != 2:
                 raise FamilyError(f"edge {e!r} is not a pair")
-            u, v = int(e[0]), int(e[1])
+            u, v = _integer(e[0]), _integer(e[1])
             if u == v:
                 raise FamilyError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -83,7 +86,7 @@ class Graph:
 
     @staticmethod
     def from_json(data: Mapping) -> "Graph":
-        return Graph.from_edges(int(data["n"]), data["edges"])
+        return Graph.from_edges(data["n"], data["edges"])
 
 
 EMPTY_GRAPH = Graph(0, frozenset())
@@ -249,16 +252,17 @@ def parse_family_spec(text: str) -> FamilySpec:
         spec = FamilySpec(
             name=str(data["name"]),
             base_graph=Graph.from_json(data["base_graph"]),
-            boundary=tuple(int(v) for v in data["boundary"]),
+            boundary=tuple(_integer(v) for v in data["boundary"]),
             replacement=Graph.from_json(data["replacement"]),
-            glue_map={int(k): int(v) for k, v in data["glue_map"].items()},
-            next_boundary_map={int(k): int(v)
+            glue_map={_integer(k): _integer(v)
+                      for k, v in data["glue_map"].items()},
+            next_boundary_map={_integer(k): _integer(v)
                                for k, v in data["next_boundary_map"].items()},
             prefix_weps=tuple(LaurentPoly3.from_json(w)
                               for w in data["prefix_weps"]),
-            recursion_start=int(data["recursion_start"]),
-            qubit_offset=int(data["qubit_count"]["offset"]),
-            qubit_step=int(data["qubit_count"]["step"]),
+            recursion_start=_integer(data["recursion_start"]),
+            qubit_offset=_integer(data["qubit_count"]["offset"]),
+            qubit_step=_integer(data["qubit_count"]["step"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FamilyError):

@@ -65,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
-                      _berlekamp_massey, _interpolate_laurent,
+                      _berlekamp_massey, _interpolate_laurent, _rational,
                       ratfunc_normalize, series_coefficients)
 from .family import FamilySpec, Graph
 
@@ -450,7 +450,7 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     """
     if r_max < 0:
         raise ValueError("member index must be nonnegative")
-    x0, y0 = Fraction(x0), Fraction(y0)
+    x0, y0 = _rational(x0), _rational(y0)
     start = sys.spec.recursion_start
     out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]
     if r_max >= start:

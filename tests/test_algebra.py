@@ -11,7 +11,9 @@ from sldgf import (AlgebraError, LaurentPoly3, NonConstantLeadingTermError,
                    PolyMatrix, RatFunc3, UniPolyZ, ZeroDenominatorError,
                    poly_from_terms, ratfunc_equal, ratfunc_normalize,
                    series_coefficients, uni_gcd, uni_reduce, uni_specialize)
-from sldgf.algebra import _berlekamp_massey, _interpolate_laurent
+from sldgf import to_rational
+from sldgf.algebra import (_berlekamp_massey, _integer, _interpolate_laurent,
+                           _rational)
 
 from fraction_free import (SingularMatrixError, divexact, identity,
                            solve_linear, solve_linear_raw)
@@ -104,10 +106,54 @@ class TestPolyOps:
         assert exponents == sorted(exponents)
         assert LaurentPoly3.from_json(blob) == p
 
+    def test_float_coefficients_read_by_decimal_rendering(self):
+        # the same float gives the same exact value at every entry point
+        assert LaurentPoly3.const(0.4) == LaurentPoly3.const("2/5")
+        tenth = LaurentPoly3.const(F(1, 10))
+        assert poly_from_terms([(0, 0, 0, 0.1)]) == tenth
+        blob = {"vars": ["x", "y", "z"], "terms": [{"e": [0, 0, 0], "c": 0.1}]}
+        assert LaurentPoly3.from_json(blob) == tenth
+
+    def test_json_exponents_are_not_truncated(self):
+        blob = {"vars": ["x", "y", "z"], "terms": [{"e": [1.7, 0, 0], "c": "1"}]}
+        with pytest.raises(AlgebraError, match="not an integer"):
+            LaurentPoly3.from_json(blob)
+        blob["terms"][0]["e"] = [1.0, "0", 0]
+        assert LaurentPoly3.from_json(blob) == X
+
     def test_rendering(self):
         p = ONE - LaurentPoly3.const(2) * X * Y * Z * Z
         assert str(p) == "1 - 2*x*y*z^2"
         assert p.latex() == "1 - 2 x y z^{2}"
+
+
+class TestNumberReader:
+    @pytest.mark.parametrize("value, exact", [
+        (3, F(3)), (F(-2, 7), F(-2, 7)), ("4/5", F(4, 5)), ("0.8", F(4, 5)),
+        (0.8, F(4, 5)), (0.1, F(1, 10)), (-2.5, F(-5, 2))])
+    def test_exact_forms(self, value, exact):
+        assert _rational(value) == exact
+        assert type(_rational(value)) is F
+
+    @pytest.mark.parametrize("value", [None, [1], 1j, b"1"])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            _rational(value)
+
+    def test_strings_and_floats_that_are_no_number_rejected(self):
+        for value in ("x", "", float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                _rational(value)
+
+    def test_integers_refuse_fractions(self):
+        assert [_integer(v) for v in (2, 2.0, "2", F(4, 2), "-3")] == \
+            [2, 2, 2, 2, -3]
+        for value in (1.9, -0.7, "1/2", F(3, 2)):
+            with pytest.raises(AlgebraError, match="not an integer"):
+                _integer(value)
+
+    def test_public_name_is_the_reader(self):
+        assert to_rational is _rational
 
 
 class TestRatFunc:

@@ -16,6 +16,7 @@ from sldgf import (BUILTIN_FAMILIES, builtin, parse_family_spec,
                    serialize_family_spec)
 
 from test_custom_family import CATERPILLAR
+from test_family import BAD_DOCUMENTS
 
 # the child process imports the package from where the tests found it
 SRC = str(Path(sldgf.__file__).resolve().parents[1])
@@ -183,6 +184,17 @@ def test_non_object_spec_exits_two(tmp_path: Path):
     cp = run_cli("gf", "--spec", str(bad))
     assert cp.returncode == 2
     assert cp.stderr == "error: family spec must be a JSON object\n"
+
+
+@pytest.mark.parametrize("case", ["n", "negative_n"])
+def test_non_integral_or_negative_size_exits_two(tmp_path: Path, case):
+    # "n": 1.9 was truncated into another family, and "n": -1 failed late
+    # in the transfer construction with exit code 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_DOCUMENTS[case]))
+    cp = run_cli("gf", "--spec", str(bad))
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
 
 
 def test_custom_spec_file_loads(tmp_path: Path):

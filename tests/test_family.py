@@ -1,5 +1,6 @@
 """Family descriptions: parsing, catalog, realization, SLD conversions."""
 
+import copy
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from sldgf import (BUILTIN_FAMILIES, FamilyError, Graph, LaurentPoly3, SLD,
                    serialize_family_spec, sld_from_wep, wep_from_sld)
 
 from conftest import brute_sectors
+from test_custom_family import CATERPILLAR
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
@@ -29,6 +31,39 @@ def path_spec_document() -> dict:
         "recursion_start": 2,
         "qubit_count": {"offset": 0, "step": 1},
     }
+
+
+def isolated_vertex_document() -> dict:
+    """Empty boundary and one fresh vertex a step: member r is r isolated
+    vertices."""
+    return {
+        "name": "isolated", "base_graph": {"n": 1, "edges": []},
+        "boundary": [], "replacement": {"n": 1, "edges": []},
+        "glue_map": {}, "next_boundary_map": {},
+        "prefix_weps": [ONE.to_json()], "recursion_start": 1,
+        "qubit_count": {"offset": 0, "step": 1},
+    }
+
+
+def _bad_documents() -> dict:
+    """Documents with a non-integral or negative size or index. int() used
+    to truncate each into another family that passed validation."""
+    docs = {name: copy.deepcopy(CATERPILLAR)
+            for name in ("n", "boundary", "glue_map")}
+    docs["n"]["base_graph"]["n"] = 1.9
+    docs["boundary"]["boundary"] = [0.5]
+    docs["glue_map"]["glue_map"] = {"0": 1.5}
+    docs["offset"] = path_spec_document()
+    docs["offset"]["qubit_count"]["offset"] = 0.7
+    docs["prefix_weps"] = path_spec_document()
+    docs["prefix_weps"]["prefix_weps"][1]["terms"][1]["e"] = [1.7, 0, 0]
+    docs["negative_n"] = isolated_vertex_document()
+    docs["negative_n"]["base_graph"]["n"] = -1
+    docs["negative_n"]["qubit_count"]["offset"] = -2
+    return docs
+
+
+BAD_DOCUMENTS = _bad_documents()
 
 
 class TestParsing:
@@ -114,6 +149,22 @@ class TestParsing:
     def test_non_object_document_rejected(self, text):
         with pytest.raises(FamilyError, match="must be a JSON object"):
             parse_family_spec(text)
+
+    @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+    def test_non_integral_or_negative_values_rejected(self, case):
+        with pytest.raises(FamilyError):
+            parse_family_spec(json.dumps(BAD_DOCUMENTS[case]))
+
+    @pytest.mark.parametrize("value", [2.0, "2"])
+    def test_integral_values_in_other_forms_accepted(self, value):
+        doc = path_spec_document()
+        doc["base_graph"]["n"] = value
+        doc["recursion_start"] = value
+        assert parse_family_spec(json.dumps(doc)) == builtin("path")
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(FamilyError, match="negative vertex count"):
+            Graph.from_edges(-1, [])
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(FamilyError, match="unknown"):

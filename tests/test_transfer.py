@@ -13,9 +13,9 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    FamilyError, FamilySpec, Graph, LaurentPoly3, PolyMatrix,
                    RatFunc3, TransferSystem, build_transfer_system, builtin,
                    certify_family_gf, colouring_weight, decode_states,
-                   encode_states, family_gf, iter_weps, parse_family_spec,
-                   poly_from_terms, ratfunc_equal, ratfunc_normalize,
-                   series_coefficients, wep_by_iteration,
+                   encode_states, family_gf, fidelity_sweep, iter_weps,
+                   parse_family_spec, poly_from_terms, ratfunc_equal,
+                   ratfunc_normalize, series_coefficients, wep_by_iteration,
                    wep_values_by_iteration)
 from sldgf import transfer
 from sldgf.transfer import Quotient, _check_lumping, _lump, _min_cycle_mean
@@ -484,6 +484,14 @@ class TestIntegerKernel:
         for point in ((0, F(1, 3)), (F(-1, 2), 0), (0, 0)):
             assert wep_values_by_iteration(sys_, *point, 20) == \
                 [w.eval_xy(*point) for w in reference], point
+
+    def test_float_point_read_as_at_every_entry_point(self, systems):
+        # y0 = 0.4 is 2/5 here as in fidelity_sweep at lambda = 0.8, not
+        # the binary float nearest it
+        path = systems["path"]
+        assert wep_values_by_iteration(path, F(1, 2), 0.4, 12) == \
+            fidelity_sweep(path, 0.8, 12) == \
+            wep_values_by_iteration(path, F(1, 2), F(2, 5), 12)
 
     def test_narrow_digits_raise(self, systems, monkeypatch):
         # one-byte digits still hold member 3, but carry once a coefficient
