@@ -3,10 +3,10 @@
 Sparse trivariate Laurent polynomials in x, y, z over arbitrary-precision
 rationals, rational functions p/q, the dense polynomial-matrix container
 that holds transfer matrices, univariate polynomials in z, and the
-univariate sequence tools (Berlekamp-Massey, Laurent interpolation) from
-which the family generating functions are built. No linear solve lives
-here: the fraction-free (Bareiss/Montante) solve that once derived the
-generating functions is a test-only reference in tests/fraction_free.py.
+Berlekamp-Massey recurrence finder from which the family generating
+functions are built. No linear solve lives here: the fraction-free
+(Bareiss/Montante) solve that once derived the generating functions is a
+test-only reference in tests/fraction_free.py.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -205,8 +205,9 @@ class LaurentPoly3:
         result.terms = out
         return result
 
-    def __mul__(self, other: "LaurentPoly3 | int | Fraction") -> "LaurentPoly3":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "LaurentPoly3 | int | Fraction | float"
+                ) -> "LaurentPoly3":
+        if not isinstance(other, LaurentPoly3):
             return self.scale(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -234,7 +235,7 @@ class LaurentPoly3:
 
     __rmul__ = __mul__
 
-    def scale(self, factor: int | Fraction) -> "LaurentPoly3":
+    def scale(self, factor: int | Fraction | float) -> "LaurentPoly3":
         factor = _rational(factor)
         if factor == 0:
             return LaurentPoly3()
@@ -319,13 +320,16 @@ class LaurentPoly3:
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentPoly3":
-        if data.get("vars") != ["x", "y", "z"]:
-            raise AlgebraError("polynomial JSON must declare vars [x, y, z]")
+        if not isinstance(data, dict) or data.get("vars") != ["x", "y", "z"]:
+            raise AlgebraError("polynomial JSON must be an object declaring "
+                               "vars [x, y, z]")
+        if not isinstance(data.get("terms"), list):
+            raise AlgebraError("polynomial JSON terms must be a list")
         terms: dict[Exponent, Fraction] = {}
         for item in data["terms"]:
-            key = tuple(map(_integer, item["e"]))
-            if len(key) != 3:
+            if not isinstance(item["e"], list) or len(item["e"]) != 3:
                 raise AlgebraError(f"bad exponent triple {item['e']!r}")
+            key = tuple(map(_integer, item["e"]))
             coeff = _rational(item["c"])
             if key in terms:
                 raise AlgebraError(f"duplicate exponent triple {key}")
@@ -516,7 +520,7 @@ class PolyMatrix:
         return [row[j] for row in self.data]
 
 
-# -- univariate sequences and interpolation over the rationals ---------------
+# -- univariate sequences over the rationals ---------------------------------
 
 
 def _berlekamp_massey(seq: Sequence[Fraction]) -> tuple[list[Fraction], int]:
@@ -545,23 +549,6 @@ def _berlekamp_massey(seq: Sequence[Fraction]) -> tuple[list[Fraction], int]:
     while c[-1] == 0:
         c.pop()
     return c, order
-
-
-def _interpolate_laurent(points: Sequence[Fraction], values: Sequence[Fraction],
-                         low: int, high: int) -> dict[int, Fraction]:
-    """Coefficients {e: c_e} of sum_{low <= e <= high} c_e t^e through the
-    first high - low + 1 of the (nonzero, distinct) points (Newton form)."""
-    n = high - low + 1
-    ts = list(points[:n])
-    dd = [v / t ** low for t, v in zip(ts, values)]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
-    poly = [dd[-1]]
-    for i in range(n - 2, -1, -1):
-        poly = [dd[i] - ts[i] * poly[0]] + [
-            a - ts[i] * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
-    return {low + k: a for k, a in enumerate(poly) if a}
 
 
 # -- univariate polynomials in z ---------------------------------------------

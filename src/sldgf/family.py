@@ -38,7 +38,7 @@ class Graph:
             raise FamilyError(f"negative vertex count {vertex_count}")
         norm = set()
         for e in edges:
-            if len(e) != 2:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise FamilyError(f"edge {e!r} is not a pair")
             u, v = _integer(e[0]), _integer(e[1])
             if u == v:
@@ -248,6 +248,11 @@ def parse_family_spec(text: str) -> FamilySpec:
     missing = required - set(data)
     if missing:
         raise FamilyError(f"family spec missing fields: {sorted(missing)}")
+    for key in sorted(required - {"name", "recursion_start"}):
+        kind = list if key in ("boundary", "prefix_weps") else dict
+        if not isinstance(data[key], kind):
+            raise FamilyError(f"family spec field {key!r} must be a JSON "
+                              f"{'list' if kind is list else 'object'}")
     try:
         spec = FamilySpec(
             name=str(data["name"]),

@@ -44,15 +44,16 @@ at a zero coordinate with alpha or beta positive, the decoded members are
 evaluated instead.
 
 The family generating function is derived from the minimal linear
-recurrence of the members: Berlekamp-Massey on exact specialised iterates
-gives the reduced denominator at sample points, which is interpolated back
-to a trivariate polynomial inside a window bounded by the cycle means of
-T'. The result is reduced by construction and certified against the exact
-members (Cayley-Hamilton on T' bounds how many must agree) before it is
-returned. Certifying on T' is sound because its members are the members,
-by the checked identity. The fraction-free solve of (I - zT) u = v that
-this replaced is kept as a test-only reference in tests/fraction_free.py,
-and the iteration of the unlumped T in tests/unlumped.py.
+recurrence of the members, read off the same loop: Berlekamp-Massey on
+the sums at one Kronecker point (1, 2^B) gives the reduced denominator's
+connection coefficients as integers, whose balanced base-2^B digits are
+its coefficients (see _minimal_denominator). The result is reduced by
+construction and certified against the exact members (Cayley-Hamilton on
+T' bounds how many must agree) before it is returned. Certifying on T' is
+sound because its members are the members, by the checked identity. The
+fraction-free solve of (I - zT) u = v that this replaced is kept as a
+test-only reference in tests/fraction_free.py, and the iteration of the
+unlumped T in tests/unlumped.py.
 """
 
 from __future__ import annotations
@@ -65,11 +66,13 @@ from typing import NamedTuple, Sequence
 
 from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
-                      _berlekamp_massey, _interpolate_laurent, _rational,
+                      _berlekamp_massey, _rational,
                       ratfunc_normalize, series_coefficients)
 from .family import FamilySpec, Graph
 
 WHITE_EVEN, WHITE_ODD, BLACK_EVEN, BLACK_ODD = range(4)
+
+_FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
 
 
 def decode_states(index: int, size: int) -> list[tuple[int, int]]:
@@ -458,79 +461,57 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     return out
 
 
-def _min_cycle_mean(rows, weight) -> Fraction | None:
-    """Least mean weight over the cycles of the graph with an edge c -> d of
-    weight weight(e) for each entry (d, e) of rows[c]; None without a cycle.
-
-    Karp (1978), with walks starting anywhere: D_k(v) is the least weight
-    of a k-edge walk ending at v, and the least cycle mean is the minimum
-    over v of max_k (D_n(v) - D_k(v)) / (n - k). O(n m) in exact arithmetic.
-    """
-    n = len(rows)
-    walks = [[0] * n]
-    for _ in range(n):
-        last, nxt = walks[-1], [None] * n
-        for c, row in enumerate(rows):
-            if last[c] is not None:
-                for d, e in row:
-                    w = last[c] + weight(e)
-                    if nxt[d] is None or w < nxt[d]:
-                        nxt[d] = w
-        walks.append(nxt)
-    return min((max(Fraction(walks[n][v] - walks[k][v], n - k)
-                    for k in range(n))
-                for v in range(n) if walks[n][v] is not None), default=None)
+def _balanced_digits(value: int, bits: int) -> list[int]:
+    """Digits d_e in [-2^(bits-1), 2^(bits-1)), least significant first,
+    with value = sum_e d_e 2^(bits e)."""
+    digits, half, mask = [], 1 << bits - 1, (1 << bits) - 1
+    while value:
+        d = ((value + half) & mask) - half
+        digits.append(d)
+        value = (value - d) >> bits
+    return digits
 
 
 def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     """Reduced denominator of sum_k W_(start+k) z^k and its recurrence order.
 
     From the recursion start on, W_r is homogeneous of degree n0 + s (r -
-    start) with s the qubit step, so the series is x^n0 G(y/x, x^s z). At
-    points t the values W_r(1, t) obey the minimal recurrence whose
-    connection polynomial is the reduced denominator Q(t, u) of G, normalised
-    to Q(t, 0) = 1; Berlekamp-Massey finds it from 2 dim T' values. Points
-    where the order drops below the largest seen are skipped.
+    start) with s the qubit step, so the series is x^n0 G(y/x, x^s z). The
+    homogenised sums a_m(t) = 1^T T''(1, t)^m v''(1, t) are W_(start+m)(1,
+    t) times t^(beta m + beta0), so their minimal recurrence has the
+    connection polynomial Q(t, t^beta u) with Q the reduced denominator of
+    G, normalised to 1 at u = 0. It divides det(I - u T''(1, t)), which
+    lies in Z[t][u] and is 1 at u = 0, so by Gauss's lemma its coefficients
+    c_k(t) lie in Z[t]. At the Kronecker point t = 2^B, Berlekamp-Massey
+    on 2 dim T' sums gives the integers c_k(2^B), and their balanced
+    base-2^B digits are the coefficients of c_k: digit e of c_k is the
+    coefficient of x^(s k - e + beta k) y^(e - beta k) z^k.
 
-    Q divides det(I - u T'(1, t)), and with both normalised to 1 at u = 0
-    the Newton polygon of Q lies inside that of the determinant. The u^k
-    coefficient of the determinant sums over covers of k states by disjoint
-    cycles, so its t-exponents lie between k m_min and k m_max, the least
-    and greatest cycle means of T' weighted by its least and greatest
-    y-exponents. Each coefficient of Q is interpolated as a Laurent
-    polynomial over [ceil(k m_min), floor(k m_max)] and re-homogenised.
-    Without a cycle T' is nilpotent, the members stop after start + dim T'
-    - 1, and the denominator is 1.
+    The width B starts at _FIRST_DIGIT_BITS and doubles while some c_k is
+    not an integer, or while the decoded polynomial at t = 2 fails to
+    annihilate the sums at t = 2 from index order on. The loop ends: once
+    every coefficient is below 2^(B-1) in size and 2^B is no root of the
+    finitely many polynomials whose vanishing lowers the order, the digits
+    are the coefficients, and the true Q passes the check. The check only
+    spares wasted certificates; certify_family_gf is the proof.
     """
-    q = sys.quotient
-    n, start, step = q.dimension, sys.spec.recursion_start, sys.spec.qubit_step
-    m_min = _min_cycle_mean(q.rows, lambda e: min(ey for _, ey, _ in e.terms))
-    if m_min is None:
-        return LaurentPoly3.const(1), n
-    m_max = -_min_cycle_mean(q.rows,
-                             lambda e: -max(ey for _, ey, _ in e.terms))
-    windows = [(math.ceil(k * m_min), math.floor(k * m_max))
-               for k in range(n + 1)]
-    order, samples, t = 0, [], Fraction(1)
-    while not samples or len(samples) < max(
-            hi - lo + 1 for lo, hi in windows[:order + 1]):
-        t += 1
-        seq = wep_values_by_iteration(sys, 1, t, start + 2 * n - 1)[start:]
-        c, length = _berlekamp_massey(seq)
-        if length > order:
-            order, samples = length, []
-        if length == order:
-            samples.append((t, c + [Fraction(0)] * (order + 1 - len(c))))
-    points = [t for t, _ in samples]
-    terms = {}
-    for k in range(order + 1):
-        lo, hi = windows[k]
-        if lo > hi:
-            continue
-        q_k = _interpolate_laurent(points, [c[k] for _, c in samples], lo, hi)
-        for e, coeff in q_k.items():
-            terms[(step * k - e, e, k)] = coeff
-    return LaurentPoly3(terms), order
+    h = _homogenise(sys.quotient)
+    beta, step = h.step[1], sys.spec.qubit_step
+    steps = 2 * sys.quotient.dimension - 1
+    at_two = list(_sums(*_at(h, 1, 2), steps))
+    bits = _FIRST_DIGIT_BITS
+    while True:
+        c, order = _berlekamp_massey(list(_sums(*_at(h, 1, 1 << bits), steps)))
+        if all(c_k.denominator == 1 for c_k in c):
+            digits = [_balanced_digits(c_k.numerator, bits) for c_k in c]
+            c_two = [sum(d << e for e, d in enumerate(ds)) for ds in digits]
+            if not any(sum(c_k * at_two[m - k] for k, c_k in enumerate(c_two))
+                       for m in range(order, steps + 1)):
+                break
+        bits *= 2
+    return LaurentPoly3({(step * k - e + beta * k, e - beta * k, k): d
+                         for k, ds in enumerate(digits)
+                         for e, d in enumerate(ds) if d}), order
 
 
 def certify_family_gf(sys: TransferSystem, gf: RatFunc3) -> None:

@@ -12,8 +12,7 @@ from sldgf import (AlgebraError, LaurentPoly3, NonConstantLeadingTermError,
                    poly_from_terms, ratfunc_equal, ratfunc_normalize,
                    series_coefficients, uni_gcd, uni_reduce, uni_specialize)
 from sldgf import to_rational
-from sldgf.algebra import (_berlekamp_massey, _integer, _interpolate_laurent,
-                           _rational)
+from sldgf.algebra import _berlekamp_massey, _integer, _rational
 
 from fraction_free import (SingularMatrixError, divexact, identity,
                            solve_linear, solve_linear_raw)
@@ -113,6 +112,11 @@ class TestPolyOps:
         assert poly_from_terms([(0, 0, 0, 0.1)]) == tenth
         blob = {"vars": ["x", "y", "z"], "terms": [{"e": [0, 0, 0], "c": 0.1}]}
         assert LaurentPoly3.from_json(blob) == tenth
+
+    def test_scalar_operands_read_as_by_scale(self):
+        assert X * 0.5 == 0.5 * X == X * F(1, 2) == X.scale(0.5)
+        with pytest.raises(TypeError):
+            X * None
 
     def test_json_exponents_are_not_truncated(self):
         blob = {"vars": ["x", "y", "z"], "terms": [{"e": [1.7, 0, 0], "c": "1"}]}
@@ -282,12 +286,6 @@ class TestRecurrenceTools:
         # c = 1 - 2u, but it only holds from n = 5 on
         seq = [F(2) ** k + (k == 3) for k in range(10)]
         assert _berlekamp_massey(seq) == ([1, -2], 5)
-
-    def test_laurent_interpolation_round_trip(self):
-        target = {-2: F(3), 0: F(-1), 3: F(1, 2)}
-        points = [F(k, 3) for k in range(1, 7)]
-        values = [sum(c * t ** e for e, c in target.items()) for t in points]
-        assert _interpolate_laurent(points, values, -2, 3) == target
 
 
 class TestSeriesCoefficients:

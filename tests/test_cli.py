@@ -186,10 +186,14 @@ def test_non_object_spec_exits_two(tmp_path: Path):
     assert cp.stderr == "error: family spec must be a JSON object\n"
 
 
-@pytest.mark.parametrize("case", ["n", "negative_n"])
+@pytest.mark.parametrize("case", ["n", "negative_n", "string_boundary",
+                                  "string_edge", "string_exponent",
+                                  "string_prefix_weps", "string_glue_map"])
 def test_non_integral_or_negative_size_exits_two(tmp_path: Path, case):
     # "n": 1.9 was truncated into another family, and "n": -1 failed late
-    # in the transfer construction with exit code 1
+    # in the transfer construction with exit code 1; a string boundary,
+    # edge or exponent was iterated as a list (exit 0), and a string
+    # prefix_weps or glue_map failed with a traceback (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(BAD_DOCUMENTS[case]))
     cp = run_cli("gf", "--spec", str(bad))

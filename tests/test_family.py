@@ -46,10 +46,14 @@ def isolated_vertex_document() -> dict:
 
 
 def _bad_documents() -> dict:
-    """Documents with a non-integral or negative size or index. int() used
-    to truncate each into another family that passed validation."""
+    """Documents with a non-integral or negative size or index, which int()
+    used to truncate into another family that passed validation, or with a
+    string where a list or an object belongs, which was iterated as one or
+    failed with an AttributeError."""
     docs = {name: copy.deepcopy(CATERPILLAR)
-            for name in ("n", "boundary", "glue_map")}
+            for name in ("n", "boundary", "glue_map", "string_boundary",
+                         "string_edge", "string_exponent",
+                         "string_prefix_weps", "string_glue_map")}
     docs["n"]["base_graph"]["n"] = 1.9
     docs["boundary"]["boundary"] = [0.5]
     docs["glue_map"]["glue_map"] = {"0": 1.5}
@@ -60,6 +64,11 @@ def _bad_documents() -> dict:
     docs["negative_n"] = isolated_vertex_document()
     docs["negative_n"]["base_graph"]["n"] = -1
     docs["negative_n"]["qubit_count"]["offset"] = -2
+    docs["string_boundary"]["boundary"] = "0"
+    docs["string_edge"]["replacement"]["edges"][0] = "01"
+    docs["string_exponent"]["prefix_weps"][0]["terms"][0]["e"] = "000"
+    docs["string_prefix_weps"]["prefix_weps"] = "ab"
+    docs["string_glue_map"]["glue_map"] = "x"
     return docs
 
 

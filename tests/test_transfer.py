@@ -18,11 +18,11 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    ratfunc_normalize, series_coefficients, wep_by_iteration,
                    wep_values_by_iteration)
 from sldgf import transfer
-from sldgf.transfer import Quotient, _check_lumping, _lump, _min_cycle_mean
+from sldgf.transfer import Quotient, _check_lumping, _lump
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
-from golden_forms import GOLDEN_GF
+from golden_forms import GOLDEN_GF, LADDER_3_GF
 from test_custom_family import CATERPILLAR, LADDER_3
 from unlumped import unlumped_weps
 
@@ -328,15 +328,6 @@ def family_specs(draw):
     return spec
 
 
-def weighted_digraphs():
-    """Rows of (target, weight) edges on 1-5 vertices, at most one edge
-    per ordered pair."""
-    return st.integers(1, 5).flatmap(lambda n: st.lists(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 5)),
-                 max_size=n, unique_by=lambda edge: edge[0]),
-        min_size=n, max_size=n))
-
-
 class TestLumping:
     @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
     def test_quotient_dimensions(self, systems, name):
@@ -401,30 +392,53 @@ class TestLumping:
         swapped = dataclasses.replace(path, t=star.t, v=star.v)
         assert family_gf(swapped) == GOLDEN_GF["star"]
 
-    def test_sampling_window_from_cycle_means(self, systems, monkeypatch):
-        # the window [ceil(k m_min), floor(k m_max)] needs 13 sample sweeps
-        # on grid_2 and 4 on cycle
-        real, calls = transfer.wep_values_by_iteration, []
-        monkeypatch.setattr(transfer, "wep_values_by_iteration",
-                            lambda *a: calls.append(a) or real(*a))
-        for name, sweeps in (("grid_2", 13), ("cycle", 4)):
-            calls.clear()
-            den, order = transfer._minimal_denominator(systems[name])
-            assert den == GOLDEN_GF[name].den or -den == GOLDEN_GF[name].den
-            assert len(calls) == sweeps, name
+    def test_narrow_first_digits_double_to_the_same_denominator(
+            self, systems, monkeypatch):
+        # 2-bit digits are too narrow for most of these denominators, so
+        # the t = 2 check must reject the decoded polynomial and the width
+        # double until it gives the reduced denominator and order
+        monkeypatch.setattr(transfer, "_FIRST_DIGIT_BITS", 2)
+        real, points = transfer._at, []
+        monkeypatch.setattr(transfer, "_at", lambda h, a, b: points.append(
+            (a, b)) or real(h, a, b))
+        orders = {"path": 3, "star": 3, "cycle": 3, "pusteblume": 3,
+                  "complete_bipartite_2": 3, "joint_squares": 2, "grid_2": 6,
+                  "caterpillar": 3, "ladder_3": 16}
+        dens = {name: GOLDEN_GF[name].den for name in BUILTIN_FAMILIES}
+        dens["caterpillar"] = (ONE - X ** 2 * Z - 3 * Y ** 2 * Z
+                               + 2 * Y ** 6 * Z ** 3
+                               - 4 * X ** 2 * Y ** 4 * Z ** 3
+                               + 2 * X ** 4 * Y ** 2 * Z ** 3)
+        dens["ladder_3"] = LADDER_3_GF.den
+        for name, order in orders.items():
+            points.clear()
+            den, found = transfer._minimal_denominator(
+                systems.get(name) or custom_system(name))
+            assert found == order and dens[name] in (den, -den), name
+        # ladder_3 swept once at t = 2, then once per width: 2, 4, 8 and
+        # 16 bits
+        assert points == [(1, 2), (1, 4), (1, 16), (1, 256), (1, 65536)]
 
-    @settings(max_examples=150, deadline=None)
-    @given(weighted_digraphs())
-    def test_cycle_means_match_enumeration(self, rows):
-        # Karp's least cycle mean against every simple cycle
-        weight = {(c, d): w for c, row in enumerate(rows) for d, w in row}
-        means = []
-        for size in range(1, len(rows) + 1):
-            for cyc in itertools.permutations(range(len(rows)), size):
-                edges = list(zip(cyc, cyc[1:] + cyc[:1]))
-                if all(edge in weight for edge in edges):
-                    means.append(F(sum(weight[e] for e in edges), size))
-        assert _min_cycle_mean(rows, lambda w: w) == min(means, default=None)
+    def test_order_above_denominator_degree_passes_the_check(
+            self, monkeypatch):
+        # the recurrence holds only from member start + 2 on, past the
+        # denominator's degree 1, so the t = 2 check must start at the
+        # order; started at the degree it rejects every digit width
+        real, calls = transfer._berlekamp_massey, []
+
+        def one_width(seq):
+            calls.append(seq)
+            assert len(calls) == 1, "the correct denominator was rejected"
+            return real(seq)
+        monkeypatch.setattr(transfer, "_berlekamp_massey", one_width)
+        spec = FamilySpec(
+            name="pendant", base_graph=Graph.from_edges(2, [(0, 1)]),
+            boundary=(0,), replacement=Graph.from_edges(3, [(0, 1)]),
+            glue_map={0: 0}, next_boundary_map={0: 2}, prefix_weps=(ONE,),
+            recursion_start=1, qubit_offset=0, qubit_step=2)
+        sys_ = build_transfer_system(spec)
+        assert transfer._minimal_denominator(sys_) == (
+            ONE - X ** 2 * Z - 3 * Y ** 2 * Z, 2)
 
     def test_nilpotent_quotient_has_denominator_one(self):
         # one edge from state 0 to state 1 and no cycle: members stop after
