@@ -1,54 +1,57 @@
 """Exact generating functions for sector-length distributions of
-recursively definable graph-state families."""
+recursively definable graph-state families.
 
-from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
-                      NonConstantLeadingTermError, PolyMatrix, RatFunc3,
-                      UniPolyZ, ZeroDenominatorError, poly_from_terms,
-                      ratfunc_equal, ratfunc_normalize, series_coefficients,
-                      uni_gcd, uni_reduce, uni_specialize)
-from .analysis import (AnalysisError, DegenerateSingularityError, LeadingTerm,
-                       NoThresholdError, SingularityReport,
-                       concentratable_entanglement, criterion_asymptotic_ratio,
-                       criterion_q, critical_lambda,
-                       critical_lambda_asymptotic, critical_lambda_sweep,
-                       dominant_singularity, fidelity_asymptotic,
-                       fidelity_exact, fidelity_leading_term, fidelity_sweep,
-                       to_rational)
-from .family import (BUILTIN_FAMILIES, FamilyError, FamilySpec, Graph, SLD,
-                     builtin, parse_family_spec, realize,
-                     serialize_family_spec, sld_from_wep, wep_from_sld)
-from .oracle import (VertexCapExceeded, sld_bruteforce_colouring,
-                     sld_bruteforce_stabilizer)
-from .transfer import (TransferSystem, build_transfer_system,
-                       certify_family_gf, colouring_weight, decode_states,
-                       encode_states, family_gf, iter_weps, wep_by_iteration,
-                       wep_values_by_iteration)
+Exports resolve on first use (PEP 562), so a process imports only the
+submodules, and through them numpy and mpmath, that it calls into.
+"""
+
+# exported name -> submodule it is read from
+_EXPORTS = {name: module for module, names in {
+    "algebra": (
+        "AlgebraError", "CertificateError", "LaurentPoly3",
+        "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3", "UniPolyZ",
+        "ZeroDenominatorError", "poly_from_terms", "ratfunc_equal",
+        "ratfunc_normalize", "series_coefficients", "uni_gcd", "uni_reduce",
+        "uni_specialize"),
+    "analysis": (
+        "AnalysisError", "DegenerateSingularityError", "LeadingTerm",
+        "NoThresholdError", "SingularityReport", "concentratable_entanglement",
+        "criterion_asymptotic_ratio", "criterion_q", "critical_lambda",
+        "critical_lambda_asymptotic", "critical_lambda_sweep",
+        "dominant_singularity", "fidelity_asymptotic", "fidelity_exact",
+        "fidelity_leading_term", "fidelity_sweep"),
+    "family": (
+        "BUILTIN_FAMILIES", "FamilyError", "FamilySpec", "Graph", "SLD",
+        "builtin", "parse_family_spec", "realize", "serialize_family_spec",
+        "sld_from_wep", "to_rational", "wep_from_sld"),
+    "oracle": (
+        "VertexCapExceeded", "sld_bruteforce_colouring",
+        "sld_bruteforce_stabilizer"),
+    "transfer": (
+        "TransferSystem", "build_transfer_system", "certify_family_gf",
+        "colouring_weight", "decode_states", "encode_states", "family_gf",
+        "iter_weps", "wep_by_iteration", "wep_values_by_iteration"),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # algebra
-    "AlgebraError", "CertificateError", "LaurentPoly3",
-    "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3", "UniPolyZ",
-    "ZeroDenominatorError", "poly_from_terms", "ratfunc_equal",
-    "ratfunc_normalize", "series_coefficients", "uni_gcd", "uni_reduce",
-    "uni_specialize",
-    # analysis
-    "AnalysisError", "DegenerateSingularityError", "LeadingTerm",
-    "NoThresholdError", "SingularityReport", "concentratable_entanglement",
-    "criterion_asymptotic_ratio", "criterion_q", "critical_lambda",
-    "critical_lambda_asymptotic", "critical_lambda_sweep",
-    "dominant_singularity", "fidelity_asymptotic", "fidelity_exact",
-    "fidelity_leading_term", "fidelity_sweep", "to_rational",
-    # family
-    "BUILTIN_FAMILIES", "FamilyError", "FamilySpec", "Graph", "SLD",
-    "builtin", "parse_family_spec", "realize", "serialize_family_spec",
-    "sld_from_wep", "wep_from_sld",
-    # oracle
-    "VertexCapExceeded", "sld_bruteforce_colouring",
-    "sld_bruteforce_stabilizer",
-    # transfer
-    "TransferSystem", "build_transfer_system", "certify_family_gf",
-    "colouring_weight", "decode_states", "encode_states", "family_gf",
-    "iter_weps", "wep_by_iteration", "wep_values_by_iteration",
-]
+__all__ = list(_EXPORTS)
+
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES, *__all__})

@@ -27,19 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
-# public here, private in algebra so that bench/spans.py does not wrap it
-from .algebra import (UniPolyZ, _rational as to_rational, _univariate,
-                      uni_reduce, uni_specialize)
-from .family import SLD, sld_from_wep
-from .transfer import (TransferSystem, family_gf, iter_weps, wep_by_iteration,
-                       wep_values_by_iteration)
+from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
+from .family import SLD, sld_from_wep, to_rational
+from .transfer import (CE_POINT, TransferSystem, family_gf, iter_weps,
+                       wep_by_iteration, wep_values_by_iteration)
 
 WORKING_DPS = 40
-
-# the concentratable entanglement of a member is 1 - W_r at this (x, y)
-CE_POINT = (Fraction(3, 4), Fraction(1, 4))
 
 ROOT_CLUSTER_RTOL = 1e-8
 MODULUS_TIE_RTOL = 1e-8
@@ -82,6 +76,8 @@ def _mp_poly(poly: UniPolyZ):
 
 def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
     """All complex roots: companion-matrix estimates polished by Newton."""
+    import numpy as np
+
     # scale exactly before any float conversion so huge integer coefficients
     # cannot overflow a double
     scale = max(abs(c) for c in q.coeffs)

@@ -8,7 +8,13 @@ malformed custom spec, negative member index, critical-lambda -r 0, --lambda
 that is not a number in [0, 1], --tol or --jobs that is not positive,
 --max-qubits above the brute-force cap, verify on a family that does not
 grow), 3 analysis failures (for instance no asymptotic threshold, or a
-degenerate dominant singularity).
+degenerate dominant singularity), 4 any other failure, such as a figure
+--out directory that cannot be created.
+
+Each command imports only what it computes with: the analysis layer, and
+mpmath with it, inside fidelity, critical-lambda and figure; numpy inside
+the brute-force oracles and the root finder; the process pool only when
+verify starts more than one worker.
 """
 
 from __future__ import annotations
@@ -19,22 +25,17 @@ import functools
 import io
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
-
 from .algebra import series_coefficients
-from .analysis import (CE_POINT, WORKING_DPS, AnalysisError,
-                       critical_lambda_asymptotic, critical_lambda_sweep,
-                       fidelity_leading_term, fidelity_sweep, to_rational)
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
-                     parse_family_spec, realize, sld_from_wep)
+                     parse_family_spec, realize, sld_from_wep, to_rational)
 from .oracle import (DEFAULT_VERTEX_CAP, sld_bruteforce_colouring,
                      sld_bruteforce_stabilizer)
-from .transfer import (build_transfer_system, family_gf, iter_weps,
+from .transfer import (CE_POINT, build_transfer_system, family_gf, iter_weps,
                        wep_by_iteration, wep_values_by_iteration)
 
 FIG3_FAMILIES = ("path", "star", "cycle")
@@ -50,6 +51,8 @@ class UsageError(Exception):
 def _sig17(value) -> str:
     """Render a number at 17 significant digits (exact inputs stay exact
     up to that precision)."""
+    import mpmath as mp
+
     with mp.workdps(30):
         if isinstance(value, Fraction):
             x = mp.mpf(value.numerator) / mp.mpf(value.denominator)
@@ -172,6 +175,14 @@ def _oracles(spec, r: int):
             list(sld_bruteforce_stabilizer(graph).sectors))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
@@ -187,8 +198,13 @@ def _cmd_verify(args) -> int:
     series = series_coefficients(family_gf(sys_), r_max)
     weps = list(iter_weps(sys_, r_max))
     r_values = range(r_max + 1)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first task, so more workers
+    # than usable CPUs or members only cost process starts
+    workers = min(args.jobs, _usable_cpus(), len(r_values))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(_oracles, [spec] * len(r_values), r_values))
     else:
         found = [_oracles(spec, r) for r in r_values]
@@ -284,6 +300,10 @@ def _cmd_ce(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
+    import mpmath as mp
+
+    from .analysis import fidelity_leading_term, fidelity_sweep
+
     lam = _noise_arg(args.lam)
     r_values = _member_range(args)
     sys_ = _system(args)
@@ -309,6 +329,8 @@ def _cmd_fidelity(args) -> int:
 def _cmd_critical_lambda(args) -> int:
     if not args.tol > 0:
         raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    from .analysis import critical_lambda_asymptotic, critical_lambda_sweep
+
     sys_ = _system(args)
     entries = [{"r": r, "value": value} for r, value in
                critical_lambda_sweep(sys_, _member_range(args, default_low=1),
@@ -328,6 +350,12 @@ def _cmd_critical_lambda(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    import mpmath as mp
+
+    from .analysis import (WORKING_DPS, critical_lambda_asymptotic,
+                           critical_lambda_sweep, fidelity_leading_term,
+                           fidelity_sweep)
+
     r_max = _member_index("--r-max", FIG_R_MAX[args.which]
                           if args.r_max is None else args.r_max)
     rows = []
@@ -462,12 +490,11 @@ def main(argv=None) -> int:
     except (FamilyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        from .analysis import AnalysisError
+
+        return 3 if isinstance(exc, AnalysisError) else 4
 
 
 if __name__ == "__main__":

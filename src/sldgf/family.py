@@ -17,7 +17,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .algebra import LaurentPoly3, _integer, poly_from_terms
+# to_rational is public here, private in algebra so that bench/spans.py does
+# not wrap it
+from .algebra import (LaurentPoly3, _integer, _rational as to_rational,
+                      poly_from_terms)
 
 
 class FamilyError(ValueError):

@@ -20,8 +20,6 @@ ground truth every symbolic result is checked against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .family import SLD, Graph
 
 DEFAULT_VERTEX_CAP = 24
@@ -49,6 +47,8 @@ def sld_bruteforce_colouring(g: Graph) -> SLD:
     over the halves, so the inadmissible vertices of a whole colouring are
     the 1 bits of c | (P_lo ^ P_hi).
     """
+    import numpy as np
+
     _check_cap(g)
     n = g.vertex_count
     if n == 0:
@@ -88,6 +88,8 @@ def sld_bruteforce_stabilizer(g: Graph) -> SLD:
     product's Z-support is Z_lo ^ Z_hi. A_k counts elements of Hamming
     weight popcount(X | Z) = k (phases are irrelevant to the weight).
     """
+    import numpy as np
+
     _check_cap(g)
     n = g.vertex_count
     if n == 0:

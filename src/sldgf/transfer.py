@@ -74,6 +74,9 @@ WHITE_EVEN, WHITE_ODD, BLACK_EVEN, BLACK_ODD = range(4)
 
 _FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
 
+# the concentratable entanglement of a member is 1 - W_r at this (x, y)
+CE_POINT = (Fraction(3, 4), Fraction(1, 4))
+
 
 def decode_states(index: int, size: int) -> list[tuple[int, int]]:
     """Split a base-4 composite index into (colour, parity) pairs,

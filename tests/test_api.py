@@ -17,7 +17,10 @@ def test_no_exported_name_is_listed_twice():
 
 
 def test_exports_are_exactly_the_public_attributes():
-    # submodules (sldgf.algebra, ...) are attributes but not exports
+    # exports resolve on first use, so resolve them all first; submodules
+    # (sldgf.algebra, ...) are attributes but not exports
+    for name in sldgf.__all__:
+        getattr(sldgf, name)
     public = {name for name, value in vars(sldgf).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(sldgf.__all__) == public

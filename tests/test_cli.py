@@ -22,12 +22,16 @@ from test_family import BAD_DOCUMENTS
 SRC = str(Path(sldgf.__file__).resolve().parents[1])
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "sldgf", *args]
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, *args]
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     # a command that hangs fails its test instead of stalling the suite
     return subprocess.run(cmd, capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "sldgf", *args)
 
 
 def test_families_lists_builtins():
@@ -377,13 +381,14 @@ def test_verify_exits_one_on_mismatch(monkeypatch, capsys):
 
 def _exit_without_threshold(monkeypatch, capsys, argv):
     """Run argv in process with critical_lambda_asymptotic failing."""
+    import sldgf.analysis as analysis
     import sldgf.cli as cli
     from sldgf import NoThresholdError
 
     def no_threshold(sys_, tol=1e-10):
         raise NoThresholdError("no sign change")
 
-    monkeypatch.setattr(cli, "critical_lambda_asymptotic", no_threshold)
+    monkeypatch.setattr(analysis, "critical_lambda_asymptotic", no_threshold)
     cli._cached_system.cache_clear()
     code = cli.main(argv)
     return code, capsys.readouterr()
@@ -406,3 +411,99 @@ def test_figure_analysis_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: no sign change\n"
+
+
+def test_unwritable_figure_directory_exits_four(tmp_path: Path):
+    # a file system failure has its own code, apart from verify's mismatch 1
+    not_a_directory = tmp_path / "file"
+    not_a_directory.write_text("")
+    cp = run_cli("figure", "fig4", "--r-max", "3",
+                 "--out", str(not_a_directory / "data"))
+    assert cp.returncode == 4
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+
+
+# runs one command through main in a fresh interpreter and prints its exit
+# code and which of the costly imports it loaded
+_LOADED_BY = """
+import contextlib, io, json, sys
+from sldgf.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [name for name in ("numpy", "mpmath",
+                 "concurrent.futures.process") if name in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["families"], []),
+    (["gf", "--family", "grid_2"], []),
+    (["wep", "--family", "path", "-r", "3"], []),
+    (["sld", "--family", "star", "-r", "3"], []),
+    (["ce", "--family", "grid_2", "--r-max", "5"], []),
+    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "1"],
+     ["numpy"]),
+], ids=["families", "gf", "wep", "sld", "ce", "verify"])
+def test_commands_import_only_what_they_compute_with(argv, allowed):
+    cp = run_python("-c", _LOADED_BY, *argv)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout) == [0, allowed]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of the process pool, which is replaced by one
+    that runs its tasks in this process and starts none."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, max_qubits, workers", [
+    (4, 8, [4]), (64, 5, [6]), (1, 8, [])],
+    ids=["capped-by-cpus", "capped-by-members", "one-cpu-starts-no-pool"])
+def test_verify_workers_capped(monkeypatch, capsys, pool_sizes, cpus,
+                               max_qubits, workers):
+    # path member r has r qubits, so max_qubits + 1 members are checked
+    import sldgf.cli as cli
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    argv = ["verify", "--family", "path", "--max-qubits", str(max_qubits),
+            "--format", "csv"]
+    assert cli.main(argv) == 0
+    serial = capsys.readouterr().out
+    assert cli.main([*argv, "--jobs", "10000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pool_sizes == workers
+
+
+def test_verify_workers_capped_by_cpu_count_without_affinity(
+        monkeypatch, capsys, pool_sizes):
+    # platforms without an affinity set count all CPUs as usable
+    import sldgf.cli as cli
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli.main(["verify", "--family", "path", "--max-qubits", "8",
+                     "--jobs", "10000"]) == 0
+    capsys.readouterr()
+    assert pool_sizes == [3]
