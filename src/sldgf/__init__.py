@@ -5,8 +5,8 @@ Exports resolve on first use (PEP 562), so a process imports only the
 submodules, and through them numpy and mpmath, that it calls into.
 """
 
-# exported name -> submodule it is read from
-_EXPORTS = {name: module for module, names in {
+# submodule -> the names exported from it
+_NAMES_BY_MODULE = {
     "algebra": (
         "AlgebraError", "CertificateError", "LaurentPoly3",
         "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3", "UniPolyZ",
@@ -31,13 +31,18 @@ _EXPORTS = {name: module for module, names in {
         "TransferSystem", "build_transfer_system", "certify_family_gf",
         "colouring_weight", "decode_states", "encode_states", "family_gf",
         "iter_weps", "wep_by_iteration", "wep_values_by_iteration"),
-}.items() for name in names}
+}
 
 __version__ = "0.1.0"
 
-__all__ = list(_EXPORTS)
+# every listed name, so a name listed under two submodules shows twice
+__all__ = [name for names in _NAMES_BY_MODULE.values() for name in names]
 
-_SUBMODULES = frozenset(_EXPORTS.values())
+# exported name -> submodule it is read from
+_EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items()
+            for name in names}
+
+_SUBMODULES = frozenset(_NAMES_BY_MODULE)
 
 
 def __getattr__(name: str):

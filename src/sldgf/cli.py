@@ -13,8 +13,8 @@ degenerate dominant singularity), 4 any other failure, such as a figure
 
 Each command imports only what it computes with: the analysis layer, and
 mpmath with it, inside fidelity, critical-lambda and figure; numpy inside
-the brute-force oracles and the root finder; the process pool only when
-verify starts more than one worker.
+the brute-force oracles and the root finder. verify checks its members in
+this process; --jobs is accepted and validated but starts no workers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -165,22 +164,13 @@ def _cmd_sld(args) -> int:
 
 def _oracles(spec, r: int):
     """Vertex count and the sector lengths of both brute-force oracles for
-    member r, or None when the member has no graph. This is all the work a
-    verify worker does."""
+    member r, or None when the member has no graph."""
     try:
         graph = realize(spec, r)
     except FamilyError:
         return None
     return (graph.vertex_count, list(sld_bruteforce_colouring(graph).sectors),
             list(sld_bruteforce_stabilizer(graph).sectors))
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else all of them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cmd_verify(args) -> int:
@@ -197,20 +187,9 @@ def _cmd_verify(args) -> int:
     r_max = max(0, (args.max_qubits - spec.qubit_offset) // spec.qubit_step)
     series = series_coefficients(family_gf(sys_), r_max)
     weps = list(iter_weps(sys_, r_max))
-    r_values = range(r_max + 1)
-    # a fork pool starts all its workers at the first task, so more workers
-    # than usable CPUs or members only cost process starts
-    workers = min(args.jobs, _usable_cpus(), len(r_values))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_oracles, [spec] * len(r_values), r_values))
-    else:
-        found = [_oracles(spec, r) for r in r_values]
     table = []
-    for r, oracles in zip(r_values, found):
-        n, colouring, stabilizer = oracles or (
+    for r in range(r_max + 1):
+        n, colouring, stabilizer = _oracles(spec, r) or (
             spec.qubit_count(r) if r >= 1 else 0, None, None)
         iteration = _sld_or_none(weps[r])
         table.append({
@@ -439,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check series, iteration, and both brute-force oracles")
     _add_family_args(sub)
     sub.add_argument("--max-qubits", type=int, default=16)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; verify runs in "
+                          "this process")
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")
     sub.set_defaults(func=_cmd_verify)
