@@ -133,9 +133,6 @@ class LaurentPoly3:
         """Terms in ascending lexicographic exponent order."""
         return sorted(self.terms.items())
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def min_exponents(self) -> Exponent:
         """Componentwise minimum exponent; (0, 0, 0) for the zero polynomial."""
         if not self.terms:
@@ -370,12 +367,6 @@ class LaurentPoly3:
 
     def __repr__(self) -> str:
         return f"LaurentPoly3({self})"
-
-
-X = LaurentPoly3.var("x")
-Y = LaurentPoly3.var("y")
-Z = LaurentPoly3.var("z")
-ONE = LaurentPoly3.const(1)
 
 
 def poly_from_terms(terms: Iterable[tuple]) -> LaurentPoly3:
@@ -621,22 +612,6 @@ class UniPolyZ:
         if self.is_zero():
             return self
         return self.scale(1 / self.coeffs[-1])
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            elif k == 1:
-                body = f"{c}*z" if abs(c) != 1 else ("z" if c > 0 else "-z")
-            else:
-                body = f"{c}*z^{k}" if abs(c) != 1 else (f"z^{k}" if c > 0 else f"-z^{k}")
-            parts.append(body)
-        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"UniPolyZ({self.coeffs})"

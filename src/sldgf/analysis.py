@@ -54,7 +54,8 @@ class DegenerateSingularityError(AnalysisError):
 
 
 class NoThresholdError(AnalysisError):
-    """The asymptotic entanglement criterion has no root in [0, 1]."""
+    """The asymptotic entanglement criterion has no root in [0, 1], or no
+    member has a threshold."""
 
 
 def _mpf_from_fraction(value: Fraction) -> mp.mpf:
@@ -383,7 +384,9 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     once at most. The edge point 1 - 2^-20 is evaluated first: when the
     ratio is still above 1 there, no interior crossing exists, and when it
     approaches 1 only at the right boundary (within 1e-3, as for star-like
-    families) the threshold sits at the boundary and 1.0 is returned.
+    families) the threshold sits at the boundary and 1.0 is returned, unless
+    the criterion vanishes at lam = 1 on every member, exactly as decided
+    from the closed form (as for isolated vertices): NoThresholdError then.
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
@@ -401,6 +404,19 @@ def critical_lambda_asymptotic(sys: TransferSystem,
         if lam is not None:
             return float(lam)
         if h(edge) < 1e-3:
+            # sum_r P_r(1) z^r = (W_x - W_y)(1, 1, z) with P_r(1) =
+            # sum_k (n - 2k) A_k, and q^2 times it is the polynomial below;
+            # identically 0, it leaves every member without a threshold
+            gf = family_gf(sys)
+            num, den = gf.num, gf.den
+            p, q, p_x, p_y, q_x, q_y = (
+                _univariate(f, Fraction(1), Fraction(1))
+                for f in (num, den, num.partial("x"), num.partial("y"),
+                          den.partial("x"), den.partial("y")))
+            if ((p_x - p_y) * q - p * (q_x - q_y)).is_zero():
+                raise NoThresholdError(
+                    "no member has a threshold: the criterion vanishes at "
+                    "lam = 1 on every member")
             return 1.0
         raise NoThresholdError(
             "asymptotic criterion ratio has no sign change in [0, 1]")

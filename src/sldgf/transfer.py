@@ -20,28 +20,29 @@ Finite Markov Chains, ch. 6): for every block C and state s, the sum of
 T[i][s] over the rows i in C depends only on the block of s. With P the
 state-to-block indicator matrix this is P^T T = T' P^T, and with 1^T =
 1^T P^T and v' = P^T v every member is 1^T T'^r v' exactly. The partition
-is found by refinement on exact column-block sums, and the identity is
-checked entry by entry whenever a TransferSystem is made. Every member,
-generating function and certificate is computed on the quotient T'; T and
-v stay the paper's matrix and vector.
+is found by refinement on exact column-block sums over the nonzero
+entries of T, and the identity is checked term by term whenever a
+TransferSystem is made. Every member, generating function and certificate
+is computed on T'; T and v stay the paper's matrix and vector.
 
-The quotient is iterated over Python integers only, in one loop (_sums).
-Its entries are homogeneous with nonnegative integer coefficients (a
-system whose entries are not is refused with AlgebraError), so after the
-shift T'' = x^alpha y^beta T', alpha, beta >= 0 clearing the x^-1 and
-y^-1 entries, it can be evaluated at an integer point. A value at
-(x0, y0) = (a, b)/d iterates T''(a, b) and makes one Fraction per member,
-dividing by d^n a^(alpha m) b^(beta m). A symbolic member is read off by
-Kronecker substitution (Harvey, JSC 2009): T'' is iterated at (1, 2^B),
-and the base-2^B digits of the component sum are the member's
-coefficients. A coefficient is at most the member's value at (1, 1),
-2^n for a family since every column of T' sums to 2^growth there; the
-same loop gives those values first, and 2^B is taken above the largest.
-The digits of each decoded member must add up to its value at (1, 1)
-again, or CertificateError is raised: a carry between digits lowers the
-sum, so it cannot pass silently. Where the division above is undefined,
-at a zero coordinate with alpha or beta positive, the decoded members are
-evaluated instead.
+The entries of T and v are homogeneous with nonnegative integer
+coefficients; a system whose entries are not is refused with AlgebraError
+when it is made, not at first use. Shifted by x^alpha y^beta, alpha,
+beta >= 0 clearing the x^-1 and y^-1 entries, they have integer terms:
+lumping and its check sum those, the quotient is stored as T'' = x^alpha
+y^beta T' (Quotient), and one loop (_sums) iterates it over Python ints.
+A value at (x0, y0) = (a, b)/d iterates T''(a, b) and makes one
+Fraction per member, dividing by d^n a^(alpha m) b^(beta m). A symbolic
+member is read off by Kronecker substitution (Harvey, JSC 2009): T'' is
+iterated at (1, 2^B), and the base-2^B digits of the component sum are
+the member's coefficients. A coefficient is at most the member's value at
+(1, 1), 2^n for a family since every column of T' sums to 2^growth there;
+the same loop gives those values first, and 2^B is taken above the
+largest. The digits of each decoded member must add up to its value at
+(1, 1) again, or CertificateError is raised: a carry between digits
+lowers the sum, so it cannot pass silently. Where the division above is
+undefined, at a zero coordinate with alpha or beta positive, the decoded
+members are evaluated instead.
 
 The family generating function is derived from the minimal linear
 recurrence of the members, read off the same loop: Berlekamp-Massey on
@@ -62,7 +63,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
@@ -134,92 +135,142 @@ def _restriction(g: Graph, retained: Sequence[int]):
     return restrict
 
 
+_Terms = tuple[tuple[int, int, int], ...]  # (i, j, c) stands for c x^i y^j
+
+
 @dataclass(frozen=True)
 class Quotient:
-    """Exactly lumped step operator: block_of[s] is the block of boundary
-    state s, rows[C] lists the nonzero entries (D, T'[C][D]) of the
-    quotient step matrix, and v[C] sums the initial vector over block C."""
+    """Exactly lumped step operator, shifted to nonnegative integer terms.
+
+    block_of[s] is the block of boundary state s, rows[C] lists the nonzero
+    entries (D, terms of T''[C][D]) of the quotient step matrix, and v[C]
+    the terms of v''[C], the initial vector summed over block C. Here T'' =
+    x^alpha y^beta T' and v'' = x^alpha0 y^beta0 v' with step = (alpha,
+    beta, degree of T') and start = (alpha0, beta0, degree of v'), so member
+    start + m has degree degree0 + m degree and equals the component sum of
+    T''^m v'' divided by x^(alpha m + alpha0) y^(beta m + beta0).
+    """
 
     block_of: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, LaurentPoly3], ...], ...]
-    v: tuple[LaurentPoly3, ...]
+    rows: tuple[tuple[tuple[int, _Terms], ...], ...]
+    v: tuple[_Terms, ...]
+    step: tuple[int, int, int]
+    start: tuple[int, int, int]
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
 
-def _block_sums(t: PolyMatrix, block_of: Sequence[int],
-                state: int) -> dict[int, LaurentPoly3]:
-    """Nonzero sums of column `state` of t over the rows of each block."""
-    sums: dict[int, LaurentPoly3] = {}
-    for i, row in enumerate(t.data):
-        if not row[state].is_zero():
-            b = block_of[i]
-            sums[b] = sums.get(b, LaurentPoly3.zero()) + row[state]
-    return {b: e for b, e in sums.items() if not e.is_zero()}
+def _shifted(entries: Sequence[LaurentPoly3]):
+    """(alpha, beta, degree) and the terms of x^alpha y^beta e for each
+    entry e, alpha and beta the least shifts that clear negative exponents.
+
+    Raises AlgebraError unless every term is z-free with a nonnegative
+    integer coefficient and all terms share one total degree, as every
+    step matrix and initial vector of a family does (they count colourings).
+    """
+    terms = [e.terms.items() for e in entries]
+    flat = [exp for ts in terms for exp, _ in ts]
+    if len({ex + ey for ex, ey, _ in flat}) > 1 or any(ez for *_, ez in flat) \
+            or any(c.denominator != 1 or c < 0 for ts in terms for _, c in ts):
+        raise AlgebraError("the members need homogeneous, z-free entries with "
+                           "nonnegative integer coefficients")
+    alpha = max([0] + [-ex for ex, _, _ in flat])
+    beta = max([0] + [-ey for _, ey, _ in flat])
+    degree = flat[0][0] + flat[0][1] if flat else 0
+    return (alpha, beta, degree), [
+        [(ex + alpha, ey + beta, c.numerator) for (ex, ey, _), c in ts]
+        for ts in terms]
 
 
-def _block_vector(v: PolyMatrix, block_of: Sequence[int],
-                  count: int) -> tuple[LaurentPoly3, ...]:
-    """P^T v: the initial vector summed over each of the count blocks."""
-    out = [LaurentPoly3.zero()] * count
-    for i, e in enumerate(v.column(0)):
-        out[block_of[i]] = out[block_of[i]] + e
-    return tuple(out)
+def _integer_step(t: PolyMatrix, v: PolyMatrix):
+    """T'' = x^alpha y^beta T as (row, terms) columns of its nonzero entries,
+    v'' = x^alpha0 y^beta0 v as terms, and their shifts (see _shifted)."""
+    nonzero = [(i, s) for i, row in enumerate(t.data)
+               for s, e in enumerate(row) if e.terms]
+    step, entries = _shifted([t.data[i][s] for i, s in nonzero])
+    start, vec = _shifted(v.column(0))
+    columns = [[] for _ in range(t.cols)]
+    for (i, s), terms in zip(nonzero, entries):
+        columns[s].append((i, terms))
+    return columns, vec, step, start
+
+
+def _block_sums(pairs, block_of: Sequence[int]) -> dict[int, _Terms]:
+    """Sum the terms of (state, terms) pairs over the states of each block;
+    each nonzero sum as its sorted terms."""
+    acc: dict[int, dict[tuple[int, int], int]] = {}
+    for s, terms in pairs:
+        poly = acc.setdefault(block_of[s], {})
+        for i, j, c in terms:
+            poly[i, j] = poly.get((i, j), 0) + c
+    sums = {b: tuple(sorted((i, j, c) for (i, j), c in poly.items() if c))
+            for b, poly in acc.items()}
+    return {b: terms for b, terms in sums.items() if terms}
+
+
+def _block_vector(vec, block_of: Sequence[int],
+                  count: int) -> tuple[_Terms, ...]:
+    """P^T v'': the initial vector summed over each of the count blocks."""
+    sums = _block_sums(enumerate(vec), block_of)
+    return tuple(sums.get(b, ()) for b in range(count))
 
 
 def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
     """Coarsest backward-lumpable partition of the states and its quotient.
 
-    Starting from one block, each round splits a block by the column-block
-    sums of its states. Any lumpable partition refines every round's, so
-    the first round that splits nothing gives the coarsest one. Blocks are
-    numbered in the order of their first state. The quotient is checked by
-    _check_lumping before it is returned.
+    Each round, starting from one block, splits a block by the column-block
+    sums of T'' (_integer_step) at its states. Any lumpable partition
+    refines every round's, so the first round that splits nothing gives the
+    coarsest one, its blocks numbered in the order of their first state.
+    _check_lumping checks the quotient before it is returned.
     """
-    n = t.rows
-    block_of, count = [0] * n, 1
+    columns, vec, step, start = _integer_step(t, v)
+    block_of, count = [0] * len(columns), 1
     while True:
         keys: dict = {}
         split = [keys.setdefault((block_of[s], frozenset(
-            _block_sums(t, block_of, s).items())), len(keys))
-            for s in range(n)]
+            _block_sums(column, block_of).items())), len(keys))
+            for s, column in enumerate(columns)]
         if len(keys) == count:
             break
         block_of, count = split, len(keys)
-    first = {}
-    for s, b in enumerate(block_of):
-        first.setdefault(b, s)
-    columns = [_block_sums(t, block_of, first[d]) for d in range(count)]
-    rows = tuple(tuple((d, columns[d][c]) for d in range(count)
-                       if c in columns[d]) for c in range(count))
-    q = Quotient(tuple(block_of), rows, _block_vector(v, block_of, count))
+    sums = [_block_sums(columns[block_of.index(d)], block_of)
+            for d in range(count)]
+    rows = tuple(tuple((d, sums[d][c]) for d in range(count) if c in sums[d])
+                 for c in range(count))
+    q = Quotient(tuple(block_of), rows, _block_vector(vec, block_of, count),
+                 step, start)
     _check_lumping(t, v, q)
     return q
 
 
 def _check_lumping(t: PolyMatrix, v: PolyMatrix, q: Quotient) -> None:
-    """Check P^T T = T' P^T and v' = P^T v entry by entry, reading T' as
-    the iteration does (repeated entries of a row add up); raise
-    CertificateError if either fails or q.block_of is not a partition."""
-    n, m = t.rows, q.dimension
+    """Check q against t and v, shifted to integer terms afresh: equal
+    shifts, P^T T'' = q.rows P^T and q.v = P^T v'' term by term, reading
+    q.rows as the iteration does (repeated entries of a row add up). Raise
+    CertificateError if any fails or q.block_of is not a partition."""
+    columns, vec, step, start = _integer_step(t, v)
+    n, m = len(columns), q.dimension
     if len(q.block_of) != n or set(q.block_of) != set(range(m)):
         raise CertificateError("lumping is not a partition of the states")
-    columns = [{} for _ in range(m)]
+    if (q.step, q.start) != (step, start):
+        raise CertificateError("lumped operator is not shifted as T and v are")
+    entries = [[] for _ in range(m)]
     for c, row in enumerate(q.rows):
-        for d, e in row:
+        for d, terms in row:
             if not 0 <= d < m:
                 raise CertificateError(
                     f"lumped step matrix names block {d} of {m}")
-            columns[d][c] = columns[d].get(c, LaurentPoly3.zero()) + e
-    columns = [{c: e for c, e in col.items() if not e.is_zero()}
-               for col in columns]
-    for s in range(n):
-        if _block_sums(t, q.block_of, s) != columns[q.block_of[s]]:
+            entries[d].append((c, terms))
+    # the column sums of q.rows, each quotient block its own block
+    expected = [_block_sums(pairs, range(m)) for pairs in entries]
+    for s, column in enumerate(columns):
+        if _block_sums(column, q.block_of) != expected[q.block_of[s]]:
             raise CertificateError(
                 f"lumped step matrix fails P^T T = T' P^T at state {s}")
-    if _block_vector(v, q.block_of, m) != q.v:
+    if _block_vector(vec, q.block_of, m) != q.v:
         raise CertificateError("lumped initial vector is not P^T v")
 
 
@@ -230,11 +281,14 @@ class TransferSystem:
     recursion start.
 
     t, v and dimension are the paper's 4^k-state matrix and vector. The
-    quotient is derived from them when the system is made, and checked
-    against them entry by entry (P^T T = T' P^T, v' = P^T v, raising
-    CertificateError otherwise); every member, generating function and
-    certificate is computed from it. The system is frozen, so the quotient
-    and the cached generating function always belong to t and v.
+    quotient is derived from them when the system is made, stored shifted
+    to integer terms, and checked against them term by term (P^T T = T'
+    P^T, v' = P^T v and the shifts, raising CertificateError otherwise);
+    every member, generating function and certificate is computed from it.
+    An entry of t or v that is not homogeneous, z-free and with nonnegative
+    integer coefficients is refused with AlgebraError there and then. The
+    system is frozen, so the quotient and the cached generating function
+    always belong to t and v.
     """
 
     t: PolyMatrix
@@ -297,59 +351,12 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     return TransferSystem(t=t, v=v, spec=spec)
 
 
-class _Homogenised(NamedTuple):
-    """The quotient shifted to polynomials with nonnegative int coefficients.
-
-    rows[C] lists (D, terms of T''[C][D]) and vec[C] the terms of v''[C],
-    a term (i, j, c) standing for c x^i y^j, where T'' = x^alpha y^beta T'
-    and v'' = x^alpha0 y^beta0 v'. With step = (alpha, beta, degree of T')
-    and start = (alpha0, beta0, degree of v'), member start + m has degree
-    degree0 + m degree and equals the component sum of T''^m v'' divided by
-    x^(alpha m + alpha0) y^(beta m + beta0).
-    """
-
-    rows: list[list[tuple[int, list[tuple[int, int, int]]]]]
-    vec: list[list[tuple[int, int, int]]]
-    step: tuple[int, int, int]
-    start: tuple[int, int, int]
-
-
-def _shifted(entries: Sequence[LaurentPoly3]):
-    """(alpha, beta, degree) and the terms of x^alpha y^beta e for each
-    entry e, alpha and beta the least shifts that clear negative exponents.
-
-    Raises AlgebraError unless every term is z-free with a nonnegative
-    integer coefficient and all terms share one total degree, as every
-    step matrix and initial vector of a family does (they count colourings).
-    """
-    terms = [e.terms.items() for e in entries]
-    flat = [exp for ts in terms for exp, _ in ts]
-    if len({ex + ey for ex, ey, _ in flat}) > 1 or any(ez for *_, ez in flat) \
-            or any(c.denominator != 1 or c < 0 for ts in terms for _, c in ts):
-        raise AlgebraError("the members need homogeneous, z-free entries with "
-                           "nonnegative integer coefficients")
-    alpha = max([0] + [-ex for ex, _, _ in flat])
-    beta = max([0] + [-ey for _, ey, _ in flat])
-    degree = flat[0][0] + flat[0][1] if flat else 0
-    return (alpha, beta, degree), [
-        [(ex + alpha, ey + beta, c.numerator) for (ex, ey, _), c in ts]
-        for ts in terms]
-
-
-def _homogenise(q: Quotient) -> _Homogenised:
-    step, entries = _shifted([e for row in q.rows for _, e in row])
-    start, vec = _shifted(q.v)
-    it = iter(entries)
-    rows = [[(d, next(it)) for d, _ in row] for row in q.rows]
-    return _Homogenised(rows, vec, step, start)
-
-
-def _at(h: _Homogenised, a: int, b: int):
+def _at(q: Quotient, a: int, b: int):
     """T''(a, b) as sparse int rows and v''(a, b) as an int vector."""
     def value(terms):
         return sum(c * a ** i * b ** j for i, j, c in terms)
-    return ([[(d, value(ts)) for d, ts in row] for row in h.rows],
-            [value(ts) for ts in h.vec])
+    return ([[(d, value(ts)) for d, ts in row] for row in q.rows],
+            [value(ts) for ts in q.v])
 
 
 def _sums(rows, vec, steps: int):
@@ -366,14 +373,16 @@ def _digit_bytes(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 8))
 
 
-def _members(h: _Homogenised, steps: int, first: int = 0):
+def _members(q: Quotient, steps: int, first: int = 0):
     """Yield the exact members start + first .. start + steps, decoded from
-    Kronecker digits of 8 width bits (see _weps); digit k of member
-    start + m is the coefficient of y^(k - beta m - beta0)."""
-    ones = list(_sums(*_at(h, 1, 1), steps))
+    Kronecker digits of 8 width bits, 2^(8 width) above every member's
+    value at (1, 1); digit k of member start + m is the coefficient of
+    y^(k - beta m - beta0). Digits that do not add up to that value again
+    show a carry and raise CertificateError."""
+    ones = list(_sums(*_at(q, 1, 1), steps))
     width = _digit_bytes(max(ones))
-    (_, beta, degree), (_, beta0, degree0) = h.step, h.start
-    sums = _sums(*_at(h, 1, 1 << 8 * width), steps)
+    (_, beta, degree), (_, beta0, degree0) = q.step, q.start
+    sums = _sums(*_at(q, 1, 1 << 8 * width), steps)
     for m, (s, one) in enumerate(zip(sums, ones)):
         if m < first:
             continue
@@ -392,7 +401,7 @@ def _members(h: _Homogenised, steps: int, first: int = 0):
         yield LaurentPoly3(terms)
 
 
-def _values(h: _Homogenised, x0: Fraction, y0: Fraction, steps: int) -> list:
+def _values(q: Quotient, x0: Fraction, y0: Fraction, steps: int) -> list:
     """Exact values at (x0, y0) of members start .. start + steps.
 
     With (x0, y0) = (a, b)/d over the least common denominator, member
@@ -400,40 +409,29 @@ def _values(h: _Homogenised, x0: Fraction, y0: Fraction, steps: int) -> list:
     d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0). Where
     that divisor vanishes the members themselves are evaluated instead.
     """
-    (alpha, beta, degree), (alpha0, beta0, degree0) = h.step, h.start
+    (alpha, beta, degree), (alpha0, beta0, degree0) = q.step, q.start
     d = math.lcm(x0.denominator, y0.denominator)
     a, b = int(x0 * d), int(y0 * d)
     if (a == 0 and (alpha or alpha0)) or (b == 0 and (beta or beta0)):
-        return [w.eval_xy(x0, y0) for w in _members(h, steps)]
+        return [w.eval_xy(x0, y0) for w in _members(q, steps)]
     per_step = d ** degree * a ** alpha * b ** beta
     den, out = d ** degree0 * a ** alpha0 * b ** beta0, []
-    for s in _sums(*_at(h, a, b), steps):
+    for s in _sums(*_at(q, a, b), steps):
         out.append(Fraction(s, den))
         den *= per_step
     return out
 
 
 def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
-    """Yield the exact members W_r_min .. W_r_max.
-
-    The prefix members are given; the rest come from the integer kernel.
-    The quotient is shifted to T'' = x^alpha y^beta T', a matrix of
-    polynomials with nonnegative integer coefficients, and iterated at the
-    Kronecker point (1, 2^B) over Python ints (_sums). Member start + m is
-    the base-2^B digits of the component sum, shifted back by y^(beta m).
-    The same loop at (1, 1) first gives each member's value there, which
-    bounds every coefficient (2^n for a family), and 2^B is taken above
-    the largest. The digits of each decoded member must add up to that
-    value again; a carry between digits lowers the sum, so a shortfall
-    raises CertificateError. Values at a rational point run the same loop
-    (see _values).
-    """
+    """Yield the exact members W_r_min .. W_r_max: the given prefix
+    members, then the quotient's, read off its Kronecker sweep (_members;
+    the module docstring says how)."""
     if r_max < 0:
         raise ValueError("member index must be nonnegative")
     start = sys.spec.recursion_start
     yield from sys.spec.prefix_weps[r_min:r_max + 1]
     if r_max >= start:
-        yield from _members(_homogenise(sys.quotient), r_max - start,
+        yield from _members(sys.quotient, r_max - start,
                             max(r_min - start, 0))
 
 
@@ -460,7 +458,7 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     start = sys.spec.recursion_start
     out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]
     if r_max >= start:
-        out += _values(_homogenise(sys.quotient), x0, y0, r_max - start)
+        out += _values(sys.quotient, x0, y0, r_max - start)
     return out
 
 
@@ -479,7 +477,8 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     """Reduced denominator of sum_k W_(start+k) z^k and its recurrence order.
 
     From the recursion start on, W_r is homogeneous of degree n0 + s (r -
-    start) with s the qubit step, so the series is x^n0 G(y/x, x^s z). The
+    start) with s the degree of T' (the qubit step), so the series is
+    x^n0 G(y/x, x^s z). The
     homogenised sums a_m(t) = 1^T T''(1, t)^m v''(1, t) are W_(start+m)(1,
     t) times t^(beta m + beta0), so their minimal recurrence has the
     connection polynomial Q(t, t^beta u) with Q the reduced denominator of
@@ -498,13 +497,13 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     are the coefficients, and the true Q passes the check. The check only
     spares wasted certificates; certify_family_gf is the proof.
     """
-    h = _homogenise(sys.quotient)
-    beta, step = h.step[1], sys.spec.qubit_step
-    steps = 2 * sys.quotient.dimension - 1
-    at_two = list(_sums(*_at(h, 1, 2), steps))
+    q = sys.quotient
+    _, beta, step = q.step
+    steps = 2 * q.dimension - 1
+    at_two = list(_sums(*_at(q, 1, 2), steps))
     bits = _FIRST_DIGIT_BITS
     while True:
-        c, order = _berlekamp_massey(list(_sums(*_at(h, 1, 1 << bits), steps)))
+        c, order = _berlekamp_massey(list(_sums(*_at(q, 1, 1 << bits), steps)))
         if all(c_k.denominator == 1 for c_k in c):
             digits = [_balanced_digits(c_k.numerator, bits) for c_k in c]
             c_two = [sum(d << e for e, d in enumerate(ds)) for ds in digits]

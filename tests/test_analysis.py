@@ -1,6 +1,7 @@
 """Entanglement, fidelity, singularity, and threshold computations."""
 
 import ast
+import json
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,18 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldgf import (SLD, AnalysisError, DegenerateSingularityError, UniPolyZ,
+from sldgf import (SLD, AnalysisError, DegenerateSingularityError,
+                   NoThresholdError, UniPolyZ, build_transfer_system,
                    builtin, concentratable_entanglement,
                    criterion_asymptotic_ratio, criterion_q, critical_lambda,
                    critical_lambda_asymptotic, critical_lambda_sweep,
                    dominant_singularity, fidelity_asymptotic, fidelity_exact,
-                   fidelity_leading_term, fidelity_sweep, iter_weps, realize,
-                   sld_from_wep, wep_by_iteration, wep_values_by_iteration)
+                   fidelity_leading_term, fidelity_sweep, iter_weps,
+                   parse_family_spec, realize, sld_from_wep, wep_by_iteration,
+                   wep_values_by_iteration)
 from sldgf import analysis
 
 import threshold_reference as reference
 from ce_reference import ce_closed_form_check
 from conftest import brute_sectors
+from test_family import isolated_vertex_document
 
 
 class TestConcentratableEntanglement:
@@ -362,6 +366,17 @@ class TestThresholdBisection:
             assert len(calls) == 1
         else:
             assert len(calls) <= 36
+
+    def test_isolated_vertices_have_no_limit(self):
+        # the ratio reaches 1 only at the edge, as on the boundary families,
+        # but every member is a product state: sum_k (n - 2k) A_k is 0 on
+        # each, so no member and no limit has a threshold
+        spec = parse_family_spec(json.dumps(isolated_vertex_document()))
+        sys_ = build_transfer_system(spec)
+        assert [lam for _, lam in critical_lambda_sweep(sys_, range(1, 13))] \
+            == [None] * 12
+        with pytest.raises(NoThresholdError, match="no member has a thresh"):
+            critical_lambda_asymptotic(sys_)
 
     @pytest.mark.parametrize("name", ["path", "grid_2"])
     def test_coarse_tolerance_stays_within_tolerance(self, systems, name):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import ast
+import copy
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from sldgf import (BUILTIN_FAMILIES, builtin, parse_family_spec,
                    serialize_family_spec)
 
 from test_custom_family import CATERPILLAR
-from test_family import BAD_DOCUMENTS
+from test_family import BAD_DOCUMENTS, isolated_vertex_document
 
 # the child process imports the package from where the tests found it
 SRC = str(Path(sldgf.__file__).resolve().parents[1])
@@ -191,19 +192,38 @@ def test_non_object_spec_exits_two(tmp_path: Path):
     assert cp.stderr == "error: family spec must be a JSON object\n"
 
 
-@pytest.mark.parametrize("case", ["n", "negative_n", "string_boundary",
-                                  "string_edge", "string_exponent",
-                                  "string_prefix_weps", "string_glue_map"])
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
 def test_non_integral_or_negative_size_exits_two(tmp_path: Path, case):
     # "n": 1.9 was truncated into another family, and "n": -1 failed late
     # in the transfer construction with exit code 1; a string boundary,
     # edge or exponent was iterated as a list (exit 0), and a string
-    # prefix_weps or glue_map failed with a traceback (exit 1)
+    # prefix_weps or glue_map failed with a traceback (exit 1). Every other
+    # broken rule (see _bad_documents) is reported the same way.
+    document, message = BAD_DOCUMENTS[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(BAD_DOCUMENTS[case]))
+    bad.write_text(json.dumps(document))
     cp = run_cli("gf", "--spec", str(bad))
     assert (cp.returncode, cp.stdout) == (2, "")
-    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+    assert cp.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([], "zero polynomial is not a weight enumerator"),
+    ([{"e": [2, -1, 0], "c": "1"}],
+     "weight enumerator must have nonnegative exponents")],
+    ids=["zero", "negative_exponent"])
+def test_unreadable_prefix_member_exits_two(tmp_path: Path, terms, message):
+    # validation reads a prefix member only for z; sld reads it as a
+    # weight enumerator, and one that is none is an input error
+    document = copy.deepcopy(CATERPILLAR)
+    document.update(recursion_start=2, prefix_weps=[
+        document["prefix_weps"][0], {"vars": ["x", "y", "z"], "terms": terms}])
+    document["qubit_count"]["offset"] = -3
+    spec_file = tmp_path / "prefix.json"
+    spec_file.write_text(json.dumps(document))
+    cp = run_cli("sld", "--spec", str(spec_file), "-r", "1")
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr == f"error: {message}\n"
 
 
 def test_custom_spec_file_loads(tmp_path: Path):
@@ -412,6 +432,18 @@ def test_figure_analysis_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: no sign change\n"
+
+
+def test_isolated_vertex_limit_exits_three(tmp_path: Path):
+    # the asymptotic threshold of a family whose members all lack one was
+    # printed as 1.0
+    spec_file = tmp_path / "isolated.json"
+    spec_file.write_text(json.dumps(isolated_vertex_document()))
+    cp = run_cli("critical-lambda", "--spec", str(spec_file), "--r-max", "12",
+                 "--asymptotic", "--format", "csv")
+    assert (cp.returncode, cp.stdout) == (3, "")
+    assert cp.stderr.startswith("error: no member has a threshold")
+    assert cp.stderr.count("\n") == 1
 
 
 def test_unwritable_figure_directory_exits_four(tmp_path: Path):

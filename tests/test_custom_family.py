@@ -100,7 +100,7 @@ def test_three_vertex_boundary_ladder():
 
     gf = family_gf(sys_)
     assert gf == LADDER_3_GF
-    assert (gf.num.num_terms(), gf.den.num_terms()) == (208, 213)
+    assert (len(gf.num.terms), len(gf.den.terms)) == (208, 213)
     assert gf.den.max_degree_z() == 16
 
     series = series_coefficients(gf, 6)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from test_custom_family import CATERPILLAR
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
+Z = LaurentPoly3.var("z")
 ONE = LaurentPoly3.const(1)
 
 
@@ -46,29 +48,76 @@ def isolated_vertex_document() -> dict:
 
 
 def _bad_documents() -> dict:
-    """Documents with a non-integral or negative size or index, which int()
-    used to truncate into another family that passed validation, or with a
-    string where a list or an object belongs, which was iterated as one or
-    failed with an AttributeError."""
-    docs = {name: copy.deepcopy(CATERPILLAR)
-            for name in ("n", "boundary", "glue_map", "string_boundary",
-                         "string_edge", "string_exponent",
-                         "string_prefix_weps", "string_glue_map")}
-    docs["n"]["base_graph"]["n"] = 1.9
-    docs["boundary"]["boundary"] = [0.5]
-    docs["glue_map"]["glue_map"] = {"0": 1.5}
-    docs["offset"] = path_spec_document()
-    docs["offset"]["qubit_count"]["offset"] = 0.7
-    docs["prefix_weps"] = path_spec_document()
-    docs["prefix_weps"]["prefix_weps"][1]["terms"][1]["e"] = [1.7, 0, 0]
-    docs["negative_n"] = isolated_vertex_document()
-    docs["negative_n"]["base_graph"]["n"] = -1
-    docs["negative_n"]["qubit_count"]["offset"] = -2
-    docs["string_boundary"]["boundary"] = "0"
-    docs["string_edge"]["replacement"]["edges"][0] = "01"
-    docs["string_exponent"]["prefix_weps"][0]["terms"][0]["e"] = "000"
-    docs["string_prefix_weps"]["prefix_weps"] = "ab"
-    docs["string_glue_map"]["glue_map"] = "x"
+    """Documents that break one rule each, with the FamilyError message
+    that names it.
+
+    The first group has a non-integral or negative size or index, which
+    int() used to truncate into another family that passed validation, or
+    a string where a list or an object belongs, which was iterated as one
+    or failed with an AttributeError. The second group is the caterpillar
+    with one rule of Graph.from_edges or FamilySpec.validate broken.
+    """
+    docs = {}
+
+    def bad(case, message, document=CATERPILLAR):
+        docs[case] = (copy.deepcopy(document), message)
+        return docs[case][0]
+
+    def not_integer(value):
+        return f"malformed family spec: {value} is not an integer"
+
+    bad("n", not_integer(1.9))["base_graph"]["n"] = 1.9
+    bad("boundary", not_integer(0.5))["boundary"] = [0.5]
+    bad("glue_map", not_integer(1.5))["glue_map"] = {"0": 1.5}
+    bad("offset", not_integer(0.7),
+        path_spec_document())["qubit_count"]["offset"] = 0.7
+    bad("prefix_weps", not_integer(1.7), path_spec_document())[
+        "prefix_weps"][1]["terms"][1]["e"] = [1.7, 0, 0]
+    doc = bad("negative_n", "negative vertex count -1",
+              isolated_vertex_document())
+    doc["base_graph"]["n"] = -1
+    doc["qubit_count"]["offset"] = -2
+    bad("string_boundary", "family spec field 'boundary' must be a JSON "
+        "list")["boundary"] = "0"
+    bad("string_edge", "edge '01' is not a pair")[
+        "replacement"]["edges"][0] = "01"
+    bad("string_exponent", "malformed family spec: bad exponent triple "
+        "'000'")["prefix_weps"][0]["terms"][0]["e"] = "000"
+    bad("string_prefix_weps", "family spec field 'prefix_weps' must be a "
+        "JSON list")["prefix_weps"] = "ab"
+    bad("string_glue_map", "family spec field 'glue_map' must be a JSON "
+        "object")["glue_map"] = "x"
+
+    doc = bad("self_loop", "self-loop at vertex 2")
+    doc["replacement"]["edges"][1] = [2, 2]
+    doc = bad("edge_range", "edge (0, 1) outside vertex range")
+    doc["base_graph"]["edges"] = [[0, 1]]
+    # two boundary vertices leave one fresh vertex a step
+    doc = bad("repeated_boundary", "boundary vertices must be distinct")
+    doc["boundary"] = [0, 0]
+    doc["qubit_count"] = {"offset": 0, "step": 1}
+    doc = bad("outer_boundary", "boundary vertex outside the base graph")
+    doc["boundary"] = [1]
+    doc["glue_map"], doc["next_boundary_map"] = {"1": 0}, {"1": 1}
+    doc = bad("map_keys", "glue_map must be keyed exactly by the boundary")
+    doc["glue_map"] = {"0": 0, "1": 2}
+    doc = bad("recursion_start", "recursion_start must be at least 1")
+    doc.update(recursion_start=0, prefix_weps=[])
+    doc["qubit_count"]["offset"] = 1
+    doc = bad("prefix_count", "prefix_weps must list the weight enumerators "
+              "of members 0 .. recursion_start-1")
+    doc["prefix_weps"] *= 2
+    doc = bad("prefix_one", "the index-0 weight enumerator must be 1")
+    doc["prefix_weps"] = [X.to_json()]
+    # member 2 is the base graph, so member 1 is a prefix member
+    doc = bad("prefix_z", "prefix weight enumerators must not involve z")
+    doc.update(recursion_start=2,
+               prefix_weps=[ONE.to_json(), (X * Z).to_json()])
+    doc["qubit_count"]["offset"] = -3
+    doc = bad("qubit_step", "qubit step must equal |replacement| - |boundary|")
+    doc["qubit_count"] = {"offset": -2, "step": 3}
+    doc = bad("qubit_offset", "qubit law does not match the base graph size")
+    doc["qubit_count"]["offset"] = 0
     return docs
 
 
@@ -161,8 +210,10 @@ class TestParsing:
 
     @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
     def test_non_integral_or_negative_values_rejected(self, case):
-        with pytest.raises(FamilyError):
-            parse_family_spec(json.dumps(BAD_DOCUMENTS[case]))
+        # and every other document that breaks one rule (_bad_documents)
+        document, message = BAD_DOCUMENTS[case]
+        with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
+            parse_family_spec(json.dumps(document))
 
     @pytest.mark.parametrize("value", [2.0, "2"])
     def test_integral_values_in_other_forms_accepted(self, value):
@@ -281,6 +332,16 @@ class TestConversions:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(FamilyError, match="homogeneous"):
             sld_from_wep(X * X + Y)
+
+    @pytest.mark.parametrize("wep, message", [
+        (LaurentPoly3.zero(), "zero polynomial is not a weight enumerator"),
+        (X * Z, "weight enumerator must not involve z"),
+        (poly_from_terms([(2, -1, 0, 1)]),
+         "weight enumerator must have nonnegative exponents")],
+        ids=["zero", "z", "negative_exponent"])
+    def test_malformed_enumerator_rejected(self, wep, message):
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            sld_from_wep(wep)
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(FamilyError):

@@ -121,7 +121,7 @@ class TestStepMatrices:
         for name in ("path", "star", "cycle"):
             for row in systems[name].t.data:
                 for entry in row:
-                    assert entry.is_zero() or entry.num_terms() == 1
+                    assert entry.is_zero() or len(entry.terms) == 1
 
     def test_step_columns_conserve_counting(self, systems):
         # each boundary state extends to exactly 2^(fresh vertices) colourings
@@ -348,26 +348,34 @@ class TestLumping:
 
     @pytest.mark.parametrize("tamper", ["entry", "dropped-entry",
                                         "repeated-entry", "foreign-block",
-                                        "start", "block"])
+                                        "start", "block", "shift",
+                                        "start-shift"])
     def test_tampered_quotient_raises(self, systems, tamper):
+        # the quotient holds integer terms (i, j, c) standing for c x^i y^j
         sys_ = systems["grid_2"]
         q = sys_.quotient
-        rows, start, block_of = list(q.rows), list(q.v), list(q.block_of)
+        rows, vec, block_of = list(q.rows), list(q.v), list(q.block_of)
+        step, start = q.step, q.start
         if tamper == "entry":
-            (d, e), *rest = rows[0]
-            rows[0] = ((d, e + X * Y),) + tuple(rest)
+            (d, terms), *rest = rows[0]
+            rows[0] = ((d, terms + ((1, 1, 1),)),) + tuple(rest)
         elif tamper == "dropped-entry":
             rows[-1] = rows[-1][:-1]
         elif tamper == "repeated-entry":
             # the iteration adds both copies
             rows[0] = rows[0] + rows[0][-1:]
         elif tamper == "foreign-block":
-            rows[0] = rows[0] + ((len(rows), ONE),)
+            rows[0] = rows[0] + ((len(rows), ((0, 0, 1),)),)
         elif tamper == "start":
-            start[0] = start[0] + ONE
+            vec[0] = vec[0] + ((0, 0, 1),)
+        elif tamper == "shift":
+            # one more x per step, with the terms left as they were
+            step = (step[0] + 1,) + step[1:]
+        elif tamper == "start-shift":
+            start = start[:2] + (start[2] + 1,)
         else:
             block_of[block_of.index(1)] = 0
-        bad = Quotient(tuple(block_of), tuple(rows), tuple(start))
+        bad = Quotient(tuple(block_of), tuple(rows), tuple(vec), step, start)
         with pytest.raises(CertificateError, match="lump"):
             _check_lumping(sys_.t, sys_.v, bad)
 
@@ -519,15 +527,13 @@ class TestIntegerKernel:
             wep_values_by_iteration(sys_, 0, F(1, 3), 12)
 
     def test_non_integer_entries_rejected(self, systems):
-        # the members of a family count colourings; a step matrix that
-        # does not is refused rather than decoded
+        # the members of a family count colourings; a step matrix or an
+        # initial vector that does not is refused when the system is made
         path = systems["path"]
-        for t_entry in (X * F(1, 2), X - Y, X + ONE):
+        for t_entry, v_entry in ((X * F(1, 2), ONE), (X - Y, ONE),
+                                 (X + ONE, ONE), (X, Z)):
             t = PolyMatrix.zeros(4, 4)
             t.data[1][0] = t_entry
-            v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
-            sys_ = TransferSystem(t=t, v=v, spec=path.spec)
+            v = PolyMatrix([[v_entry], [ZERO], [ZERO], [ZERO]])
             with pytest.raises(AlgebraError, match="nonnegative integer"):
-                wep_by_iteration(sys_, 4)
-            with pytest.raises(AlgebraError, match="nonnegative integer"):
-                wep_values_by_iteration(sys_, 1, 2, 4)
+                TransferSystem(t=t, v=v, spec=path.spec)
