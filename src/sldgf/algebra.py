@@ -486,7 +486,7 @@ def series_coefficients(f: RatFunc3, r_max: int) -> list[LaurentPoly3]:
 
 
 class PolyMatrix:
-    """Dense rectangular matrix of LaurentPoly3 entries."""
+    """Dense LaurentPoly3 matrix; zeros() fills it with one shared zero."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -499,8 +499,7 @@ class PolyMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix([[LaurentPoly3.zero() for _ in range(cols)]
-                           for _ in range(rows)])
+        return PolyMatrix([[LaurentPoly3.zero()] * cols] * rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -297,8 +297,8 @@ def _bisect(right_of_crossing, width, tol: float,
     the halving, after 200 halvings at the latest; the dyadic brackets are
     those a scan on any coarser dyadic grid would have found and bisected.
     """
-    if not tol > 0:
-        raise AnalysisError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise AnalysisError("tolerance must be positive and finite")
     if not right_of_crossing(edge):
         return None
     lo, hi = Fraction(0), Fraction(1)
@@ -391,8 +391,11 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
     They approach the boundary value 1.0 at rate Theta(W(r)/r), with W the
-    Lambert W function.
+    Lambert W function. A family that does not grow raises AnalysisError.
     """
+    if sys.spec.qubit_step == 0:
+        raise AnalysisError(f"family {sys.spec.name} does not grow: its "
+                            f"qubit_count.step is 0")
     with mp.workdps(WORKING_DPS):
         @functools.cache
         def h(lam: Fraction) -> mp.mpf:

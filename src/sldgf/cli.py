@@ -5,11 +5,12 @@ figure. All outputs are deterministic for fixed inputs; figures are CSV with
 exact rationals rendered at 17 significant digits. Exit codes: 0 success,
 1 verification mismatch, 2 usage errors (unknown subcommand or family,
 malformed custom spec, negative member index, critical-lambda -r 0, --lambda
-that is not a number in [0, 1], --tol or --jobs that is not positive,
---max-qubits above the brute-force cap, verify on a family that does not
-grow), 3 analysis failures (for instance no asymptotic threshold, or a
-degenerate dominant singularity), 4 any other failure, such as a figure
---out directory that cannot be created.
+that is not a number in [0, 1], --tol that is not positive and finite,
+--jobs that is not positive, --max-qubits that is negative or above the
+brute-force cap, verify on a family that does not grow), 3 analysis failures
+(for instance no asymptotic threshold, a degenerate dominant singularity, or
+the asymptotic threshold of a family that does not grow), 4 any other
+failure, such as a figure --out directory that cannot be created.
 
 Each command imports only what it computes with: the analysis layer, and
 mpmath with it, inside fidelity, critical-lambda and figure; numpy inside
@@ -176,6 +177,9 @@ def _oracles(spec, r: int):
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
+    if args.max_qubits < 0:
+        raise UsageError(f"--max-qubits must be nonnegative, got "
+                         f"{args.max_qubits}")
     if args.max_qubits > DEFAULT_VERTEX_CAP:
         raise UsageError(f"--max-qubits must be at most the brute-force cap "
                          f"of {DEFAULT_VERTEX_CAP}, got {args.max_qubits}")
@@ -308,6 +312,8 @@ def _cmd_fidelity(args) -> int:
 def _cmd_critical_lambda(args) -> int:
     if not args.tol > 0:
         raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, got {args.tol!r}")
     from .analysis import critical_lambda_asymptotic, critical_lambda_sweep
 
     sys_ = _system(args)

@@ -213,6 +213,7 @@ class FamilySpec:
         for w in self.prefix_weps:
             if any(ez != 0 for (_, _, ez) in w.terms):
                 raise FamilyError("prefix weight enumerators must not involve z")
+            sld_from_wep(w)  # FamilyError unless w is a weight enumerator
         if self.qubit_step != j.vertex_count - len(self.boundary):
             raise FamilyError("qubit step must equal |replacement| - |boundary|")
         if self.qubit_count(self.recursion_start) != g.vertex_count:

@@ -217,7 +217,7 @@ def _block_vector(vec, block_of: Sequence[int],
     return tuple(sums.get(b, ()) for b in range(count))
 
 
-def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
+def _lump(form) -> Quotient:
     """Coarsest backward-lumpable partition of the states and its quotient.
 
     Each round, starting from one block, splits a block by the column-block
@@ -226,7 +226,7 @@ def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
     coarsest one, its blocks numbered in the order of their first state.
     _check_lumping checks the quotient before it is returned.
     """
-    columns, vec, step, start = _integer_step(t, v)
+    columns, vec, step, start = form
     block_of, count = [0] * len(columns), 1
     while True:
         keys: dict = {}
@@ -242,16 +242,16 @@ def _lump(t: PolyMatrix, v: PolyMatrix) -> Quotient:
                  for c in range(count))
     q = Quotient(tuple(block_of), rows, _block_vector(vec, block_of, count),
                  step, start)
-    _check_lumping(t, v, q)
+    _check_lumping(form, q)
     return q
 
 
-def _check_lumping(t: PolyMatrix, v: PolyMatrix, q: Quotient) -> None:
-    """Check q against t and v, shifted to integer terms afresh: equal
+def _check_lumping(form, q: Quotient) -> None:
+    """Check q against the integer form (_integer_step) of T and v: equal
     shifts, P^T T'' = q.rows P^T and q.v = P^T v'' term by term, reading
     q.rows as the iteration does (repeated entries of a row add up). Raise
     CertificateError if any fails or q.block_of is not a partition."""
-    columns, vec, step, start = _integer_step(t, v)
+    columns, vec, step, start = form
     n, m = len(columns), q.dimension
     if len(q.block_of) != n or set(q.block_of) != set(range(m)):
         raise CertificateError("lumping is not a partition of the states")
@@ -299,7 +299,8 @@ class TransferSystem:
                                  compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "quotient", _lump(self.t, self.v))
+        object.__setattr__(self, "quotient",
+                           _lump(_integer_step(self.t, self.v)))
 
     @property
     def dimension(self) -> int:

@@ -205,6 +205,17 @@ class TestRatFunc:
 
 
 class TestSolveLinear:
+    def test_zeros_share_one_zero(self):
+        # filling one cell replaces it and leaves the others zero
+        m = PolyMatrix.zeros(3, 2)
+        zero = m.data[0][0]
+        assert zero.is_zero()
+        assert all(e is zero for row in m.data for e in row)
+        m.data[1][0] = m.data[1][0] + X
+        assert m.data[1][0] == X and zero.is_zero()
+        assert all(m.data[i][j] is zero for i in range(3) for j in range(2)
+                   if (i, j) != (1, 0))
+
     def test_identity_system(self):
         b = PolyMatrix([[X], [LaurentPoly3.zero()], [Y], [LaurentPoly3.zero()]])
         u = solve_linear(identity(4), b)

@@ -26,7 +26,7 @@ from sldgf import analysis
 import threshold_reference as reference
 from ce_reference import ce_closed_form_check
 from conftest import brute_sectors
-from test_family import isolated_vertex_document
+from test_family import isolated_vertex_document, still_document
 
 
 class TestConcentratableEntanglement:
@@ -378,6 +378,15 @@ class TestThresholdBisection:
         with pytest.raises(NoThresholdError, match="no member has a thresh"):
             critical_lambda_asymptotic(sys_)
 
+    def test_still_family_has_no_limit(self):
+        # both partials of the ratio vanish when the qubit step is 0, so the
+        # step is checked before any ratio is evaluated
+        sys_ = build_transfer_system(
+            parse_family_spec(json.dumps(still_document())))
+        with pytest.raises(AnalysisError, match="^family still does not "
+                           "grow: its qubit_count.step is 0$"):
+            critical_lambda_asymptotic(sys_)
+
     @pytest.mark.parametrize("name", ["path", "grid_2"])
     def test_coarse_tolerance_stays_within_tolerance(self, systems, name):
         # above the scan's cell width of 1/64 the bisection stops at a
@@ -388,7 +397,7 @@ class TestThresholdBisection:
         assert abs(value - LIMITS[name]) < 0.1
         assert len(calls) <= 5
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["path", "star"])
     def test_limit_rejects_bad_tolerance(self, systems, name, tol):
         with pytest.raises(AnalysisError, match="tolerance"):

@@ -17,7 +17,7 @@ from sldgf import (BUILTIN_FAMILIES, builtin, parse_family_spec,
                    serialize_family_spec)
 
 from test_custom_family import CATERPILLAR
-from test_family import BAD_DOCUMENTS, isolated_vertex_document
+from test_family import BAD_DOCUMENTS, isolated_vertex_document, still_document
 
 # the child process imports the package from where the tests found it
 SRC = str(Path(sldgf.__file__).resolve().parents[1])
@@ -116,9 +116,7 @@ def test_verify_rejects_a_family_that_does_not_grow(tmp_path: Path):
     # a replacement with as many vertices as the boundary keeps every member
     # at one qubit, so --max-qubits bounds no member range
     spec_file = tmp_path / "still.json"
-    spec_file.write_text(json.dumps({
-        **CATERPILLAR, "name": "still", "replacement": {"n": 1, "edges": []},
-        "next_boundary_map": {"0": 0}, "qubit_count": {"offset": 1, "step": 0}}))
+    spec_file.write_text(json.dumps(still_document()))
     cp = run_cli("verify", "--spec", str(spec_file))
     assert cp.returncode == 2
     assert cp.stdout == ""
@@ -140,16 +138,19 @@ def test_unknown_family_exits_two():
     ("fidelity", "--family", "path", "-r", "3", "--lambda", "2"),
     ("critical-lambda", "--family", "path", "-r", "3", "--tol", "0"),
     ("critical-lambda", "--family", "path", "-r", "3", "--tol", "-1"),
+    ("critical-lambda", "--family", "path", "-r", "3", "--tol", "inf"),
     ("critical-lambda", "--family", "path", "-r", "0"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "0"),
     ("verify", "--family", "path", "--max-qubits", "5", "--jobs", "-2"),
     ("verify", "--family", "joint_squares", "--max-qubits", "25"),
+    ("verify", "--family", "path", "--max-qubits", "-3"),
     ("figure", "fig3", "--r-max", "-1"),
     ("figure", "fig4", "--r-max", "-1"),
 ], ids=["ce-r", "fidelity-r", "ce-r-max", "wep-r", "sld-r",
         "fidelity-lambda-text", "fidelity-lambda-above-one", "tol-zero",
-        "tol-negative", "critical-lambda-r-zero", "jobs-zero",
-        "jobs-negative", "max-qubits-above-cap", "fig3-r-max", "fig4-r-max"])
+        "tol-negative", "tol-infinite", "critical-lambda-r-zero", "jobs-zero",
+        "jobs-negative", "max-qubits-above-cap", "max-qubits-negative",
+        "fig3-r-max", "fig4-r-max"])
 def test_negative_member_index_exits_two(args):
     # a negative member index and each malformed option value above is a
     # usage error
@@ -213,8 +214,8 @@ def test_non_integral_or_negative_size_exits_two(tmp_path: Path, case):
      "weight enumerator must have nonnegative exponents")],
     ids=["zero", "negative_exponent"])
 def test_unreadable_prefix_member_exits_two(tmp_path: Path, terms, message):
-    # validation reads a prefix member only for z; sld reads it as a
-    # weight enumerator, and one that is none is an input error
+    # validation reads every prefix member as a weight enumerator, so one
+    # that is none is an input error before any member is computed
     document = copy.deepcopy(CATERPILLAR)
     document.update(recursion_start=2, prefix_weps=[
         document["prefix_weps"][0], {"vars": ["x", "y", "z"], "terms": terms}])
@@ -444,6 +445,17 @@ def test_isolated_vertex_limit_exits_three(tmp_path: Path):
     assert (cp.returncode, cp.stdout) == (3, "")
     assert cp.stderr.startswith("error: no member has a threshold")
     assert cp.stderr.count("\n") == 1
+
+
+def test_still_family_limit_exits_three(tmp_path: Path):
+    # the cause is named, not the indeterminate ratio it leads to
+    spec_file = tmp_path / "still.json"
+    spec_file.write_text(json.dumps(still_document()))
+    cp = run_cli("critical-lambda", "--spec", str(spec_file), "--r-max", "3",
+                 "--asymptotic")
+    assert (cp.returncode, cp.stdout) == (3, "")
+    assert cp.stderr == ("error: family still does not grow: its "
+                         "qubit_count.step is 0\n")
 
 
 def test_unwritable_figure_directory_exits_four(tmp_path: Path):

@@ -4,6 +4,7 @@ The caterpillar family replaces its growth vertex by a three-vertex star
 whose centre inherits the old edges and one of whose leaves grows next;
 member sizes follow n(r) = 2r - 1. The 3-wide ladder extrudes its last
 3-vertex rung by a fresh one, so its boundary has three vertices and 64
+states; the 4-wide ladder does the same with 4-vertex rungs and 256
 states. Nothing here is pinned to the catalog: agreement of series
 extraction, iteration, and both oracles on a family the code has never seen
 is the whole point.
@@ -19,6 +20,7 @@ from sldgf import (build_transfer_system, family_gf, iter_weps,
 
 from conftest import brute_sectors
 from golden_forms import LADDER_3_GF
+from unlumped import unlumped_weps
 
 CATERPILLAR = {
     "name": "caterpillar",
@@ -45,6 +47,20 @@ LADDER_3 = {
                      "terms": [{"e": [0, 0, 0], "c": "1"}]}],
     "recursion_start": 1,
     "qubit_count": {"offset": 0, "step": 3},
+}
+
+LADDER_4 = {
+    "name": "ladder_4",
+    "base_graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    "boundary": [0, 1, 2, 3],
+    "replacement": {"n": 8, "edges": [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6],
+                                      [6, 7], [0, 4], [1, 5], [2, 6], [3, 7]]},
+    "glue_map": {"0": 0, "1": 1, "2": 2, "3": 3},
+    "next_boundary_map": {"0": 4, "1": 5, "2": 6, "3": 7},
+    "prefix_weps": [{"vars": ["x", "y", "z"],
+                     "terms": [{"e": [0, 0, 0], "c": "1"}]}],
+    "recursion_start": 1,
+    "qubit_count": {"offset": 0, "step": 4},
 }
 
 
@@ -117,3 +133,19 @@ def test_three_vertex_boundary_ladder():
             # the plain-Python count takes seconds at 18 qubits
             assert colouring.sectors == brute_sectors(graph.vertex_count,
                                                       graph.sorted_edges())
+
+
+def test_four_vertex_boundary_ladder():
+    # the 256 states lump exactly to 45; the members up to 24 qubits agree
+    # with the unlumped iteration and with both oracles
+    spec = parse_family_spec(json.dumps(LADDER_4))
+    sys_ = build_transfer_system(spec)
+    assert (sys_.dimension, sys_.quotient.dimension) == (256, 45)
+    weps = list(iter_weps(sys_, 6))
+    assert weps == list(unlumped_weps(sys_, 6))
+    for r, wep in enumerate(weps[1:], 1):
+        graph = realize(spec, r)
+        assert graph.vertex_count == spec.qubit_count(r) == 4 * r
+        colouring = sld_bruteforce_colouring(graph)
+        assert colouring == sld_bruteforce_stabilizer(graph)
+        assert sld_from_wep(wep) == colouring

@@ -47,6 +47,15 @@ def isolated_vertex_document() -> dict:
     }
 
 
+def still_document() -> dict:
+    """The caterpillar with a one-vertex replacement: the family does not
+    grow, and every member has one qubit."""
+    return {**copy.deepcopy(CATERPILLAR), "name": "still",
+            "replacement": {"n": 1, "edges": []},
+            "next_boundary_map": {"0": 0},
+            "qubit_count": {"offset": 1, "step": 0}}
+
+
 def _bad_documents() -> dict:
     """Documents that break one rule each, with the FamilyError message
     that names it.
@@ -54,8 +63,9 @@ def _bad_documents() -> dict:
     The first group has a non-integral or negative size or index, which
     int() used to truncate into another family that passed validation, or
     a string where a list or an object belongs, which was iterated as one
-    or failed with an AttributeError. The second group is the caterpillar
-    with one rule of Graph.from_edges or FamilySpec.validate broken.
+    or failed with an AttributeError. The second group is the caterpillar,
+    or the path where a prefix member is wanted, with one rule of
+    Graph.from_edges or FamilySpec.validate broken.
     """
     docs = {}
 
@@ -114,6 +124,11 @@ def _bad_documents() -> dict:
     doc.update(recursion_start=2,
                prefix_weps=[ONE.to_json(), (X * Z).to_json()])
     doc["qubit_count"]["offset"] = -3
+    # a prefix member must be the weight enumerator of some stabilizer state
+    bad("prefix_sectors", "A_0 must equal 1", path_spec_document())[
+        "prefix_weps"][1] = (3 * X).to_json()
+    bad("prefix_homogeneous", "weight enumerator must be homogeneous",
+        path_spec_document())["prefix_weps"][1] = (X + ONE).to_json()
     doc = bad("qubit_step", "qubit step must equal |replacement| - |boundary|")
     doc["qubit_count"] = {"offset": -2, "step": 3}
     doc = bad("qubit_offset", "qubit law does not match the base graph size")

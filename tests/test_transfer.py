@@ -18,7 +18,7 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    ratfunc_normalize, series_coefficients, wep_by_iteration,
                    wep_values_by_iteration)
 from sldgf import transfer
-from sldgf.transfer import Quotient, _check_lumping, _lump
+from sldgf.transfer import Quotient, _check_lumping, _integer_step, _lump
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
@@ -377,12 +377,13 @@ class TestLumping:
             block_of[block_of.index(1)] = 0
         bad = Quotient(tuple(block_of), tuple(rows), tuple(vec), step, start)
         with pytest.raises(CertificateError, match="lump"):
-            _check_lumping(sys_.t, sys_.v, bad)
+            _check_lumping(_integer_step(sys_.t, sys_.v), bad)
 
     def test_untampered_quotient_is_accepted(self, systems):
         sys_ = systems["cycle"]
-        _check_lumping(sys_.t, sys_.v, sys_.quotient)
-        assert _lump(sys_.t, sys_.v) == sys_.quotient
+        form = _integer_step(sys_.t, sys_.v)
+        _check_lumping(form, sys_.quotient)
+        assert _lump(form) == sys_.quotient
 
     def test_system_is_frozen(self, systems):
         # the quotient and the cached generating function are derived from
