@@ -54,10 +54,11 @@ class CertificateError(AlgebraError):
 def _rational(value: int | Fraction | str | float) -> Fraction:
     """Exact rational from an int, a Fraction, a string such as "4/5" or
     "0.8", or a float read by its decimal rendering (0.1 is 1/10); raises
-    TypeError on any other type, ValueError on a string that is no number."""
+    TypeError on any other type (a bool too, though Python counts it an
+    int), ValueError on a string that is no number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(repr(value))

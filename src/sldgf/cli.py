@@ -112,11 +112,9 @@ def _emit_rows(args, header: list[str], rows: list[dict]) -> None:
 def _cmd_families(args) -> int:
     rows = []
     for name in BUILTIN_FAMILIES:
-        spec = builtin(name)
-        rows.append({"name": name,
-                     "recursion_start": spec.recursion_start,
-                     "qubit_count": {"offset": spec.qubit_offset,
-                                     "step": spec.qubit_step}})
+        document = builtin(name).to_json()
+        rows.append({key: document[key] for key in
+                     ("name", "recursion_start", "qubit_count")})
     if args.format == "json":
         _emit_json(rows)
     else:

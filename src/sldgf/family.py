@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # to_rational is public here, private in algebra so that bench/spans.py does
 # not wrap it
@@ -160,6 +160,11 @@ class FamilySpec:
     ``next_boundary_map`` designates the next boundary inside the
     replacement. The member at index r has qubit_offset + qubit_step * r
     qubits (for r >= 1; index 0 is always the empty-graph convention).
+
+    ``recursion_start``, ``qubit_step`` and ``qubit_offset`` are derived
+    from the rule, not stored: the recursion starts after the prefix
+    members, each step adds |replacement| - |boundary| qubits, and the
+    base graph has qubit_count(recursion_start) of them.
     """
 
     name: str
@@ -169,13 +174,23 @@ class FamilySpec:
     glue_map: dict[int, int]
     next_boundary_map: dict[int, int]
     prefix_weps: tuple[LaurentPoly3, ...]
-    recursion_start: int
-    qubit_offset: int
-    qubit_step: int
     # auxiliary catalog data, not part of the spec identity
     prefix_graphs: dict[int, Graph] | None = field(default=None, repr=False,
                                                    compare=False)
     __hash__ = None  # unhashable: glue_map and next_boundary_map are dicts
+
+    @property
+    def recursion_start(self) -> int:
+        return len(self.prefix_weps)
+
+    @property
+    def qubit_step(self) -> int:
+        return self.replacement.vertex_count - len(self.boundary)
+
+    @property
+    def qubit_offset(self) -> int:
+        return (self.base_graph.vertex_count
+                - self.qubit_step * self.recursion_start)
 
     def qubit_count(self, r: int) -> int:
         return self.qubit_offset + self.qubit_step * r
@@ -202,22 +217,17 @@ class FamilySpec:
                         self.next_boundary_map[a], self.next_boundary_map[b]):
                     raise FamilyError(
                         "next boundary does not induce the same subgraph as the boundary")
-        if self.recursion_start < 1:
-            raise FamilyError("recursion_start must be at least 1")
-        if len(self.prefix_weps) != self.recursion_start:
-            raise FamilyError(
-                "prefix_weps must list the weight enumerators of members "
-                "0 .. recursion_start-1")
-        if self.prefix_weps[0] != LaurentPoly3.const(1):
+        if not self.prefix_weps or self.prefix_weps[0] != _ONE:
             raise FamilyError("the index-0 weight enumerator must be 1")
-        for w in self.prefix_weps:
+        for r, w in enumerate(self.prefix_weps):
             if any(ez != 0 for (_, _, ez) in w.terms):
                 raise FamilyError("prefix weight enumerators must not involve z")
-            sld_from_wep(w)  # FamilyError unless w is a weight enumerator
-        if self.qubit_step != j.vertex_count - len(self.boundary):
-            raise FamilyError("qubit step must equal |replacement| - |boundary|")
-        if self.qubit_count(self.recursion_start) != g.vertex_count:
-            raise FamilyError("qubit law does not match the base graph size")
+            # FamilyError unless w is a weight enumerator
+            n = sld_from_wep(w).n
+            if r >= 1 and n != self.qubit_count(r):
+                raise FamilyError(
+                    f"prefix member {r} has {n} qubits, but the qubit law "
+                    f"gives {self.qubit_count(r)}")
 
     def to_json(self) -> dict:
         return {
@@ -239,9 +249,10 @@ def serialize_family_spec(spec: FamilySpec) -> str:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse and validate a family description document."""
+    """Parse and validate a family description document; its
+    recursion_start and qubit_count must be the values the rule implies."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"family spec is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -263,22 +274,46 @@ def parse_family_spec(text: str) -> FamilySpec:
             base_graph=Graph.from_json(data["base_graph"]),
             boundary=tuple(_integer(v) for v in data["boundary"]),
             replacement=Graph.from_json(data["replacement"]),
-            glue_map={_integer(k): _integer(v)
-                      for k, v in data["glue_map"].items()},
-            next_boundary_map={_integer(k): _integer(v)
-                               for k, v in data["next_boundary_map"].items()},
+            glue_map=_unique_keys((_integer(k), _integer(v))
+                                  for k, v in data["glue_map"].items()),
+            next_boundary_map=_unique_keys(
+                (_integer(k), _integer(v))
+                for k, v in data["next_boundary_map"].items()),
             prefix_weps=tuple(LaurentPoly3.from_json(w)
                               for w in data["prefix_weps"]),
-            recursion_start=_integer(data["recursion_start"]),
-            qubit_offset=_integer(data["qubit_count"]["offset"]),
-            qubit_step=_integer(data["qubit_count"]["step"]),
         )
+        start = _integer(data["recursion_start"])
+        offset = _integer(data["qubit_count"]["offset"])
+        step = _integer(data["qubit_count"]["step"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FamilyError):
             raise
         raise FamilyError(f"malformed family spec: {exc}") from exc
+    if start < 1:
+        raise FamilyError("recursion_start must be at least 1")
+    if start != spec.recursion_start:
+        raise FamilyError(
+            "prefix_weps must list the weight enumerators of members "
+            "0 .. recursion_start-1")
     spec.validate()
+    if step != spec.qubit_step:
+        raise FamilyError("qubit step must equal |replacement| - |boundary|")
+    if offset != spec.qubit_offset:
+        raise FamilyError("qubit law does not match the base graph size")
     return spec
+
+
+def _unique_keys(pairs: Iterable[tuple]) -> dict:
+    """The pairs as a dict, refusing a key named twice, which a dict would
+    read as its last value: a JSON object that repeats a key, or a vertex
+    map whose keys "1" and "1.0" both read as the integer 1."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise FamilyError(f"family spec names key {key!r} twice in one "
+                              "object")
+        data[key] = value
+    return data
 
 
 def realize(spec: FamilySpec, r: int) -> Graph:
@@ -357,8 +392,7 @@ def builtin(name: str) -> FamilySpec:
         spec = FamilySpec(
             name="path", base_graph=_EDGE, boundary=(1,), replacement=_EDGE,
             glue_map={1: 0}, next_boundary_map={1: 1},
-            prefix_weps=(_ONE, _X_PLUS_Y), recursion_start=2,
-            qubit_offset=0, qubit_step=1,
+            prefix_weps=(_ONE, _X_PLUS_Y),
             prefix_graphs={0: EMPTY_GRAPH, 1: SINGLE_VERTEX})
     elif name == "star":
         # Grow a star by replacing its central vertex with two joined
@@ -366,8 +400,7 @@ def builtin(name: str) -> FamilySpec:
         spec = FamilySpec(
             name="star", base_graph=_EDGE, boundary=(0,), replacement=_EDGE,
             glue_map={0: 0}, next_boundary_map={0: 0},
-            prefix_weps=(_ONE, _X_PLUS_Y), recursion_start=2,
-            qubit_offset=0, qubit_step=1,
+            prefix_weps=(_ONE, _X_PLUS_Y),
             prefix_graphs={0: EMPTY_GRAPH, 1: SINGLE_VERTEX})
     elif name == "cycle":
         # Grow a ring by replacing an adjacent (first, last) pair with a
@@ -377,17 +410,14 @@ def builtin(name: str) -> FamilySpec:
             name="cycle", base_graph=_TRIANGLE, boundary=(0, 2),
             replacement=_PATH3, glue_map={0: 0, 2: 2},
             next_boundary_map={0: 0, 2: 1},
-            prefix_weps=(_ONE, _X_PLUS_Y, _X_PLUS_Y_SQ), recursion_start=3,
-            qubit_offset=0, qubit_step=1,
+            prefix_weps=(_ONE, _X_PLUS_Y, _X_PLUS_Y_SQ),
             prefix_graphs={0: EMPTY_GRAPH, 1: SINGLE_VERTEX, 2: _TWO_ISOLATED})
     elif name == "pusteblume":
         # A 4-vertex star whose third leaf sprouts further leaves.
         spec = FamilySpec(
             name="pusteblume", base_graph=_STAR4, boundary=(3,),
             replacement=_EDGE, glue_map={3: 0}, next_boundary_map={3: 0},
-            prefix_weps=(_ONE,), recursion_start=1,
-            qubit_offset=3, qubit_step=1,
-            prefix_graphs={0: EMPTY_GRAPH})
+            prefix_weps=(_ONE,), prefix_graphs={0: EMPTY_GRAPH})
     elif name == "complete_bipartite_2":
         # Two hub vertices joined to r-2 others; each step cuts the hub pair
         # and glues it back with one extra common neighbour. Members 1 and 2
@@ -396,8 +426,7 @@ def builtin(name: str) -> FamilySpec:
             name="complete_bipartite_2", base_graph=_HUB_PAIR, boundary=(0, 1),
             replacement=_HUB_PAIR, glue_map={0: 0, 1: 1},
             next_boundary_map={0: 0, 1: 1},
-            prefix_weps=(_ONE, _X_PLUS_Y, _X_PLUS_Y_SQ), recursion_start=3,
-            qubit_offset=0, qubit_step=1,
+            prefix_weps=(_ONE, _X_PLUS_Y, _X_PLUS_Y_SQ),
             prefix_graphs={0: EMPTY_GRAPH, 1: SINGLE_VERTEX, 2: _TWO_ISOLATED})
     elif name == "joint_squares":
         # Chain of 4-cycles sharing corners; each step replaces the free
@@ -405,18 +434,14 @@ def builtin(name: str) -> FamilySpec:
         spec = FamilySpec(
             name="joint_squares", base_graph=_CYCLE4, boundary=(0,),
             replacement=_CYCLE4, glue_map={0: 0}, next_boundary_map={0: 2},
-            prefix_weps=(_ONE,), recursion_start=1,
-            qubit_offset=1, qubit_step=3,
-            prefix_graphs={0: EMPTY_GRAPH})
+            prefix_weps=(_ONE,), prefix_graphs={0: EMPTY_GRAPH})
     elif name == "grid_2":
         # Ladder (r x 2 grid): extrude the last rung by a fresh square.
         spec = FamilySpec(
             name="grid_2", base_graph=_EDGE, boundary=(0, 1),
             replacement=_SQUARE, glue_map={0: 0, 1: 1},
             next_boundary_map={0: 2, 1: 3},
-            prefix_weps=(_ONE,), recursion_start=1,
-            qubit_offset=0, qubit_step=2,
-            prefix_graphs={0: EMPTY_GRAPH})
+            prefix_weps=(_ONE,), prefix_graphs={0: EMPTY_GRAPH})
     else:
         raise FamilyError(f"unknown family {name!r}; expected one of "
                           f"{', '.join(BUILTIN_FAMILIES)}")

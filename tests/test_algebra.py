@@ -139,7 +139,8 @@ class TestNumberReader:
         assert _rational(value) == exact
         assert type(_rational(value)) is F
 
-    @pytest.mark.parametrize("value", [None, [1], 1j, b"1"])
+    # a bool is an int to Python, but not a number to the reader
+    @pytest.mark.parametrize("value", [None, [1], 1j, b"1", True, False])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
             _rational(value)

@@ -65,7 +65,10 @@ def _bad_documents() -> dict:
     a string where a list or an object belongs, which was iterated as one
     or failed with an AttributeError. The second group is the caterpillar,
     or the path where a prefix member is wanted, with one rule of
-    Graph.from_edges or FamilySpec.validate broken.
+    Graph.from_edges or FamilySpec.validate broken. The third group was
+    read as another family: a JSON boolean read as the number 0 or 1, a
+    boundary vertex named twice in a map (the last one won), and a prefix
+    member with more qubits than the qubit law gives it.
     """
     docs = {}
 
@@ -133,6 +136,26 @@ def _bad_documents() -> dict:
     doc["qubit_count"] = {"offset": -2, "step": 3}
     doc = bad("qubit_offset", "qubit law does not match the base graph size")
     doc["qubit_count"]["offset"] = 0
+
+    def not_number(value):
+        return f"malformed family spec: cannot interpret {value} as an " \
+            "exact rational"
+
+    bad("bool_start", not_number(True))["recursion_start"] = True
+    bad("bool_step", not_number(True),
+        path_spec_document())["qubit_count"]["step"] = True
+    bad("bool_coefficient", not_number(True), path_spec_document())[
+        "prefix_weps"][0]["terms"][0]["c"] = True
+    bad("bool_edge", not_number(False),
+        path_spec_document())["base_graph"]["edges"] = [[False, True]]
+    twice = "family spec names key 1 twice in one object"
+    bad("twice_glue_map", twice, path_spec_document())["glue_map"] = \
+        {"1": 0, "1.0": 1}
+    bad("twice_next_boundary_map", twice, path_spec_document())[
+        "next_boundary_map"] = {"1": 1, "1.0": 0}
+    bad("prefix_qubits", "prefix member 1 has 2 qubits, but the qubit law "
+        "gives 1", path_spec_document())["prefix_weps"][1] = \
+        ((X + Y) * (X + Y)).to_json()
     return docs
 
 
@@ -229,6 +252,19 @@ class TestParsing:
         document, message = BAD_DOCUMENTS[case]
         with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
             parse_family_spec(json.dumps(document))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"glue_map": {"1": 0}', '"glue_map": {"1": 0, "1": 1}', "1"),
+        ('"name": "path"', '"name": "path", "name": "star"', "name")],
+        ids=["glue_map", "name"])
+    def test_key_named_twice_rejected(self, old, new, key):
+        # json.loads keeps the last of two equal keys, so the path with its
+        # glue map written {"1": 0, "1": 1} was read as another family
+        text = json.dumps(path_spec_document())
+        assert old in text
+        with pytest.raises(FamilyError, match=f"^family spec names key "
+                           f"'{key}' twice in one object$"):
+            parse_family_spec(text.replace(old, new))
 
     @pytest.mark.parametrize("value", [2.0, "2"])
     def test_integral_values_in_other_forms_accepted(self, value):

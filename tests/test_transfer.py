@@ -15,8 +15,9 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    certify_family_gf, colouring_weight, decode_states,
                    encode_states, family_gf, fidelity_sweep, iter_weps,
                    parse_family_spec, poly_from_terms, ratfunc_equal,
-                   ratfunc_normalize, series_coefficients, wep_by_iteration,
-                   wep_values_by_iteration)
+                   ratfunc_normalize, realize, series_coefficients,
+                   sld_bruteforce_colouring, sld_bruteforce_stabilizer,
+                   sld_from_wep, wep_by_iteration, wep_values_by_iteration)
 from sldgf import transfer
 from sldgf.transfer import Quotient, _check_lumping, _integer_step, _lump
 
@@ -299,11 +300,13 @@ QUOTIENT_DIMENSIONS = {
 
 @st.composite
 def family_specs(draw):
-    """Valid families with a 1-2 vertex boundary, a base graph of up to 4
+    """Valid families with a 0-2 vertex boundary, a base graph of up to 6
     vertices and a replacement of up to 5, the next boundary inducing the
-    boundary's subgraph as validate() demands."""
-    k = draw(st.integers(1, 2))
-    n = draw(st.integers(k, 4))
+    boundary's subgraph as validate() demands. An empty boundary grows the
+    family by disjoint copies of the replacement: product-state or
+    disconnected growth."""
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(k, 6))
     m = draw(st.integers(k, 5))
 
     def edges(size):
@@ -321,9 +324,7 @@ def family_specs(draw):
         name="generated", base_graph=Graph.from_edges(n, sorted(base)),
         boundary=tuple(boundary), replacement=Graph.from_edges(m, sorted(rep)),
         glue_map=dict(zip(boundary, glue)),
-        next_boundary_map=dict(zip(boundary, nxt)),
-        prefix_weps=(ONE,), recursion_start=1, qubit_offset=n - (m - k),
-        qubit_step=m - k)
+        next_boundary_map=dict(zip(boundary, nxt)), prefix_weps=(ONE,))
     spec.validate()
     return spec
 
@@ -443,8 +444,7 @@ class TestLumping:
         spec = FamilySpec(
             name="pendant", base_graph=Graph.from_edges(2, [(0, 1)]),
             boundary=(0,), replacement=Graph.from_edges(3, [(0, 1)]),
-            glue_map={0: 0}, next_boundary_map={0: 2}, prefix_weps=(ONE,),
-            recursion_start=1, qubit_offset=0, qubit_step=2)
+            glue_map={0: 0}, next_boundary_map={0: 2}, prefix_weps=(ONE,))
         sys_ = build_transfer_system(spec)
         assert transfer._minimal_denominator(sys_) == (
             ONE - X ** 2 * Z - 3 * Y ** 2 * Z, 2)
@@ -476,6 +476,20 @@ class TestLumping:
         reference = list(unlumped_weps(sys_, bound))
         assert list(iter_weps(sys_, bound)) == reference
         assert series_coefficients(gf, bound) == reference
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs())
+    def test_generated_members_equal_both_oracles(self, spec):
+        # every member up to 14 qubits, or up to r = 8 in a family that
+        # does not grow, against the graph the rule builds for it
+        step = spec.qubit_step
+        r_max = 8 if step == 0 else (14 - spec.qubit_offset) // step
+        weps = list(iter_weps(build_transfer_system(spec), r_max))
+        for r in range(spec.recursion_start, r_max + 1):
+            graph = realize(spec, r)
+            assert graph.vertex_count == spec.qubit_count(r)
+            assert sld_from_wep(weps[r]) == sld_bruteforce_colouring(graph) \
+                == sld_bruteforce_stabilizer(graph), r
 
 
 def rational_points():
