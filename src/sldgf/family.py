@@ -13,6 +13,7 @@ conversions and the JSON (de)serialisation of family descriptions.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -56,12 +57,13 @@ class Graph:
         out += [a for a, b in self.edges if b == v]
         return sorted(out)
 
-    def neighbour_masks(self) -> list[int]:
+    @functools.cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count
         for a, b in self.edges:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        return masks
+        return tuple(masks)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count

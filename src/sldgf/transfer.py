@@ -10,9 +10,12 @@ One cut-and-glue step maps each boundary state and each colouring of the
 fresh replacement vertices (external parity zero) onto the next boundary:
 everything outside it is dropped, and dropped black neighbours fold into
 the parities. The step matrix is built from that map in one pass, with
-2^fresh entries per column, never enumerating the full replacement-graph
+2^fresh terms per column, never enumerating the full replacement-graph
 state space. The weight enumerator of member r is the component sum
 1^T T^r v of the step matrix iterated on the base graph's state vector.
+T and v are stored once, as the integer term maps of their nonzero
+entries (TransferSystem.columns and .vector); the dense PolyMatrix of
+each, the paper's matrix and vector, is made only on request (.t, .v).
 
 Most boundary states are interchangeable for that sum. The states are
 partitioned into the coarsest backward-lumpable blocks (Kemeny & Snell,
@@ -60,7 +63,7 @@ unlumped T in tests/unlumped.py.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -105,7 +108,7 @@ def colouring_weight(g: Graph, colours: Sequence[int],
     """
     if len(colours) != g.vertex_count or len(parities) != g.vertex_count:
         raise ValueError("colour/parity vectors must cover every vertex")
-    masks = g.neighbour_masks()
+    masks = g.neighbour_masks
     colour_mask = 0
     for v, c in enumerate(colours):
         if c:
@@ -162,15 +165,16 @@ class Quotient:
         return len(self.rows)
 
 
-def _shifted(entries: Sequence[LaurentPoly3]):
+def _shifted(entries: Sequence[dict]):
     """(alpha, beta, degree) and the terms of x^alpha y^beta e for each
-    entry e, alpha and beta the least shifts that clear negative exponents.
+    term map e, alpha and beta the least shifts that clear negative
+    exponents.
 
     Raises AlgebraError unless every term is z-free with a nonnegative
     integer coefficient and all terms share one total degree, as every
     step matrix and initial vector of a family does (they count colourings).
     """
-    terms = [e.terms.items() for e in entries]
+    terms = [e.items() for e in entries]
     flat = [exp for ts in terms for exp, _ in ts]
     if len({ex + ey for ex, ey, _ in flat}) > 1 or any(ez for *_, ez in flat) \
             or any(c.denominator != 1 or c < 0 for ts in terms for _, c in ts):
@@ -184,17 +188,21 @@ def _shifted(entries: Sequence[LaurentPoly3]):
         for ts in terms]
 
 
-def _integer_step(t: PolyMatrix, v: PolyMatrix):
+def _integer_step(columns: Sequence[dict], vector: Sequence[dict]):
     """T'' = x^alpha y^beta T as (row, terms) columns of its nonzero entries,
-    v'' = x^alpha0 y^beta0 v as terms, and their shifts (see _shifted)."""
-    nonzero = [(i, s) for i, row in enumerate(t.data)
-               for s, e in enumerate(row) if e.terms]
-    step, entries = _shifted([t.data[i][s] for i, s in nonzero])
-    start, vec = _shifted(v.column(0))
-    columns = [[] for _ in range(t.cols)]
+    v'' = x^alpha0 y^beta0 v as terms, and their shifts (see _shifted), from
+    the term maps of TransferSystem.columns and .vector."""
+    n = len(columns)
+    if len(vector) != n or any(not 0 <= i < n for c in columns for i in c):
+        raise AlgebraError(f"a {n}-state system needs {n} vector entries "
+                           f"and rows 0..{n - 1}")
+    nonzero = [(i, s) for s, c in enumerate(columns) for i, e in c.items() if e]
+    step, entries = _shifted([columns[s][i] for i, s in nonzero])
+    start, vec = _shifted(vector)
+    out = [[] for _ in range(n)]
     for (i, s), terms in zip(nonzero, entries):
-        columns[s].append((i, terms))
-    return columns, vec, step, start
+        out[s].append((i, terms))
+    return out, vec, step, start
 
 
 def _block_sums(pairs, block_of: Sequence[int]) -> dict[int, _Terms]:
@@ -280,19 +288,23 @@ class TransferSystem:
     described by spec, which also gives the prefix members and the
     recursion start.
 
-    t, v and dimension are the paper's 4^k-state matrix and vector. The
-    quotient is derived from them when the system is made, stored shifted
-    to integer terms, and checked against them term by term (P^T T = T'
-    P^T, v' = P^T v and the shifts, raising CertificateError otherwise);
-    every member, generating function and certificate is computed from it.
-    An entry of t or v that is not homogeneous, z-free and with nonnegative
-    integer coefficients is refused with AlgebraError there and then. The
-    system is frozen, so the quotient and the cached generating function
-    always belong to t and v.
+    T and v, the paper's 4^k-state matrix and vector, are stored once, as
+    integer term maps: columns[s] maps each row i of a nonzero entry to the
+    terms {(ex, ey, ez): coefficient} of T[i][s] (as in LaurentPoly3.terms),
+    and vector[i] holds the terms of v[i]. The properties t and v make the
+    dense PolyMatrix of each on request. The quotient is derived from the
+    term maps when the system is made, stored shifted to integer terms, and
+    checked against them term by term (P^T T = T' P^T, v' = P^T v and the
+    shifts, raising CertificateError otherwise); every member, generating
+    function and certificate is computed from it. An entry that is not
+    homogeneous, z-free and with nonnegative integer coefficients, a row
+    outside the states, or a vector of another length is refused with
+    AlgebraError there and then. The system is frozen, so the quotient and
+    the cached generating function always belong to columns and vector.
     """
 
-    t: PolyMatrix
-    v: PolyMatrix
+    columns: Sequence[dict]
+    vector: Sequence[dict]
     spec: FamilySpec
     quotient: Quotient = field(init=False, repr=False, compare=False)
     _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
@@ -300,11 +312,22 @@ class TransferSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "quotient",
-                           _lump(_integer_step(self.t, self.v)))
+                           _lump(_integer_step(self.columns, self.vector)))
 
     @property
     def dimension(self) -> int:
-        return self.t.rows
+        return len(self.columns)
+
+    @property
+    def t(self) -> PolyMatrix:
+        """The step matrix T as a dense PolyMatrix, made on each call."""
+        return PolyMatrix([[LaurentPoly3(c.get(i)) for c in self.columns]
+                           for i in range(self.dimension)])
+
+    @property
+    def v(self) -> PolyMatrix:
+        """The initial vector v as a dense one-column PolyMatrix."""
+        return PolyMatrix([[LaurentPoly3(terms)] for terms in self.vector])
 
 
 def build_transfer_system(spec: FamilySpec) -> TransferSystem:
@@ -316,7 +339,8 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     x^d y^(growth - d), d the admissible-count difference, at the row of its
     restriction onto the next boundary. The initial vector v weights every
     colouring of the base graph by x^(admissible) y^(rest) at the row of
-    its restriction onto the boundary.
+    its restriction onto the boundary. Both are counted straight into the
+    integer term maps that TransferSystem stores.
     """
     spec.validate()
     g, j, k = spec.base_graph, spec.replacement, len(spec.boundary)
@@ -326,8 +350,8 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     fresh = [u for u in range(j.vertex_count) if u not in image]
     growth = len(fresh)
     to_next = _restriction(j, [spec.next_boundary_map[b] for b in spec.boundary])
-    t = PolyMatrix.zeros(4 ** k, 4 ** k)
-    for state in range(4 ** k):
+    columns = [{} for _ in range(4 ** k)]
+    for state, column in enumerate(columns):
         pairs = decode_states(state, k)
         w_h = colouring_weight(h, [c for c, _ in pairs], [p for _, p in pairs])
         full = [(0, 0)] * j.vertex_count
@@ -338,18 +362,15 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
                 full[u] = ((fill >> i) & 1, 0)
             d = colouring_weight(j, [c for c, _ in full],
                                  [p for _, p in full]) - w_h
-            row = to_next(full)
-            t.data[row][state] = t.data[row][state] + LaurentPoly3.monomial(
-                d, growth - d, 0)
+            column.setdefault(to_next(full), Counter())[d, growth - d, 0] += 1
     n = g.vertex_count
     to_boundary = _restriction(g, spec.boundary)
-    v = PolyMatrix.zeros(4 ** k, 1)
+    vector = [Counter() for _ in range(4 ** k)]
     for mask in range(1 << n):
         colours = [(mask >> u) & 1 for u in range(n)]
         w = colouring_weight(g, colours, [0] * n)
-        row = to_boundary([(c, 0) for c in colours])
-        v.data[row][0] = v.data[row][0] + LaurentPoly3.monomial(w, n - w, 0)
-    return TransferSystem(t=t, v=v, spec=spec)
+        vector[to_boundary([(c, 0) for c in colours])][w, n - w, 0] += 1
+    return TransferSystem(columns=columns, vector=vector, spec=spec)
 
 
 def _at(q: Quotient, a: int, b: int):

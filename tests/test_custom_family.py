@@ -21,6 +21,7 @@ from sldgf import (build_transfer_system, family_gf, iter_weps,
 from conftest import brute_sectors
 from golden_forms import LADDER_3_GF
 from unlumped import unlumped_weps
+from wide_ladder import ladder, quotient_digest
 
 CATERPILLAR = {
     "name": "caterpillar",
@@ -108,10 +109,11 @@ def test_three_vertex_boundary_ladder():
     # derived and certified in seconds
     spec = parse_family_spec(json.dumps(LADDER_3))
     sys_ = build_transfer_system(spec)
-    assert (sys_.t.rows, sys_.t.cols) == (64, 64)
-    assert sum(not e.is_zero() for row in sys_.t.data for e in row) == 512
+    t = sys_.t
+    assert (t.rows, t.cols) == (64, 64)
+    assert sum(not e.is_zero() for row in t.data for e in row) == 512
     for col in range(64):
-        assert sum(row[col].eval_xy(1, 1) for row in sys_.t.data) == 2 ** 3
+        assert sum(row[col].eval_xy(1, 1) for row in t.data) == 2 ** 3
     assert sys_.quotient.dimension == 18
 
     gf = family_gf(sys_)
@@ -141,6 +143,11 @@ def test_four_vertex_boundary_ladder():
     spec = parse_family_spec(json.dumps(LADDER_4))
     sys_ = build_transfer_system(spec)
     assert (sys_.dimension, sys_.quotient.dimension) == (256, 45)
+    # the quotient the dense build gave, and the 5- and 6-wide checks in
+    # wide_ladder.py widen this same document
+    assert quotient_digest(sys_.quotient) == (
+        "6882ce81fe40f30bb8633c6345c3f356b127ad91fdb5e24ca16b8f1eff3a4662")
+    assert ladder(4) == LADDER_4
     weps = list(iter_weps(sys_, 6))
     assert weps == list(unlumped_weps(sys_, 6))
     for r, wep in enumerate(weps[1:], 1):

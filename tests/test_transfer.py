@@ -129,9 +129,10 @@ class TestStepMatrices:
         for name in BUILTIN_FAMILIES:
             sys_ = systems[name]
             growth = sys_.spec.qubit_step
-            for col in range(sys_.t.cols):
-                total = sum(sys_.t.data[row][col].eval_xy(1, 1)
-                            for row in range(sys_.t.rows))
+            t = sys_.t
+            for col in range(t.cols):
+                total = sum(t.data[row][col].eval_xy(1, 1)
+                            for row in range(t.rows))
                 assert total == 2 ** growth
 
     def test_path_initial_vector(self, systems):
@@ -153,6 +154,23 @@ class TestStepMatrices:
             state = encode_states([(c0, c1), (c2, c1)])
             acc[state] = acc[state] + mono(weight, 3 - weight)
         assert systems["cycle"].v.column(0) == acc
+
+    def test_build_makes_no_dense_matrix(self, monkeypatch):
+        # T and v are counted straight into integer term maps; the dense
+        # PolyMatrix of LaurentPoly3 entries is made only when t or v is read
+        class Refused:
+            def __getattr__(self, name):
+                raise AssertionError(f"the build read .{name}")
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("the build made a dense object")
+        specs = [builtin(name) for name in BUILTIN_FAMILIES]
+        specs.append(parse_family_spec(json.dumps(LADDER_3)))
+        monkeypatch.setattr(transfer, "LaurentPoly3", Refused())
+        monkeypatch.setattr(transfer, "PolyMatrix", Refused())
+        for spec in specs:
+            sys_ = build_transfer_system(spec)
+            assert sys_.quotient.dimension == QUOTIENT_DIMENSIONS[spec.name]
 
     def test_dimensions(self, systems):
         assert systems["path"].dimension == 4
@@ -378,19 +396,21 @@ class TestLumping:
             block_of[block_of.index(1)] = 0
         bad = Quotient(tuple(block_of), tuple(rows), tuple(vec), step, start)
         with pytest.raises(CertificateError, match="lump"):
-            _check_lumping(_integer_step(sys_.t, sys_.v), bad)
+            _check_lumping(_integer_step(sys_.columns, sys_.vector), bad)
 
     def test_untampered_quotient_is_accepted(self, systems):
         sys_ = systems["cycle"]
-        form = _integer_step(sys_.t, sys_.v)
+        form = _integer_step(sys_.columns, sys_.vector)
         _check_lumping(form, sys_.quotient)
         assert _lump(form) == sys_.quotient
 
     def test_system_is_frozen(self, systems):
         # the quotient and the cached generating function are derived from
-        # t and v, so neither may be swapped after the system is made
+        # columns and vector, so neither may be swapped after the system is
+        # made
         path, star = systems["path"], systems["star"]
-        for name, value in (("t", star.t), ("quotient", star.quotient)):
+        for name, value in (("columns", star.columns),
+                            ("quotient", star.quotient)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(path, name, value)
 
@@ -399,7 +419,8 @@ class TestLumping:
         # derived from, not to a copy made with another operator
         path, star = systems["path"], systems["star"]
         family_gf(path)
-        swapped = dataclasses.replace(path, t=star.t, v=star.v)
+        swapped = dataclasses.replace(path, columns=star.columns,
+                                      vector=star.vector)
         assert family_gf(swapped) == GOLDEN_GF["star"]
 
     def test_narrow_first_digits_double_to_the_same_denominator(
@@ -452,11 +473,9 @@ class TestLumping:
     def test_nilpotent_quotient_has_denominator_one(self):
         # one edge from state 0 to state 1 and no cycle: members stop after
         # two steps, and the generating function is their polynomial
-        t = PolyMatrix.zeros(4, 4)
-        t.data[1][0] = X
-        v = PolyMatrix([[ONE], [ZERO], [ZERO], [ZERO]])
         spec = builtin("path")
-        sys_ = TransferSystem(t=t, v=v, spec=spec)
+        sys_ = TransferSystem(columns=[{1: X.terms}, {}, {}, {}],
+                              vector=[ONE.terms, {}, {}, {}], spec=spec)
         gf = family_gf(sys_)
         assert gf.den == ONE
         assert gf == ratfunc_normalize(ONE + (X + Y) * Z + Z * Z + X * Z ** 3,
@@ -547,8 +566,14 @@ class TestIntegerKernel:
         path = systems["path"]
         for t_entry, v_entry in ((X * F(1, 2), ONE), (X - Y, ONE),
                                  (X + ONE, ONE), (X, Z)):
-            t = PolyMatrix.zeros(4, 4)
-            t.data[1][0] = t_entry
-            v = PolyMatrix([[v_entry], [ZERO], [ZERO], [ZERO]])
             with pytest.raises(AlgebraError, match="nonnegative integer"):
-                TransferSystem(t=t, v=v, spec=path.spec)
+                TransferSystem(columns=[{1: t_entry.terms}, {}, {}, {}],
+                               vector=[v_entry.terms, {}, {}, {}],
+                               spec=path.spec)
+        # the term maps are sparse, so a row outside the states or a vector
+        # of another length is refused too, not wrapped or truncated
+        for row, size in ((-1, 4), (4, 4), (1, 3), (1, 5)):
+            with pytest.raises(AlgebraError, match="4-state system"):
+                TransferSystem(columns=[{row: X.terms}, {}, {}, {}],
+                               vector=[ONE.terms] + [{}] * (size - 1),
+                               spec=path.spec)
