@@ -299,8 +299,9 @@ class TransferSystem:
     function and certificate is computed from it. An entry that is not
     homogeneous, z-free and with nonnegative integer coefficients, a row
     outside the states, or a vector of another length is refused with
-    AlgebraError there and then. The system is frozen, so the quotient and
-    the cached generating function always belong to columns and vector.
+    AlgebraError there and then. The system is frozen, so the quotient, the
+    cached generating function and its denominator's cached partials
+    always belong to columns and vector.
     """
 
     columns: Sequence[dict]
@@ -309,6 +310,8 @@ class TransferSystem:
     quotient: Quotient = field(init=False, repr=False, compare=False)
     _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
                                  compare=False)
+    _gf_partials: tuple[LaurentPoly3, LaurentPoly3] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quotient",
@@ -584,3 +587,14 @@ def family_gf(sys: TransferSystem) -> RatFunc3:
     certify_family_gf(sys, gf)
     object.__setattr__(sys, "_gf", gf)
     return gf
+
+
+def _gf_den_partials(sys: TransferSystem) -> tuple[LaurentPoly3, LaurentPoly3]:
+    """The partials Q_x and Q_y of family_gf's denominator Q, made once per
+    system; the asymptotic criterion specialises them at every noise
+    strength it visits."""
+    if sys._gf_partials is None:
+        den = family_gf(sys).den
+        object.__setattr__(sys, "_gf_partials",
+                           (den.partial("x"), den.partial("y")))
+    return sys._gf_partials

@@ -298,7 +298,7 @@ class TestCriterion:
         assert gaps[1] < 4.5 / 200
 
 
-# -- threshold searches: one bisection against the grid-scan reference -------
+# -- threshold searches against the references of earlier designs ------------
 
 # the limits as the 64-cell scan found them, at the default tolerance
 LIMITS = {"path": 0.6896438679250423, "star": 1.0,
@@ -361,11 +361,43 @@ class TestThresholdBisection:
             value = critical_lambda_asymptotic(systems[name])
         assert value == LIMITS[name]
         # the edge point alone decides a boundary limit; an interior one
-        # needs it plus one ratio per halving down to 1e-10
+        # needs it plus the secant-guided probes, where halving down to
+        # 1e-10 takes 34
         if name in BOUNDARY:
             assert len(calls) == 1
         else:
-            assert len(calls) <= 36
+            assert len(calls) <= 14
+
+    @pytest.mark.parametrize("tol", [0.1, 1e-10])
+    @pytest.mark.parametrize("name", ["path", "grid_2"])
+    def test_limit_probes_lie_on_the_dyadic_grid(self, systems, name, tol):
+        # the search ends on a cell of the grid the bisection stops on, of
+        # spacing 2^-depth, and probes only points of that grid
+        depth = next(d for d in range(200) if 2.0 ** -d < tol)
+        edge = F(1) - F(1, 1 << 20)
+        patch, calls = counted(analysis, "criterion_asymptotic_ratio")
+        with patch:
+            critical_lambda_asymptotic(systems[name], tol)
+        probes = [lam for _, lam in calls]
+        assert probes[0] == edge and probes[1] == F(1, 2)
+        assert all((lam * (1 << depth)).denominator == 1
+                   for lam in probes[1:])
+        assert len(set(probes)) == len(probes)
+
+    @pytest.mark.parametrize("tol", [0.1, 1e-2, 1e-3, 1e-6, 1e-10, 1e-14,
+                                     1e-16])
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_limit_matches_the_bisection(self, systems, name, tol):
+        # the same cell, so the same float, in no more pole searches
+        found = []
+        for search in (critical_lambda_asymptotic,
+                       reference.critical_lambda_asymptotic_bisection):
+            patch, calls = counted(analysis, "dominant_singularity")
+            with patch:
+                found.append((search(systems[name], tol), len(calls)))
+        (value, calls), (expected, reference_calls) = found
+        assert value == expected
+        assert calls <= reference_calls
 
     def test_isolated_vertices_have_no_limit(self):
         # the ratio reaches 1 only at the edge, as on the boundary families,

@@ -1,25 +1,31 @@
-"""Grid-scan threshold searches: the test-only reference.
+"""Threshold searches of earlier designs: the test-only references.
 
 The package once found each critical noise strength by scanning a dyadic
 grid for a bracket (1024 cells in mu for members, 64 cells in lam for the
 member-independent limit) and bisecting it. Both criteria change sign at
-most once, so the package now bisects from [0, 1] directly; these scans
-stay here, unchanged, as the reference that the bisection is compared
-against.
+most once, so the package then bisected from [0, 1] directly; the scans
+stay here, unchanged, as the reference that the member bisection is
+compared against.
+
+The limit's bisection, critical_lambda_asymptotic_bisection, is the
+reference for the package's secant-guided search on the same dyadic grid:
+both must end on the same cell, and so return the same float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
+from sldgf.algebra import _univariate
 from sldgf.analysis import (WORKING_DPS, AnalysisError,
                             DegenerateSingularityError, NoThresholdError,
                             _poly_sign_at, criterion_asymptotic_ratio)
 from sldgf.family import SLD
-from sldgf.transfer import TransferSystem
+from sldgf.transfer import TransferSystem, family_gf
 
 
 def critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
@@ -90,3 +96,45 @@ def critical_lambda_asymptotic(sys: TransferSystem,
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def critical_lambda_asymptotic_bisection(sys: TransferSystem,
+                                         tol: float = 1e-10) -> float:
+    """The limit by halving [0, 1], one pole search per halving, after the
+    edge point 1 - 2^-20 and with the same boundary rules as the package."""
+    if sys.spec.qubit_step == 0:
+        raise AnalysisError(f"family {sys.spec.name} does not grow: its "
+                            f"qubit_count.step is 0")
+    if not 0 < tol < math.inf:
+        raise AnalysisError("tolerance must be positive and finite")
+    with mp.workdps(WORKING_DPS):
+        @functools.cache
+        def h(lam: Fraction) -> mp.mpf:
+            return criterion_asymptotic_ratio(sys, lam) - 1
+
+        edge = Fraction(1) - Fraction(1, 1 << 20)
+        if h(edge) <= 0:
+            lo, hi = Fraction(0), Fraction(1)
+            for _ in range(200):
+                if float(hi - lo) < tol:
+                    break
+                mid = (lo + hi) / 2
+                if h(mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            return float((lo + hi) / 2)
+        if h(edge) < 1e-3:
+            gf = family_gf(sys)
+            num, den = gf.num, gf.den
+            p, q, p_x, p_y, q_x, q_y = (
+                _univariate(f, Fraction(1), Fraction(1))
+                for f in (num, den, num.partial("x"), num.partial("y"),
+                          den.partial("x"), den.partial("y")))
+            if ((p_x - p_y) * q - p * (q_x - q_y)).is_zero():
+                raise NoThresholdError(
+                    "no member has a threshold: the criterion vanishes at "
+                    "lam = 1 on every member")
+            return 1.0
+        raise NoThresholdError(
+            "asymptotic criterion ratio has no sign change in [0, 1]")
