@@ -29,8 +29,8 @@ _NAMES_BY_MODULE = {
         "sld_bruteforce_stabilizer"),
     "transfer": (
         "TransferSystem", "build_transfer_system", "certify_family_gf",
-        "colouring_weight", "decode_states", "encode_states", "family_gf",
-        "iter_weps", "wep_by_iteration", "wep_values_by_iteration"),
+        "family_gf", "iter_weps", "wep_by_iteration",
+        "wep_values_by_iteration"),
 }
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Exact quantities (concentratable entanglement, depolarizing fidelity, the
 purity-criterion polynomial and its roots) are computed with rational
 arithmetic end to end. Floating point enters only through polynomial root
 finding and the residue/asymptotic evaluations, done in mpmath at a working
-precision well beyond double.
+precision well beyond double; mpmath is imported only by the functions
+that compute with it, so the exact quantities never load it.
 
 Singularity analysis operates on the univariate specialisation of the
 family generating function after cancelling its common univariate factor.
@@ -25,8 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
 from .family import SLD, sld_from_wep, to_rational
@@ -60,12 +59,14 @@ class NoThresholdError(AnalysisError):
 
 
 def _mpf_from_fraction(value: Fraction) -> mp.mpf:
+    import mpmath as mp
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
 def _mp_poly(poly: UniPolyZ):
     """poly as a Horner evaluator at mpmath points, its coefficients
     converted to mpf once, at the working precision of the call."""
+    import mpmath as mp
     coeffs = [_mpf_from_fraction(c) for c in reversed(poly.coeffs)]
 
     def at(z) -> mp.mpc:
@@ -78,6 +79,7 @@ def _mp_poly(poly: UniPolyZ):
 
 def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
     """All complex roots: companion-matrix estimates polished by Newton."""
+    import mpmath as mp
     import numpy as np
 
     # scale exactly before any float conversion so huge integer coefficients
@@ -125,6 +127,7 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
         raise AnalysisError("q(0) = 0: series expansion point is singular")
     if q.degree() == 0:
         raise AnalysisError("constant denominator has no singularities")
+    import mpmath as mp
     with mp.workdps(WORKING_DPS):
         roots = _all_roots(q)
     min_mod = min(mp.fabs(r) for r in roots)
@@ -184,6 +187,7 @@ class LeadingTerm:
     def coefficient(self, r: int) -> mp.mpf:
         if r < 0:
             raise ValueError("member index must be nonnegative")
+        import mpmath as mp
         with mp.workdps(WORKING_DPS):
             return mp.re(self.residue * self.report.z_star ** (-r - 1))
 
@@ -191,6 +195,7 @@ class LeadingTerm:
 def _leading_term(p: UniPolyZ, q: UniPolyZ) -> LeadingTerm:
     """The leading term of p/q, reduced by uni_reduce: p is coprime to q,
     so p(z*) is never zero and the residue is the whole pole."""
+    import mpmath as mp
     report = _simple_pole(q)
     with mp.workdps(WORKING_DPS):
         return LeadingTerm(report, _residue(p, q.derivative(), report.z_star))
@@ -362,6 +367,7 @@ def _crossing_cell(h, depth: int) -> Fraction:
     one crossing of h in (0, 1), with h > 0 left of it and h <= 0 right of
     it. The cell is the last bracket of halving [0, 1] depth times; the
     probes are guided by a secant (see critical_lambda_asymptotic)."""
+    import mpmath as mp
     lo, hi = 0, 1 << depth  # the bracket, in units of 2^-depth
     probes = []  # (grid point, h) of each probe
     while hi - lo > 1:
@@ -392,6 +398,7 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
     dominant root of the reduced specialised denominator; the numerator
     factors cancel against the denominator at any genuine simple pole.
     """
+    import mpmath as mp
     mu = _noise_parameter(lam) ** 2
     with mp.workdps(WORKING_DPS):
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
@@ -444,6 +451,7 @@ def critical_lambda_asymptotic(sys: TransferSystem,
         raise AnalysisError(f"family {sys.spec.name} does not grow: its "
                             f"qubit_count.step is 0")
     _check_tolerance(tol)
+    import mpmath as mp
     with mp.workdps(WORKING_DPS):
         @functools.cache
         def h(lam: Fraction) -> mp.mpf:

@@ -12,10 +12,11 @@ brute-force cap, verify on a family that does not grow), 3 analysis failures
 the asymptotic threshold of a family that does not grow), 4 any other
 failure, such as a figure --out directory that cannot be created.
 
-Each command imports only what it computes with: the analysis layer, and
-mpmath with it, inside fidelity, critical-lambda and figure; numpy inside
-the brute-force oracles and the root finder. verify checks its members in
-this process; --jobs is accepted and validated but starts no workers.
+Each command imports only what it computes with: the analysis layer inside
+fidelity, critical-lambda and figure; mpmath and numpy inside the root
+finder and the asymptotics (--asymptotic, figure), numpy inside the
+brute-force oracles. verify checks its members in this process; --jobs is
+accepted and validated but starts no workers.
 """
 
 from __future__ import annotations
@@ -281,8 +282,6 @@ def _cmd_ce(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    import mpmath as mp
-
     from .analysis import fidelity_leading_term, fidelity_sweep
 
     lam = _noise_arg(args.lam)
@@ -299,7 +298,7 @@ def _cmd_fidelity(args) -> int:
             # the gap is infinite when the denominator has a single root
             gap = float(lead.report.modulus_gap)
             row.update({"F_approx": float(lead.coefficient(r)),
-                        "z_star": float(mp.re(lead.report.z_star)),
+                        "z_star": float(lead.report.z_star.real),
                         "gap": gap if math.isfinite(gap) else None})
         rows.append(row)
     _emit_rows(args, ["family", "r", "lambda", "F_exact", "F_approx",

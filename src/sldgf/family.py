@@ -52,11 +52,6 @@ class Graph:
             norm.add((min(u, v), max(u, v)))
         return Graph(vertex_count, frozenset(norm))
 
-    def neighbours(self, v: int) -> list[int]:
-        out = [b for a, b in self.edges if a == v]
-        out += [a for a, b in self.edges if b == v]
-        return sorted(out)
-
     @functools.cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count

@@ -11,7 +11,12 @@ fresh replacement vertices (external parity zero) onto the next boundary:
 everything outside it is dropped, and dropped black neighbours fold into
 the parities. The step matrix is built from that map in one pass, with
 2^fresh terms per column, never enumerating the full replacement-graph
-state space. The weight enumerator of member r is the component sum
+state space. A colouring is counted as a colour bitmask and a parity
+bitmask: the parities its black vertices add are the XOR of their
+neighbour masks (linear over GF(2)), so its admissible count is the
+popcount of ~(colours | parities ^ odd) on the graph's vertices, and the
+XOR of each fill of the fresh vertices is computed once per build. The
+weight enumerator of member r is the component sum
 1^T T^r v of the step matrix iterated on the base graph's state vector.
 T and v are stored once, as the integer term maps of their nonzero
 entries (TransferSystem.columns and .vector); the dense PolyMatrix of
@@ -74,68 +79,48 @@ from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       ratfunc_normalize, series_coefficients)
 from .family import FamilySpec, Graph
 
-WHITE_EVEN, WHITE_ODD, BLACK_EVEN, BLACK_ODD = range(4)
-
 _FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
 
 # the concentratable entanglement of a member is 1 - W_r at this (x, y)
 CE_POINT = (Fraction(3, 4), Fraction(1, 4))
 
 
-def decode_states(index: int, size: int) -> list[tuple[int, int]]:
-    """Split a base-4 composite index into (colour, parity) pairs,
-    position 0 most significant."""
-    out = []
-    for pos in range(size):
-        s = (index >> (2 * (size - 1 - pos))) & 3
-        out.append((s >> 1, s & 1))
-    return out
+def _state_masks(index: int, vertices: Sequence[int]) -> tuple[int, int]:
+    """The colour and parity masks, bit v for vertex v, of the composite
+    index over the ordered vertices, position 0 most significant."""
+    colours = parities = 0
+    for v in reversed(vertices):
+        colours |= (index >> 1 & 1) << v
+        parities |= (index & 1) << v
+        index >>= 2
+    return colours, parities
 
 
-def encode_states(states: Sequence[tuple[int, int]]) -> int:
+def _state_index(colours: int, parities: int, vertices: Sequence[int]) -> int:
+    """The composite index over the ordered vertices of colour and parity
+    masks: the inverse of _state_masks, and linear over XOR."""
     index = 0
-    for colour, parity in states:
-        index = (index << 2) | (colour << 1) | parity
+    for v in vertices:
+        index = index << 2 | (colours >> v & 1) << 1 | (parities >> v & 1)
     return index
 
 
-def colouring_weight(g: Graph, colours: Sequence[int],
-                     parities: Sequence[int]) -> int:
-    """Number of admissible vertices: white, with even total black parity.
-
-    The total parity of a vertex is its external parity plus the number of
-    its black neighbours inside g.
-    """
-    if len(colours) != g.vertex_count or len(parities) != g.vertex_count:
-        raise ValueError("colour/parity vectors must cover every vertex")
-    masks = g.neighbour_masks
-    colour_mask = 0
-    for v, c in enumerate(colours):
-        if c:
-            colour_mask |= 1 << v
-    weight = 0
-    for v in range(g.vertex_count):
-        if colours[v]:
-            continue
-        black = bin(masks[v] & colour_mask).count("1") + parities[v]
-        if black % 2 == 0:
-            weight += 1
-    return weight
+def _odd(masks: Sequence[int], colours: int) -> int:
+    """XOR of masks[v] over the black vertices v of colours; with neighbour
+    masks, the parity mask of each vertex's black neighbours."""
+    odd = 0
+    while colours:
+        v = colours.bit_length() - 1
+        odd ^= masks[v]
+        colours ^= 1 << v
+    return odd
 
 
-def _restriction(g: Graph, retained: Sequence[int]):
-    """Map a full state of g, one (colour, parity) pair per vertex, onto the
-    composite index of the ordered vertex list ``retained``: a retained
-    vertex keeps its colour and adds the black count of its dropped
-    neighbours to its parity."""
-    kept = set(retained)
-    dropped = [[u for u in g.neighbours(v) if u not in kept] for v in retained]
-
-    def restrict(pairs: Sequence[tuple[int, int]]) -> int:
-        return encode_states(
-            [(pairs[v][0], (pairs[v][1] + sum(pairs[u][0] for u in d)) % 2)
-             for v, d in zip(retained, dropped)])
-    return restrict
+def _admissible(g: Graph, colours: int, parities: int) -> int:
+    """Number of admissible vertices of g: white, with even parity once the
+    external parities and the black neighbours inside g are added."""
+    odd = parities ^ _odd(g.neighbour_masks, colours)
+    return (~(colours | odd) & ((1 << g.vertex_count) - 1)).bit_count()
 
 
 _Terms = tuple[tuple[int, int, int], ...]  # (i, j, c) stands for c x^i y^j
@@ -337,42 +322,54 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     """Assemble the transfer system of a validated family description.
 
     Column s of the step matrix T extends boundary state s into the
-    replacement graph: the glued vertices inherit the boundary pairs, and
+    replacement graph: the glued vertices inherit the boundary states, and
     each fill of the fresh vertices (external parity zero) adds the monomial
     x^d y^(growth - d), d the admissible-count difference, at the row of its
     restriction onto the next boundary. The initial vector v weights every
     colouring of the base graph by x^(admissible) y^(rest) at the row of
     its restriction onto the boundary. Both are counted straight into the
     integer term maps that TransferSystem stores.
+
+    Colourings are colour and parity bitmasks. The parities that black
+    vertices add are odd, the XOR of their neighbour masks, so the
+    admissible count is the popcount of ~(colours | parities ^ odd), and
+    the restricted parities are parities XOR the neighbour masks of the
+    dropped black vertices only. Both XORs, and so the row, split into a
+    part of the boundary state and a part of the fill, and the fill parts
+    are computed once per build.
     """
     spec.validate()
     g, j, k = spec.base_graph, spec.replacement, len(spec.boundary)
     h = g.induced(spec.boundary)
-    phi = [spec.glue_map[b] for b in spec.boundary]
-    image = set(phi)
-    fresh = [u for u in range(j.vertex_count) if u not in image]
-    growth = len(fresh)
-    to_next = _restriction(j, [spec.next_boundary_map[b] for b in spec.boundary])
+    glued = [spec.glue_map[b] for b in spec.boundary]
+    retained = [spec.next_boundary_map[b] for b in spec.boundary]
+    fresh = sorted(set(range(j.vertex_count)) - set(glued))
+    growth, masks = len(fresh), j.neighbour_masks
+    dropped = ~sum(1 << u for u in retained)
+
+    def parts(colours: int, parities: int) -> tuple[int, int, int]:
+        # colours, the parity mask of j and the row index of one part
+        return colours, parities ^ _odd(masks, colours), _state_index(
+            colours, parities ^ _odd(masks, colours & dropped), retained)
+    fills = [parts(sum(1 << u for i, u in enumerate(fresh) if fill >> i & 1),
+                   0) for fill in range(1 << growth)]
+    every = (1 << j.vertex_count) - 1
     columns = [{} for _ in range(4 ** k)]
     for state, column in enumerate(columns):
-        pairs = decode_states(state, k)
-        w_h = colouring_weight(h, [c for c, _ in pairs], [p for _, p in pairs])
-        full = [(0, 0)] * j.vertex_count
-        for u, pair in zip(phi, pairs):
-            full[u] = pair
-        for fill in range(1 << growth):
-            for i, u in enumerate(fresh):
-                full[u] = ((fill >> i) & 1, 0)
-            d = colouring_weight(j, [c for c, _ in full],
-                                 [p for _, p in full]) - w_h
-            column.setdefault(to_next(full), Counter())[d, growth - d, 0] += 1
-    n = g.vertex_count
-    to_boundary = _restriction(g, spec.boundary)
+        w_h = _admissible(h, *_state_masks(state, range(k)))
+        colours, odd, row = parts(*_state_masks(state, glued))
+        for fill_colours, fill_odd, fill_row in fills:
+            d = (~(colours | fill_colours | odd ^ fill_odd)
+                 & every).bit_count() - w_h
+            column.setdefault(row ^ fill_row, Counter())[d, growth - d, 0] += 1
+    n, base_masks = g.vertex_count, g.neighbour_masks
+    outside = ~sum(1 << u for u in spec.boundary)
     vector = [Counter() for _ in range(4 ** k)]
-    for mask in range(1 << n):
-        colours = [(mask >> u) & 1 for u in range(n)]
-        w = colouring_weight(g, colours, [0] * n)
-        vector[to_boundary([(c, 0) for c in colours])][w, n - w, 0] += 1
+    for colours in range(1 << n):
+        w = _admissible(g, colours, 0)
+        row = _state_index(colours, _odd(base_masks, colours & outside),
+                           spec.boundary)
+        vector[row][w, n - w, 0] += 1
     return TransferSystem(columns=columns, vector=vector, spec=spec)
 
 

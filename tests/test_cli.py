@@ -491,7 +491,15 @@ print(json.dumps([code, [name for name in ("numpy", "mpmath",
      ["numpy"]),
     (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "2"],
      ["numpy"]),
-], ids=["families", "gf", "wep", "sld", "ce", "verify", "verify-jobs"])
+    (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8"], []),
+    (["critical-lambda", "--family", "path", "--r-max", "5"], []),
+    (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8",
+      "--asymptotic"], ["numpy", "mpmath"]),
+    (["critical-lambda", "--family", "path", "--r-max", "5",
+      "--asymptotic"], ["numpy", "mpmath"]),
+], ids=["families", "gf", "wep", "sld", "ce", "verify", "verify-jobs",
+        "fidelity", "critical-lambda", "fidelity-asymptotic",
+        "critical-lambda-asymptotic"])
 def test_commands_import_only_what_they_compute_with(argv, allowed):
     cp = run_python("-c", _LOADED_BY, *argv)
     assert cp.returncode == 0, cp.stderr

@@ -12,19 +12,20 @@ from hypothesis import strategies as st
 from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    FamilyError, FamilySpec, Graph, LaurentPoly3, PolyMatrix,
                    RatFunc3, TransferSystem, build_transfer_system, builtin,
-                   certify_family_gf, colouring_weight, decode_states,
-                   encode_states, family_gf, fidelity_sweep, iter_weps,
+                   certify_family_gf, family_gf, fidelity_sweep, iter_weps,
                    parse_family_spec, poly_from_terms, ratfunc_equal,
                    ratfunc_normalize, realize, series_coefficients,
                    sld_bruteforce_colouring, sld_bruteforce_stabilizer,
                    sld_from_wep, wep_by_iteration, wep_values_by_iteration)
 from sldgf import transfer
-from sldgf.transfer import Quotient, _check_lumping, _integer_step, _lump
+from sldgf.transfer import (Quotient, _admissible, _check_lumping,
+                            _integer_step, _lump, _state_index, _state_masks)
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
 from golden_forms import GOLDEN_GF, LADDER_3_GF
-from test_custom_family import CATERPILLAR, LADDER_3
+from pairwise_build import colouring_weight, encode_states, pairwise_terms
+from test_custom_family import CATERPILLAR, LADDER_3, LADDER_4
 from unlumped import unlumped_weps
 
 X = LaurentPoly3.var("x")
@@ -57,30 +58,46 @@ def fraction_free_gf(sys_):
 
 class TestStateIndexing:
     def test_composite_index_is_base_four_msb_first(self):
-        states = [(1, 1), (0, 0), (1, 0)]  # bo, we, be
-        index = encode_states(states)
+        # positions bo, we, be: colour bits 0 and 2, parity bit 0
+        index = _state_index(0b101, 0b001, range(3))
         assert index == 3 * 16 + 0 * 4 + 2
-        assert decode_states(index, 3) == states
+        assert _state_masks(index, range(3)) == (0b101, 0b001)
+        # position p reads and writes the bit of vertex vertices[p]
+        assert _state_index(0b0100, 0b1000, [3, 2]) == 1 * 4 + 2
+        assert _state_masks(1 * 4 + 2, [3, 2]) == (0b0100, 0b1000)
 
 
 class TestColouringWeight:
+    # colourings are colour and parity masks, bit v for vertex v
     def test_all_white_chain(self):
-        assert colouring_weight(PATH3, [0, 0, 0], [0, 0, 0]) == 3
+        assert _admissible(PATH3, 0b000, 0b000) == 3
 
     def test_white_black_white_chain(self):
-        assert colouring_weight(PATH3, [0, 1, 0], [0, 0, 0]) == 0
+        assert _admissible(PATH3, 0b010, 0b000) == 0
 
     def test_single_vertex_odd_external_parity(self):
-        assert colouring_weight(VERTEX, [0], [1]) == 0
+        assert _admissible(VERTEX, 0b0, 0b1) == 0
 
     def test_matches_independent_enumeration(self):
         # weight with all-even parity is the admissible count used by the oracle
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         counts = [0] * 5
-        for mask in range(16):
-            colours = [(mask >> v) & 1 for v in range(4)]
-            counts[4 - colouring_weight(g, colours, [0, 0, 0, 0])] += 1
+        for colours in range(16):
+            counts[4 - _admissible(g, colours, 0)] += 1
         assert tuple(counts) == brute_sectors(4, g.sorted_edges())
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1))),
+        st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+    def test_matches_pair_lists(self, case):
+        # the masks count as the pair-list reference does, on any graph,
+        # colouring and external parities
+        n, edges, colours, parities = case
+        g = Graph.from_edges(n, [e for e in edges if e[0] != e[1]])
+        assert _admissible(g, colours, parities) == colouring_weight(
+            g, [colours >> v & 1 for v in range(n)],
+            [parities >> v & 1 for v in range(n)])
 
 
 class TestStepMatrices:
@@ -345,6 +362,27 @@ def family_specs(draw):
         next_boundary_map=dict(zip(boundary, nxt)), prefix_weps=(ONE,))
     spec.validate()
     return spec
+
+
+class TestPairwiseReference:
+    @pytest.mark.parametrize("doc", [CATERPILLAR, LADDER_3, LADDER_4],
+                             ids=["caterpillar", "ladder_3", "ladder_4"])
+    def test_custom_terms_equal_pair_lists(self, doc):
+        spec = parse_family_spec(json.dumps(doc))
+        sys_ = build_transfer_system(spec)
+        assert (sys_.columns, sys_.vector) == pairwise_terms(spec)
+
+    def test_builtin_terms_equal_pair_lists(self, systems):
+        for name in BUILTIN_FAMILIES:
+            sys_ = systems[name]
+            assert (sys_.columns, sys_.vector) == pairwise_terms(sys_.spec), \
+                name
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_specs())
+    def test_generated_terms_equal_pair_lists(self, spec):
+        sys_ = build_transfer_system(spec)
+        assert (sys_.columns, sys_.vector) == pairwise_terms(spec)
 
 
 class TestLumping:

@@ -3,9 +3,10 @@
 Run as ``PYTHONPATH=src python tests/wide_ladder.py``. It is not a pytest
 module (the 6-wide build takes seconds and over 100 MB), so Tier-1 does not
 collect it. For each width it builds the ladder's 4^width-state transfer
-system, checks the quotient's dimension and the SHA-256 of its fields, and
-prints the build time and the process's peak RSS so far; it exits 1 on the
-first mismatch.
+system, checks the quotient's dimension, the SHA-256 of its fields and the
+SHA-256 of the sorted term maps of T and v (TransferSystem.columns and
+.vector), and prints the build time and the process's peak RSS so far; it
+exits 1 on the first mismatch.
 """
 
 from __future__ import annotations
@@ -18,12 +19,17 @@ import time
 
 from sldgf import build_transfer_system, parse_family_spec
 
-# quotient dimension and digest of each width, as the dense build gave them
+# quotient dimension and digest of each width, as the dense build gave
+# them, and the digest of T and v, as the pair-list build gave it
 EXPECTED = {
     5: (135, "503badb12bce3541112c47db08fa3fea"
-             "97d5a5873a2e3b2223c2a7e0812da8f9"),
+             "97d5a5873a2e3b2223c2a7e0812da8f9",
+        "9a2c5e881cee3d367810fac86ce6488d"
+        "22fcab06e272ef72dd2b202b51cd22f6"),
     6: (378, "3a0d08d34dc3c82029d87af439d5eecb"
-             "1b06753c6a83c52db6924a7d7f0e9fd0"),
+             "1b06753c6a83c52db6924a7d7f0e9fd0",
+        "455e12a585b1c0cec69071875efd7949"
+        "40c3e326df9fe21305d34a9012938f35"),
 }
 
 
@@ -52,14 +58,24 @@ def quotient_digest(q) -> str:
                                 q.start)).encode()).hexdigest()
 
 
+def terms_digest(sys_) -> str:
+    """SHA-256 of T and v, each entry's terms and each column's rows in
+    sorted order."""
+    columns = [sorted((i, sorted(e.items())) for i, e in c.items())
+               for c in sys_.columns]
+    vector = [sorted(e.items()) for e in sys_.vector]
+    return hashlib.sha256(repr((columns, vector)).encode()).hexdigest()
+
+
 def main() -> int:
-    for width, (dimension, digest) in EXPECTED.items():
+    for width, expected in EXPECTED.items():
         spec = parse_family_spec(json.dumps(ladder(width)))
         begin = time.perf_counter()
-        q = build_transfer_system(spec).quotient
+        sys_ = build_transfer_system(spec)
         seconds = time.perf_counter() - begin
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        ok = (q.dimension, quotient_digest(q)) == (dimension, digest)
+        q = sys_.quotient
+        ok = (q.dimension, quotient_digest(q), terms_digest(sys_)) == expected
         print(f"ladder_{width}: quotient {q.dimension}, build {seconds:.1f} s, "
               f"peak RSS {rss_mb:.0f} MB, {'ok' if ok else 'MISMATCH'}")
         if not ok:
