@@ -23,14 +23,15 @@ root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
-from .family import SLD, sld_from_wep, to_rational
+from .family import SLD, FamilyError, sld_from_wep, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
-                       family_gf, iter_weps, wep_by_iteration,
+                       _sector_lengths, family_gf, wep_by_iteration,
                        wep_values_by_iteration)
 
 WORKING_DPS = 40
@@ -280,54 +281,53 @@ def criterion_q(sys: TransferSystem, lam,
     return q1, q2, q1 - q2
 
 
-def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
-    """Exact sign of an integer polynomial at mu, in pure integers:
-    evaluates b^deg * P(a/b) by Horner."""
-    a, b = mu.numerator, mu.denominator
-    value = coeffs[-1]
-    b_power = 1
-    for c in reversed(coeffs[:-1]):
-        b_power *= b
-        value = value * a + c * b_power
-    return (value > 0) - (value < 0)
-
-
 def _check_tolerance(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise AnalysisError("tolerance must be positive and finite")
 
 
-def _bisect(right_of_crossing, tol: float) -> Fraction | None:
-    """Midpoint mu of a dyadic bracket around the member criterion's one
-    crossing in (0, 1), narrower than tol in lam = sqrt(mu); None when
+def _grid_sign(coeffs: list[int], k: int, depth: int) -> int:
+    """Exact sign of an integer polynomial at the grid point k / 2^depth:
+    evaluates 2^(depth deg) P(k / 2^depth) by Horner, in integers."""
+    value = shift = 0
+    for c in reversed(coeffs):
+        value = value * k + (c << shift)
+        shift += depth
+    return (value > 0) - (value < 0)
+
+
+def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
+    """sqrt of the midpoint of the last cell [lo, lo + 1] 2^-depth of halving
+    [0, 1] around the member criterion's one crossing in mu, once the cell
+    is narrower than tol in lam = sqrt(mu) or after 200 halvings; None when
     mu = 1 is not right of the crossing.
 
     The criterion changes sign at most once on (0, 1) (see
     critical_lambda_sweep), so the points right of the crossing form one
     interval reaching up to 1, and halving [0, 1] needs no scan for a
-    bracket. sqrt(hi) - sqrt(lo) < tol stops the halving, after 200
-    halvings at the latest.
+    bracket. The floats are correctly rounded quotients of integers, as a
+    Fraction's are, so the result is that of halving with Fraction ends.
     """
     _check_tolerance(tol)
-    if not right_of_crossing(Fraction(1)):
-        return None
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(200):
-        if math.sqrt(hi) - math.sqrt(lo) < tol:
-            break
-        mid = (lo + hi) / 2
-        if right_of_crossing(mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
-
-
-def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     # integer coefficients of Q = Q1 - Q2 as a polynomial in mu = lam^2
     coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
-    mu = _bisect(lambda mu: _poly_sign_at(coeffs, mu) < 0, tol)
-    return None if mu is None else math.sqrt(mu)
+    if sum(coeffs) >= 0:
+        return None
+    lo = depth = 0
+    while depth < 200 and not (math.sqrt((lo + 1) / (1 << depth))
+                               - math.sqrt(lo / (1 << depth)) < tol):
+        depth += 1
+        lo = 2 * lo + (_grid_sign(coeffs, 2 * lo + 1, depth) >= 0)
+    return math.sqrt((2 * lo + 1) / (2 << depth))
+
+
+def _sld(n: int, shift: int, digits: list[int]) -> SLD:
+    """The SLD of a member of degree n from its digits (_sector_lengths),
+    refused with FamilyError where sld_from_wep refuses the member."""
+    sectors = digits[shift:]
+    if any(digits[:shift]) or len(sectors) > n + 1:
+        raise FamilyError("weight enumerator must have nonnegative exponents")
+    return SLD((*sectors, *[0] * (n + 1 - len(sectors))))
 
 
 def critical_lambda(sys: TransferSystem, r: int,
@@ -343,8 +343,12 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
     """Critical noise strengths for several members in one iteration pass.
 
     Each is sqrt(mu_c), with mu_c the root of P(mu) = sum_k (n-2k) A_k mu^k
-    found by bisection, and None when P(1) >= 0 (the member is never
-    certified entangled). P has one sign change at most on (0, inf):
+    found by halving [0, 1] in integers, and None when P(1) >= 0 (the
+    member is never certified entangled). The bracket is a grid cell
+    [lo, lo + 1] 2^-d, and a probe's sign that of 2^(d deg P) P(k 2^-d),
+    from one Horner pass; the A_k past the prefix members are the integer
+    Kronecker digits of the iteration (_sector_lengths).
+    P has one sign change at most on (0, inf):
     P = W * (n - 2 kbar) with W = sum_k A_k mu^k > 0 and kbar = mu W'/W
     the mean of k under the weights A_k mu^k, and d kbar / d ln mu is their
     variance, so kbar never decreases.
@@ -354,11 +358,15 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
         return []
     if wanted[0] < 1:
         raise AnalysisError("criterion thresholds need a member with qubits")
-    wanted_set = set(wanted)
-    out = []
-    for r, wep in enumerate(iter_weps(sys, wanted[-1])):
+    start, r_max = sys.spec.recursion_start, wanted[-1]
+    members = itertools.chain(
+        sys.spec.prefix_weps[:r_max + 1],
+        _sector_lengths(sys.quotient, r_max - start) if r_max >= start else ())
+    wanted_set, out = set(wanted), []
+    for r, member in enumerate(members):
         if r in wanted_set:
-            out.append((r, _critical_lambda_from_sld(sld_from_wep(wep), tol)))
+            sld = sld_from_wep(member) if r < start else _sld(*member)
+            out.append((r, _critical_lambda_from_sld(sld, tol)))
     return out
 
 

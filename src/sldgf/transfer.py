@@ -395,12 +395,14 @@ def _digit_bytes(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 8))
 
 
-def _members(q: Quotient, steps: int, first: int = 0):
-    """Yield the exact members start + first .. start + steps, decoded from
-    Kronecker digits of 8 width bits, 2^(8 width) above every member's
-    value at (1, 1); digit k of member start + m is the coefficient of
-    y^(k - beta m - beta0). Digits that do not add up to that value again
-    show a carry and raise CertificateError."""
+def _sector_lengths(q: Quotient, steps: int, first: int = 0):
+    """Yield (n, shift, digits) for the members start + first .. start +
+    steps: member start + m has degree n, and digits[e + shift], its
+    Kronecker digit e + shift, is its coefficient of x^(n - e) y^e, so a
+    member with nonnegative exponents has its sector lengths A_k at
+    digits[shift:]. The digits are 8 width bits, 2^(8 width) above every
+    member's value at (1, 1); digits that do not add up to that value
+    again show a carry and raise CertificateError."""
     ones = list(_sums(*_at(q, 1, 1), steps))
     width = _digit_bytes(max(ones))
     (_, beta, degree), (_, beta0, degree0) = q.step, q.start
@@ -409,18 +411,21 @@ def _members(q: Quotient, steps: int, first: int = 0):
         if m < first:
             continue
         raw = s.to_bytes(-(-s.bit_length() // 8), "little")
-        n, shift, terms, total = degree0 + m * degree, beta * m + beta0, {}, 0
-        for k in range(0, len(raw), width):
-            c = int.from_bytes(raw[k:k + width], "little")
-            if c:
-                e = k // width - shift
-                terms[(n - e, e, 0)] = Fraction(c)
-                total += c
-        if total != one:
+        digits = [int.from_bytes(raw[k:k + width], "little")
+                  for k in range(0, len(raw), width)]
+        if sum(digits) != one:
             raise CertificateError(
-                f"member digits sum to {total}, not {one}: a carry crossed "
-                f"a {8 * width}-bit digit")
-        yield LaurentPoly3(terms)
+                f"member digits sum to {sum(digits)}, not {one}: a carry "
+                f"crossed a {8 * width}-bit digit")
+        yield degree0 + m * degree, beta * m + beta0, digits
+
+
+def _members(q: Quotient, steps: int, first: int = 0):
+    """Yield the exact members start + first .. start + steps, read off
+    their digits (_sector_lengths)."""
+    for n, shift, digits in _sector_lengths(q, steps, first):
+        yield LaurentPoly3({(n - e, e, 0): Fraction(c)
+                            for e, c in enumerate(digits, -shift) if c})
 
 
 def _values(q: Quotient, x0: Fraction, y0: Fraction, steps: int) -> list:

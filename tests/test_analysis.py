@@ -336,18 +336,52 @@ class TestThresholdBisection:
     @given(valid_slds())
     def test_member_search_matches_the_scan(self, sld):
         # one sign change at most, so halving [0, 1] lands on the scan's
-        # bracket; the scan alone costs up to 1024 sign evaluations
-        for tol in (1e-10, 1e-6):
-            patch, calls = counted(analysis, "_poly_sign_at")
+        # bracket; the scan alone costs up to 1024 sign evaluations. At
+        # 1e-16 and 1e-300 the halving stops where both ends of the cell
+        # round to one float, below the scan's cell
+        for tol in (1e-10, 1e-6, 1e-16, 1e-300):
+            patch, calls = counted(analysis, "_grid_sign")
             with patch:
                 value = analysis._critical_lambda_from_sld(sld, tol)
             assert value == reference.critical_lambda_from_sld(sld, tol)
             assert len(calls) <= 64
 
+    @settings(max_examples=200, deadline=None)
+    @given(valid_slds())
+    def test_member_search_matches_the_fraction_bisection(self, sld):
+        # the integer bracket probes the points the Fraction one did, so it
+        # gives the same float at any tolerance; 0.5 and 5.0 stop after no
+        # halving, above the scan's cell
+        for tol in (1e-300, 1e-16, 1e-12, 1e-10, 1e-3, 0.5, 5.0):
+            assert analysis._critical_lambda_from_sld(sld, tol) == \
+                reference.critical_lambda_bisection_from_sld(sld, tol)
+
+    def test_member_search_stops_at_the_halving_cap(self, monkeypatch):
+        # a crossing below 2^-200 is out of reach of a real SLD; with every
+        # probe right of it the cell stays at 0 for all 200 halvings
+        sld = SLD((1, 0, 3))
+        calls = []
+
+        def always_right(coeffs, k, depth):
+            calls.append((k, depth))
+            return -1
+        monkeypatch.setattr(analysis, "_grid_sign", always_right)
+        assert analysis._critical_lambda_from_sld(sld, 1e-300) == \
+            math.sqrt(F(1, 1 << 201))
+        assert calls == [(1, d) for d in range(1, 201)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_member_search_rejects_bad_tolerance(self, systems, tol):
+        # the tolerance is checked before P(1), so a member with no
+        # threshold (path's first, a single qubit) still refuses it
+        assert critical_lambda(systems["path"], 1) is None
+        with pytest.raises(AnalysisError, match="tolerance"):
+            critical_lambda_sweep(systems["path"], [1], tol)
+
     @pytest.mark.parametrize("name", sorted(LIMITS))
     def test_builtin_members_match_the_scan(self, systems, name):
         slds = [sld_from_wep(w) for w in iter_weps(systems[name], 60)][1:]
-        patch, calls = counted(analysis, "_poly_sign_at")
+        patch, calls = counted(analysis, "_grid_sign")
         with patch:
             found = [analysis._critical_lambda_from_sld(s, 1e-10) for s in slds]
         assert found == [reference.critical_lambda_from_sld(s, 1e-10)

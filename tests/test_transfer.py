@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    FamilyError, FamilySpec, Graph, LaurentPoly3, PolyMatrix,
                    RatFunc3, TransferSystem, build_transfer_system, builtin,
-                   certify_family_gf, family_gf, fidelity_sweep, iter_weps,
-                   parse_family_spec, poly_from_terms, ratfunc_equal,
-                   ratfunc_normalize, realize, series_coefficients,
-                   sld_bruteforce_colouring, sld_bruteforce_stabilizer,
-                   sld_from_wep, wep_by_iteration, wep_values_by_iteration)
-from sldgf import transfer
+                   certify_family_gf, critical_lambda_sweep, family_gf,
+                   fidelity_sweep, iter_weps, parse_family_spec,
+                   poly_from_terms, ratfunc_equal, ratfunc_normalize, realize,
+                   series_coefficients, sld_bruteforce_colouring,
+                   sld_bruteforce_stabilizer, sld_from_wep, wep_by_iteration,
+                   wep_values_by_iteration)
+from sldgf import analysis, transfer
 from sldgf.transfer import (Quotient, _admissible, _check_lumping,
                             _integer_step, _lump, _state_index, _state_masks)
 
@@ -615,3 +616,73 @@ class TestIntegerKernel:
                 TransferSystem(columns=[{row: X.terms}, {}, {}, {}],
                                vector=[ONE.terms] + [{}] * (size - 1),
                                spec=path.spec)
+
+
+def decoded_slds(sys_, r_max):
+    """The SLDs of members start .. r_max as the threshold sweep reads them,
+    from the integer digits with no LaurentPoly3."""
+    steps = r_max - sys_.spec.recursion_start
+    return [analysis._sld(*member)
+            for member in transfer._sector_lengths(sys_.quotient, steps)]
+
+
+def refusal(read):
+    """The class of the error that read() raises, or its value."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return type(exc)
+
+
+class TestSectorLengths:
+    @pytest.mark.parametrize("name", [*BUILTIN_FAMILIES, "caterpillar",
+                                      "ladder_3"])
+    def test_sectors_equal_the_decoded_members(self, systems, name):
+        # the quotient steps of cycle and complete_bipartite_2 hold y^-1,
+        # so their sector lengths start at a digit above the first
+        sys_ = (custom_system(name) if name in ("caterpillar", "ladder_3")
+                else systems[name])
+        slds = [sld_from_wep(w) for w in iter_weps(sys_, 60)]
+        assert decoded_slds(sys_, 60) == slds[sys_.spec.recursion_start:]
+        assert critical_lambda_sweep(sys_, range(1, 61), 1e-6) == [
+            (r, analysis._critical_lambda_from_sld(sld, 1e-6))
+            for r, sld in enumerate(slds) if r]
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs())
+    def test_generated_sectors_equal_the_decoded_members(self, spec):
+        sys_ = build_transfer_system(spec)
+        slds = [sld_from_wep(w) for w in iter_weps(sys_, 12)]
+        assert decoded_slds(sys_, 12) == slds[spec.recursion_start:]
+
+    def test_narrow_digits_raise(self, systems, monkeypatch):
+        # the sweep decodes the digits itself, and keeps the carry check
+        sys_ = systems["grid_2"]
+        expected = critical_lambda_sweep(sys_, [3])
+        monkeypatch.setattr(transfer, "_digit_bytes", lambda bound: 1)
+        assert critical_lambda_sweep(sys_, [3]) == expected
+        with pytest.raises(CertificateError, match="carry"):
+            critical_lambda_sweep(sys_, range(1, 13))
+
+    @pytest.mark.parametrize("column, start", [
+        ({1: X.terms}, ONE), ({0: ONE.terms}, X + 3 * mono(-1, 2)),
+        ({0: ONE.terms}, X ** 2 + 3 * Y ** 2 + mono(3, -1))],
+        ids=["nilpotent", "negative_x", "negative_y"])
+    def test_members_refused_as_sld_from_wep_refuses(self, systems, column,
+                                                     start):
+        # a system made from term maps may have members that are not
+        # weight enumerators: zero, or with a negative exponent beside
+        # sector lengths that would pass for an SLD; the sweep refuses
+        # each with the error class that sld_from_wep raises
+        sys_ = TransferSystem(columns=[column, {}, {}, {}],
+                              vector=[start.terms, {}, {}, {}],
+                              spec=systems["path"].spec)
+        outcomes = []
+        for r, wep in enumerate(iter_weps(sys_, 6)):
+            if r:
+                found = refusal(lambda: critical_lambda_sweep(sys_, [r])[0][1])
+                expected = refusal(lambda: analysis._critical_lambda_from_sld(
+                    sld_from_wep(wep), 1e-10))
+                assert found == expected, r
+                outcomes.append(found)
+        assert FamilyError in outcomes

@@ -5,7 +5,11 @@ grid for a bracket (1024 cells in mu for members, 64 cells in lam for the
 member-independent limit) and bisecting it. Both criteria change sign at
 most once, so the package then bisected from [0, 1] directly; the scans
 stay here, unchanged, as the reference that the member bisection is
-compared against.
+compared against. critical_lambda_bisection_from_sld is that bisection
+as it was, over Fraction brackets; it is the reference at tolerances
+coarser than the scan's cell. Their sign test is the package's earlier one,
+_poly_sign_at, a Horner pass at the numerator and denominator of a
+Fraction point, so the reference shares no sign code with the package's integer halving.
 
 The limit's bisection, critical_lambda_asymptotic_bisection, is the
 reference for the package's secant-guided search on the same dyadic grid:
@@ -23,9 +27,21 @@ import mpmath as mp
 from sldgf.algebra import _univariate
 from sldgf.analysis import (WORKING_DPS, AnalysisError,
                             DegenerateSingularityError, NoThresholdError,
-                            _poly_sign_at, criterion_asymptotic_ratio)
+                            criterion_asymptotic_ratio)
 from sldgf.family import SLD
 from sldgf.transfer import TransferSystem, family_gf
+
+
+def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
+    """Exact sign of an integer polynomial at mu, in pure integers:
+    evaluates b^deg * P(a/b) by Horner."""
+    a, b = mu.numerator, mu.denominator
+    value = coeffs[-1]
+    b_power = 1
+    for c in reversed(coeffs[:-1]):
+        b_power *= b
+        value = value * a + c * b_power
+    return (value > 0) - (value < 0)
 
 
 def critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
@@ -44,6 +60,28 @@ def critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
             break
     if lo is None:  # Q(0) = n > 0, so a sign change always exists
         raise AnalysisError("criterion sign change not found")
+    for _ in range(200):
+        if math.sqrt(hi) - math.sqrt(lo) < tol:
+            break
+        mid = (lo + hi) / 2
+        if _poly_sign_at(coeffs, mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt((lo + hi) / 2)
+
+
+def critical_lambda_bisection_from_sld(sld: SLD,
+                                      tol: float) -> float | None:
+    """The member threshold by halving [0, 1] with Fraction brackets, as the
+    package found it before its bracket became grid integers: the stop test
+    and the result read the Fraction ends as floats."""
+    if not 0 < tol < math.inf:
+        raise AnalysisError("tolerance must be positive and finite")
+    coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
+    if _poly_sign_at(coeffs, Fraction(1)) >= 0:
+        return None
+    lo, hi = Fraction(0), Fraction(1)
     for _ in range(200):
         if math.sqrt(hi) - math.sqrt(lo) < tol:
             break
