@@ -55,11 +55,15 @@ def _rational(value: int | Fraction | str | float) -> Fraction:
     """Exact rational from an int, a Fraction, a string such as "4/5" or
     "0.8", or a float read by its decimal rendering (0.1 is 1/10); raises
     TypeError on any other type (a bool too, though Python counts it an
-    int), ValueError on a string that is no number."""
+    int), ValueError on a string that is no number or has a zero
+    denominator."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         return Fraction(repr(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -89,9 +93,11 @@ class LaurentPoly3:
                 if coeff == 0:
                     continue
                 ex, ey, ez = exp
+                if (type(ex), type(ey), type(ez)) != (int, int, int):
+                    ex, ey, ez = map(_integer, exp)
                 if ez < 0:
                     raise AlgebraError(f"negative z exponent in term {exp}")
-                clean[(int(ex), int(ey), int(ez))] = _rational(coeff)
+                clean[ex, ey, ez] = _rational(coeff)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------

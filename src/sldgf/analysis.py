@@ -23,16 +23,14 @@ root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
-from .family import SLD, FamilyError, sld_from_wep, to_rational
+from .family import SLD, FamilyError, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
-                       _sector_lengths, family_gf, wep_by_iteration,
-                       wep_values_by_iteration)
+                       _sector_lengths, family_gf, wep_values_by_iteration)
 
 WORKING_DPS = 40
 
@@ -267,7 +265,7 @@ def criterion_q(sys: TransferSystem, lam,
     is certified entangled when the difference is negative.
     """
     lam = _noise_parameter(lam)
-    sld = sld_from_wep(wep_by_iteration(sys, r))
+    sld = _sld(*next(_sector_lengths(sys, r, r)))
     mu = lam * lam
     n = sld.n
     power = Fraction(1)
@@ -346,8 +344,8 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
     found by halving [0, 1] in integers, and None when P(1) >= 0 (the
     member is never certified entangled). The bracket is a grid cell
     [lo, lo + 1] 2^-d, and a probe's sign that of 2^(d deg P) P(k 2^-d),
-    from one Horner pass; the A_k past the prefix members are the integer
-    Kronecker digits of the iteration (_sector_lengths).
+    from one Horner pass; every member's A_k are the integers of the one
+    member stream (_sector_lengths).
     P has one sign change at most on (0, inf):
     P = W * (n - 2 kbar) with W = sum_k A_k mu^k > 0 and kbar = mu W'/W
     the mean of k under the weights A_k mu^k, and d kbar / d ln mu is their
@@ -358,16 +356,25 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
         return []
     if wanted[0] < 1:
         raise AnalysisError("criterion thresholds need a member with qubits")
-    start, r_max = sys.spec.recursion_start, wanted[-1]
-    members = itertools.chain(
-        sys.spec.prefix_weps[:r_max + 1],
-        _sector_lengths(sys.quotient, r_max - start) if r_max >= start else ())
     wanted_set, out = set(wanted), []
-    for r, member in enumerate(members):
+    for r, member in enumerate(_sector_lengths(sys, wanted[-1])):
         if r in wanted_set:
-            sld = sld_from_wep(member) if r < start else _sld(*member)
-            out.append((r, _critical_lambda_from_sld(sld, tol)))
+            out.append((r, _critical_lambda_from_sld(_sld(*member), tol)))
     return out
+
+
+def _criterion_vanishes_at_one(sys: TransferSystem) -> bool:
+    """Whether P_r(1) = sum_e (n - 2e) c_e, member r's criterion at lam = 1,
+    is 0 for every member r, read off the members' integer digits.
+
+    sum_r P_r(1) z^r is (W_x - W_y)(1, 1, z) = N/q(1, 1, z)^2 for the
+    closed form W = p/q, with deg N <= deg_z p + deg_z q and q(1, 1, 0) != 0,
+    so it is identically 0 exactly when P_r(1) is 0 up to that degree.
+    """
+    gf = family_gf(sys)
+    bound = gf.num.max_degree_z() + gf.den.max_degree_z()
+    return not any(sum((n - 2 * e) * c for e, c in enumerate(digits, -shift))
+                   for n, shift, digits in _sector_lengths(sys, bound))
 
 
 def _crossing_cell(h, depth: int) -> Fraction:
@@ -433,8 +440,10 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     interior crossing exists, and when it approaches 1 only at the right
     boundary (within 1e-3, as for star-like families) the threshold sits at
     the boundary and 1.0 is returned, unless the criterion vanishes at
-    lam = 1 on every member, exactly as decided from the closed form (as
-    for isolated vertices): NoThresholdError then.
+    lam = 1 on every member, as decided exactly on the members' integer
+    sector lengths up to a degree bound read off the closed form (as for
+    isolated vertices, see _criterion_vanishes_at_one): NoThresholdError
+    then.
 
     Otherwise the crossing is pinned to one cell of the dyadic grid of
     spacing 2^-D, with D the first depth at which 2^-D < tol (at most 200),
@@ -470,16 +479,7 @@ def critical_lambda_asymptotic(sys: TransferSystem,
             depth = next((d for d in range(200) if 2.0 ** -d < tol), 200)
             return float(_crossing_cell(h, depth))
         if edge_value < 1e-3:
-            # sum_r P_r(1) z^r = (W_x - W_y)(1, 1, z) with P_r(1) =
-            # sum_k (n - 2k) A_k, and q^2 times it is the polynomial below;
-            # identically 0, it leaves every member without a threshold
-            gf = family_gf(sys)
-            num, den = gf.num, gf.den
-            p, q, p_x, p_y, q_x, q_y = (
-                _univariate(f, Fraction(1), Fraction(1))
-                for f in (num, den, num.partial("x"), num.partial("y"),
-                          *_gf_den_partials(sys)))
-            if ((p_x - p_y) * q - p * (q_x - q_y)).is_zero():
+            if _criterion_vanishes_at_one(sys):
                 raise NoThresholdError(
                     "no member has a threshold: the criterion vanishes at "
                     "lam = 1 on every member")

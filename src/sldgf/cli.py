@@ -264,7 +264,7 @@ def _noise_arg(text: str) -> Fraction:
     """The --lambda value as an exact rational in [0, 1]."""
     try:
         lam = to_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         lam = None
     if lam is None or not 0 <= lam <= 1:
         raise UsageError(f"--lambda must be a number in [0, 1], got {text!r}")

@@ -48,9 +48,11 @@ the member's coefficients. A coefficient is at most the member's value at
 the same loop gives those values first, and 2^B is taken above the
 largest. The digits of each decoded member must add up to its value at
 (1, 1) again, or CertificateError is raised: a carry between digits
-lowers the sum, so it cannot pass silently. Where the division above is
-undefined, at a zero coordinate with alpha or beta positive, the decoded
-members are evaluated instead.
+lowers the sum, so it cannot pass silently. These digits and the terms of
+the prefix members form the one integer stream of every member
+(_sector_lengths); the weight enumerators, the analysis layer's sector
+lengths and the values where the division above is undefined (at a zero
+coordinate with alpha or beta positive) all read it.
 
 The family generating function is derived from the minimal linear
 recurrence of the members, read off the same loop: Berlekamp-Massey on
@@ -68,7 +70,7 @@ unlumped T in tests/unlumped.py.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -77,7 +79,7 @@ from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       NonConstantLeadingTermError, PolyMatrix, RatFunc3,
                       _berlekamp_massey, _rational,
                       ratfunc_normalize, series_coefficients)
-from .family import FamilySpec, Graph
+from .family import FamilySpec, Graph, sld_from_wep
 
 _FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
 
@@ -382,11 +384,12 @@ def _at(q: Quotient, a: int, b: int):
 
 
 def _sums(rows, vec, steps: int):
-    """Yield the component sums of vec, rows vec, ..., rows^steps vec: the
-    one iteration loop behind every member and value, over Python ints."""
-    yield sum(vec)
-    for _ in range(steps):
-        vec = [sum([c * vec[d] for d, c in row]) for row in rows]
+    """Yield the component sums of vec, rows vec, ..., rows^steps vec, none
+    if steps < 0: the one iteration loop behind every member and value,
+    over Python ints."""
+    for m in range(steps + 1):
+        if m:
+            vec = [sum([c * vec[d] for d, c in row]) for row in rows]
         yield sum(vec)
 
 
@@ -395,20 +398,27 @@ def _digit_bytes(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 8))
 
 
-def _sector_lengths(q: Quotient, steps: int, first: int = 0):
-    """Yield (n, shift, digits) for the members start + first .. start +
-    steps: member start + m has degree n, and digits[e + shift], its
-    Kronecker digit e + shift, is its coefficient of x^(n - e) y^e, so a
-    member with nonnegative exponents has its sector lengths A_k at
-    digits[shift:]. The digits are 8 width bits, 2^(8 width) above every
-    member's value at (1, 1); digits that do not add up to that value
-    again show a carry and raise CertificateError."""
+def _sector_lengths(sys: TransferSystem, r_max: int, r_min: int = 0):
+    """Yield (n, shift, digits) for the members r_min .. r_max, the one
+    decode of every member (see the module docstring): member r has degree
+    n and digits[e + shift] is its coefficient of x^(n - e) y^e, so its
+    sector lengths A_k are digits[shift:] if its exponents are nonnegative.
+    Kronecker digits are 8 width bits, 2^(8 width) above every member's
+    value at (1, 1); digits that do not add up to that value again show a
+    carry and raise CertificateError."""
+    if r_max < 0:
+        raise ValueError("member index must be nonnegative")
+    q, start = sys.quotient, sys.spec.recursion_start
+    for w in sys.spec.prefix_weps[r_min:r_max + 1]:
+        sld = sld_from_wep(w)
+        yield sld.n, 0, sld.sectors
+    steps = r_max - start
     ones = list(_sums(*_at(q, 1, 1), steps))
-    width = _digit_bytes(max(ones))
+    width = _digit_bytes(max(ones, default=0))
     (_, beta, degree), (_, beta0, degree0) = q.step, q.start
     sums = _sums(*_at(q, 1, 1 << 8 * width), steps)
     for m, (s, one) in enumerate(zip(sums, ones)):
-        if m < first:
+        if m < r_min - start:
             continue
         raw = s.to_bytes(-(-s.bit_length() // 8), "little")
         digits = [int.from_bytes(raw[k:k + width], "little")
@@ -420,72 +430,49 @@ def _sector_lengths(q: Quotient, steps: int, first: int = 0):
         yield degree0 + m * degree, beta * m + beta0, digits
 
 
-def _members(q: Quotient, steps: int, first: int = 0):
-    """Yield the exact members start + first .. start + steps, read off
-    their digits (_sector_lengths)."""
-    for n, shift, digits in _sector_lengths(q, steps, first):
+def _members(sys: TransferSystem, r_max: int, r_min: int = 0):
+    """Yield the exact members r_min .. r_max, read off their digits
+    (_sector_lengths)."""
+    for n, shift, digits in _sector_lengths(sys, r_max, r_min):
         yield LaurentPoly3({(n - e, e, 0): Fraction(c)
                             for e, c in enumerate(digits, -shift) if c})
 
 
-def _values(q: Quotient, x0: Fraction, y0: Fraction, steps: int) -> list:
-    """Exact values at (x0, y0) of members start .. start + steps.
-
-    With (x0, y0) = (a, b)/d over the least common denominator, member
-    start + m is the component sum of T''(a, b)^m v''(a, b) divided by
-    d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0). Where
-    that divisor vanishes the members themselves are evaluated instead.
-    """
-    (alpha, beta, degree), (alpha0, beta0, degree0) = q.step, q.start
-    d = math.lcm(x0.denominator, y0.denominator)
-    a, b = int(x0 * d), int(y0 * d)
-    if (a == 0 and (alpha or alpha0)) or (b == 0 and (beta or beta0)):
-        return [w.eval_xy(x0, y0) for w in _members(q, steps)]
-    per_step = d ** degree * a ** alpha * b ** beta
-    den, out = d ** degree0 * a ** alpha0 * b ** beta0, []
-    for s in _sums(*_at(q, a, b), steps):
-        out.append(Fraction(s, den))
-        den *= per_step
-    return out
-
-
-def _weps(sys: TransferSystem, r_max: int, r_min: int = 0):
-    """Yield the exact members W_r_min .. W_r_max: the given prefix
-    members, then the quotient's, read off its Kronecker sweep (_members;
-    the module docstring says how)."""
-    if r_max < 0:
-        raise ValueError("member index must be nonnegative")
-    start = sys.spec.recursion_start
-    yield from sys.spec.prefix_weps[r_min:r_max + 1]
-    if r_max >= start:
-        yield from _members(sys.quotient, r_max - start,
-                            max(r_min - start, 0))
-
-
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
     """Exact weight enumerator of member r by iterating the step matrix."""
-    return deque(_weps(sys, r, r), maxlen=1).pop()
+    return next(_members(sys, r, r))
 
 
 def iter_weps(sys: TransferSystem, r_max: int):
     """Yield the exact weight enumerators of members 0..r_max in order."""
-    yield from _weps(sys, r_max)
+    yield from _members(sys, r_max)
 
 
 def wep_values_by_iteration(sys: TransferSystem, x0, y0,
                             r_max: int) -> list:
     """Exact values W_r(x0, y0) for r = 0..r_max by specialised iteration.
 
-    The step matrix is evaluated at the numerators of (x0, y0) over their
-    common denominator, and each member makes one Fraction (see _values).
+    With (x0, y0) = (a, b)/d over the least common denominator, member
+    start + m is the component sum of T''(a, b)^m v''(a, b) divided by
+    d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0), one
+    Fraction per member. Where that divisor vanishes every member is
+    decoded (_members) and evaluated instead.
     """
     if r_max < 0:
         raise ValueError("member index must be nonnegative")
     x0, y0 = _rational(x0), _rational(y0)
-    start = sys.spec.recursion_start
+    q, start = sys.quotient, sys.spec.recursion_start
+    (alpha, beta, degree), (alpha0, beta0, degree0) = q.step, q.start
+    d = math.lcm(x0.denominator, y0.denominator)
+    a, b = int(x0 * d), int(y0 * d)
+    if (a == 0 and (alpha or alpha0)) or (b == 0 and (beta or beta0)):
+        return [w.eval_xy(x0, y0) for w in _members(sys, r_max)]
     out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]
-    if r_max >= start:
-        out += _values(sys.quotient, x0, y0, r_max - start)
+    per_step = d ** degree * a ** alpha * b ** beta
+    den = d ** degree0 * a ** alpha0 * b ** beta0
+    for s in _sums(*_at(q, a, b), r_max - start):
+        out.append(Fraction(s, den))
+        den *= per_step
     return out
 
 

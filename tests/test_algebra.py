@@ -125,6 +125,26 @@ class TestPolyOps:
         blob["terms"][0]["e"] = [1.0, "0", 0]
         assert LaurentPoly3.from_json(blob) == X
 
+    def test_exponents_are_not_truncated(self):
+        # int() read 1.2 and 1.7 as 1, one term overwriting the other, and
+        # z^0.5 as z^0; an integral float or string is still its integer
+        for terms in ({(1.2, 0, 0): 1, (1.7, 0, 0): 5, (0, 0, 0.5): 2},
+                      {(0, 0, 0.5): 2}, {(0, "1/2", 0): 1}):
+            with pytest.raises(AlgebraError, match="not an integer"):
+                LaurentPoly3(terms)
+        with pytest.raises(AlgebraError, match="not an integer"):
+            poly_from_terms([(1.2, 0, 0, 1)])
+        with pytest.raises(AlgebraError, match="not an integer"):
+            LaurentPoly3.monomial(0, 0, 0.5)
+        with pytest.raises(AlgebraError, match="negative z exponent"):
+            LaurentPoly3({(0, 0, -1): 1})
+        with pytest.raises(AlgebraError, match="negative z exponent"):
+            LaurentPoly3.monomial(0, 0, -1.0)
+        assert LaurentPoly3({(2.0, "2", 0): 3}).terms == {(2, 2, 0): 3}
+        assert type(next(iter(LaurentPoly3({(2.0, 0, 0): 1}).terms))[0]) \
+            is int
+        assert poly_from_terms([(1.0, 0, "0", 1)]) == X
+
     def test_rendering(self):
         p = ONE - LaurentPoly3.const(2) * X * Y * Z * Z
         assert str(p) == "1 - 2*x*y*z^2"
@@ -149,6 +169,14 @@ class TestNumberReader:
         for value in ("x", "", float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 _rational(value)
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_rejected(self, value):
+        # Fraction raises ZeroDivisionError here; the reader promises
+        # ValueError for a string that is no number
+        with pytest.raises(ValueError, match="zero denominator") as info:
+            to_rational(value)
+        assert not isinstance(info.value, ZeroDivisionError)
 
     def test_integers_refuse_fractions(self):
         assert [_integer(v) for v in (2, 2.0, "2", F(4, 2), "-3")] == \

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldgf import (SLD, AnalysisError, DegenerateSingularityError,
-                   NoThresholdError, UniPolyZ, build_transfer_system,
-                   builtin, concentratable_entanglement,
+from sldgf import (BUILTIN_FAMILIES, SLD, AnalysisError,
+                   DegenerateSingularityError, NoThresholdError, UniPolyZ,
+                   build_transfer_system, builtin, concentratable_entanglement,
                    criterion_asymptotic_ratio, criterion_q, critical_lambda,
                    critical_lambda_asymptotic, critical_lambda_sweep,
                    dominant_singularity, fidelity_asymptotic, fidelity_exact,
@@ -26,7 +26,16 @@ from sldgf import analysis
 import threshold_reference as reference
 from ce_reference import ce_closed_form_check
 from conftest import brute_sectors
+from test_custom_family import CATERPILLAR, LADDER_3
 from test_family import isolated_vertex_document, still_document
+from test_transfer import family_specs
+
+
+def named_system(name):
+    """The system of a custom family document used across the tests."""
+    doc = {"caterpillar": CATERPILLAR, "ladder_3": LADDER_3,
+           "isolated_vertex": isolated_vertex_document()}[name]
+    return build_transfer_system(parse_family_spec(json.dumps(doc)))
 
 
 class TestConcentratableEntanglement:
@@ -218,6 +227,19 @@ class TestCriterion:
             q1, q2, q = criterion_q(systems["path"], lam, 2)
             assert q == 2 - 6 * lam ** 4
             assert q1 - q2 == q
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_criterion_reads_the_weight_enumerator(self, systems, name):
+        # criterion_q reads its SLD off the member stream; the weight
+        # enumerator's SLD gives the same three values
+        sys_ = systems[name]
+        for r in range(21):
+            sld = sld_from_wep(wep_by_iteration(sys_, r))
+            for lam in (F(0), F(3, 7), F(1)):
+                weights = [a * lam ** (2 * k) for k, a in enumerate(sld)]
+                q1 = sum((sld.n - k) * w for k, w in enumerate(weights))
+                q2 = sum(k * w for k, w in enumerate(weights))
+                assert criterion_q(sys_, lam, r) == (q1, q2, q1 - q2)
 
     def test_zero_noise_never_triggers(self, systems):
         for name, r in (("path", 5), ("star", 4), ("joint_squares", 2)):
@@ -443,6 +465,24 @@ class TestThresholdBisection:
             == [None] * 12
         with pytest.raises(NoThresholdError, match="no member has a thresh"):
             critical_lambda_asymptotic(sys_)
+
+    @pytest.mark.parametrize("name", [*sorted(LIMITS), "caterpillar",
+                                      "ladder_3", "isolated_vertex"])
+    def test_vanishing_criterion_matches_the_closed_form(self, systems, name):
+        # the members' integers up to deg_z p + deg_z q decide what the
+        # cross-multiplied closed form decides
+        sys_ = systems[name] if name in LIMITS else named_system(name)
+        assert analysis._criterion_vanishes_at_one(sys_) \
+            == reference.criterion_vanishes_at_one(sys_) \
+            == (name == "isolated_vertex")
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs())
+    def test_generated_vanishing_criterion_matches_the_closed_form(self,
+                                                                   spec):
+        sys_ = build_transfer_system(spec)
+        assert analysis._criterion_vanishes_at_one(sys_) \
+            == reference.criterion_vanishes_at_one(sys_)
 
     def test_still_family_has_no_limit(self):
         # both partials of the ratio vanish when the qubit step is 0, so the

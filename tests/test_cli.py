@@ -161,6 +161,13 @@ def test_negative_member_index_exits_two(args):
     assert "Traceback" not in cp.stderr
 
 
+def test_zero_denominator_lambda_exits_two():
+    cp = run_cli("fidelity", "--family", "path", "-r", "3", "--lambda", "1/0")
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr == "error: --lambda must be a number in [0, 1], got " \
+        "'1/0'\n"
+
+
 def test_cli_imports_no_private_names():
     # the command layer uses only the public surface of the other modules
     tree = ast.parse(Path(sldgf.__file__).with_name("cli.py").read_text())

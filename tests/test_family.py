@@ -63,8 +63,9 @@ def _bad_documents() -> dict:
     The first group has a non-integral or negative size or index, which
     int() used to truncate into another family that passed validation, or
     a string where a list or an object belongs, which was iterated as one
-    or failed with an AttributeError. The second group is the caterpillar,
-    or the path where a prefix member is wanted, with one rule of
+    or failed with an AttributeError, or a number with a zero denominator,
+    which ended in a ZeroDivisionError traceback. The second group is the
+    caterpillar, or the path where a prefix member is wanted, with one rule of
     Graph.from_edges or FamilySpec.validate broken. The third group was
     read as another family: a JSON boolean read as the number 0 or 1, a
     boundary vertex named twice in a map (the last one won), and a prefix
@@ -90,6 +91,10 @@ def _bad_documents() -> dict:
               isolated_vertex_document())
     doc["base_graph"]["n"] = -1
     doc["qubit_count"]["offset"] = -2
+    bad("zero_denominator_c", "malformed family spec: zero denominator "
+        "in '1/0'")["prefix_weps"][0]["terms"][0]["c"] = "1/0"
+    bad("zero_denominator_n", "malformed family spec: zero denominator "
+        "in '2/0'")["base_graph"]["n"] = "2/0"
     bad("string_boundary", "family spec field 'boundary' must be a JSON "
         "list")["boundary"] = "0"
     bad("string_edge", "edge '01' is not a pair")[

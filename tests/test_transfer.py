@@ -619,11 +619,10 @@ class TestIntegerKernel:
 
 
 def decoded_slds(sys_, r_max):
-    """The SLDs of members start .. r_max as the threshold sweep reads them,
-    from the integer digits with no LaurentPoly3."""
-    steps = r_max - sys_.spec.recursion_start
+    """The SLDs of members 0 .. r_max as the threshold sweep reads them,
+    from the integer member stream with no LaurentPoly3."""
     return [analysis._sld(*member)
-            for member in transfer._sector_lengths(sys_.quotient, steps)]
+            for member in transfer._sector_lengths(sys_, r_max)]
 
 
 def refusal(read):
@@ -643,7 +642,7 @@ class TestSectorLengths:
         sys_ = (custom_system(name) if name in ("caterpillar", "ladder_3")
                 else systems[name])
         slds = [sld_from_wep(w) for w in iter_weps(sys_, 60)]
-        assert decoded_slds(sys_, 60) == slds[sys_.spec.recursion_start:]
+        assert decoded_slds(sys_, 60) == slds
         assert critical_lambda_sweep(sys_, range(1, 61), 1e-6) == [
             (r, analysis._critical_lambda_from_sld(sld, 1e-6))
             for r, sld in enumerate(slds) if r]
@@ -653,7 +652,7 @@ class TestSectorLengths:
     def test_generated_sectors_equal_the_decoded_members(self, spec):
         sys_ = build_transfer_system(spec)
         slds = [sld_from_wep(w) for w in iter_weps(sys_, 12)]
-        assert decoded_slds(sys_, 12) == slds[spec.recursion_start:]
+        assert decoded_slds(sys_, 12) == slds
 
     def test_narrow_digits_raise(self, systems, monkeypatch):
         # the sweep decodes the digits itself, and keeps the carry check

@@ -14,6 +14,10 @@ Fraction point, so the reference shares no sign code with the package's integer 
 The limit's bisection, critical_lambda_asymptotic_bisection, is the
 reference for the package's secant-guided search on the same dyadic grid:
 both must end on the same cell, and so return the same float.
+
+criterion_vanishes_at_one is the package's earlier decision whether every
+member's criterion vanishes at lam = 1, by GF calculus on the closed form;
+the package now reads it off the members' integer sector lengths.
 """
 
 from __future__ import annotations
@@ -136,6 +140,19 @@ def critical_lambda_asymptotic(sys: TransferSystem,
         return float((lo + hi) / 2)
 
 
+def criterion_vanishes_at_one(sys: TransferSystem) -> bool:
+    """Whether sum_r P_r(1) z^r = (W_x - W_y)(1, 1, z) is identically 0,
+    with P_r(1) = sum_k (n - 2k) A_k: q^2 times it is (p_x - p_y) q -
+    p (q_x - q_y) at (1, 1) for the closed form W = p/q."""
+    gf = family_gf(sys)
+    num, den = gf.num, gf.den
+    p, q, p_x, p_y, q_x, q_y = (
+        _univariate(f, Fraction(1), Fraction(1))
+        for f in (num, den, num.partial("x"), num.partial("y"),
+                  den.partial("x"), den.partial("y")))
+    return ((p_x - p_y) * q - p * (q_x - q_y)).is_zero()
+
+
 def critical_lambda_asymptotic_bisection(sys: TransferSystem,
                                          tol: float = 1e-10) -> float:
     """The limit by halving [0, 1], one pole search per halving, after the
@@ -163,13 +180,7 @@ def critical_lambda_asymptotic_bisection(sys: TransferSystem,
                     lo = mid
             return float((lo + hi) / 2)
         if h(edge) < 1e-3:
-            gf = family_gf(sys)
-            num, den = gf.num, gf.den
-            p, q, p_x, p_y, q_x, q_y = (
-                _univariate(f, Fraction(1), Fraction(1))
-                for f in (num, den, num.partial("x"), num.partial("y"),
-                          den.partial("x"), den.partial("y")))
-            if ((p_x - p_y) * q - p * (q_x - q_y)).is_zero():
+            if criterion_vanishes_at_one(sys):
                 raise NoThresholdError(
                     "no member has a threshold: the criterion vanishes at "
                     "lam = 1 on every member")
