@@ -33,12 +33,12 @@ entries of T, and the identity is checked term by term whenever a
 TransferSystem is made. Every member, generating function and certificate
 is computed on T'; T and v stay the paper's matrix and vector.
 
-The entries of T and v are homogeneous with nonnegative integer
-coefficients; a system whose entries are not is refused with AlgebraError
-when it is made, not at first use. Shifted by x^alpha y^beta, alpha,
-beta >= 0 clearing the x^-1 and y^-1 entries, they have integer terms:
-lumping and its check sum those, the quotient is stored as T'' = x^alpha
-y^beta T' (Quotient), and one loop (_sums) iterates it over Python ints.
+The entries of T and v are homogeneous with int exponents and nonnegative
+integer coefficients, or the system is refused with AlgebraError when it
+is made, by a check that only reads them. Lumping and its check sum the
+stored term maps. Only the quotient is shifted, by the least x^alpha
+y^beta clearing its x^-1 and y^-1 entries: one loop (_sums) iterates T''
+= x^alpha y^beta T' (Quotient) over Python ints.
 A value at (x0, y0) = (a, b)/d iterates T''(a, b) and makes one
 Fraction per member, dividing by d^n a^(alpha m) b^(beta m). A symbolic
 member is read off by Kronecker substitution (Harvey, JSC 2009): T'' is
@@ -152,120 +152,119 @@ class Quotient:
         return len(self.rows)
 
 
-def _shifted(entries: Sequence[dict]):
-    """(alpha, beta, degree) and the terms of x^alpha y^beta e for each
-    term map e, alpha and beta the least shifts that clear negative
-    exponents.
-
-    Raises AlgebraError unless every term is z-free with a nonnegative
-    integer coefficient and all terms share one total degree, as every
-    step matrix and initial vector of a family does (they count colourings).
-    """
-    terms = [e.items() for e in entries]
-    flat = [exp for ts in terms for exp, _ in ts]
-    if len({ex + ey for ex, ey, _ in flat}) > 1 or any(ez for *_, ez in flat) \
-            or any(c.denominator != 1 or c < 0 for ts in terms for _, c in ts):
-        raise AlgebraError("the members need homogeneous, z-free entries with "
-                           "nonnegative integer coefficients")
-    alpha = max([0] + [-ex for ex, _, _ in flat])
-    beta = max([0] + [-ey for _, ey, _ in flat])
-    degree = flat[0][0] + flat[0][1] if flat else 0
-    return (alpha, beta, degree), [
-        [(ex + alpha, ey + beta, c.numerator) for (ex, ey, _), c in ts]
-        for ts in terms]
-
-
-def _integer_step(columns: Sequence[dict], vector: Sequence[dict]):
-    """T'' = x^alpha y^beta T as (row, terms) columns of its nonzero entries,
-    v'' = x^alpha0 y^beta0 v as terms, and their shifts (see _shifted), from
-    the term maps of TransferSystem.columns and .vector."""
+def _check_terms(columns: Sequence[dict], vector: Sequence[dict]) -> None:
+    """Raise AlgebraError unless the term maps of T and v have n entries,
+    int rows 0..n-1 and z-free terms with int exponents and nonnegative int
+    or integral Fraction coefficients (a bool is no int), of one total
+    degree in T and one in v, as a family's have: they count colourings."""
     n = len(columns)
-    if len(vector) != n or any(not 0 <= i < n for c in columns for i in c):
+    if len(vector) != n or any(type(i) is not int or not 0 <= i < n
+                               for c in columns for i in c):
         raise AlgebraError(f"a {n}-state system needs {n} vector entries "
                            f"and rows 0..{n - 1}")
-    nonzero = [(i, s) for s, c in enumerate(columns) for i, e in c.items() if e]
-    step, entries = _shifted([columns[s][i] for i, s in nonzero])
-    start, vec = _shifted(vector)
-    out = [[] for _ in range(n)]
-    for (i, s), terms in zip(nonzero, entries):
-        out[s].append((i, terms))
-    return out, vec, step, start
+    for entries in ([e for c in columns for e in c.values()], vector):
+        # each term's total degree, or None if it cannot count colourings
+        degrees = {ex + ey if type(ex) is type(ey) is type(ez) is int
+                   and not ez and type(c) in (int, Fraction)
+                   and c.denominator == 1 and c >= 0 else None
+                   for e in entries for (ex, ey, ez), c in e.items()}
+        if len(degrees) > 1 or None in degrees:
+            raise AlgebraError("the members need homogeneous, z-free entries "
+                               "with int exponents and nonnegative integer "
+                               "coefficients")
 
 
 def _block_sums(pairs, block_of: Sequence[int]) -> dict[int, _Terms]:
-    """Sum the terms of (state, terms) pairs over the states of each block;
-    each nonzero sum as its sorted terms."""
-    acc: dict[int, dict[tuple[int, int], int]] = {}
+    """Sum the term maps of (state, term map) pairs over the states of each
+    block; each nonzero sum as its sorted terms (i, j, c), z dropped."""
+    acc: dict[int, dict] = {}
     for s, terms in pairs:
         poly = acc.setdefault(block_of[s], {})
-        for i, j, c in terms:
-            poly[i, j] = poly.get((i, j), 0) + c
-    sums = {b: tuple(sorted((i, j, c) for (i, j), c in poly.items() if c))
-            for b, poly in acc.items()}
-    return {b: terms for b, terms in sums.items() if terms}
+        for exp, c in terms.items():
+            poly[exp] = poly.get(exp, 0) + c
+    return {b: terms for b, poly in acc.items() if (terms := tuple(
+        sorted((i, j, c) for (i, j, _), c in poly.items() if c)))}
 
 
-def _block_vector(vec, block_of: Sequence[int],
-                  count: int) -> tuple[_Terms, ...]:
-    """P^T v'': the initial vector summed over each of the count blocks."""
-    sums = _block_sums(enumerate(vec), block_of)
-    return tuple(sums.get(b, ()) for b in range(count))
+def _lifted(entries: dict) -> tuple[tuple[int, int, int], dict]:
+    """(alpha, beta, degree) and each entry times x^alpha y^beta, with int
+    coefficients, for entries of terms (i, j, c) of one total degree (0 if
+    none); alpha, beta >= 0 are the least that clear negative exponents."""
+    flat = [t for terms in entries.values() for t in terms]
+    alpha = max([0] + [-i for i, _, _ in flat])
+    beta = max([0] + [-j for _, j, _ in flat])
+    return (alpha, beta, flat[0][0] + flat[0][1] if flat else 0), {
+        key: tuple((i + alpha, j + beta, int(c)) for i, j, c in terms)
+        for key, terms in entries.items()}
 
 
-def _lump(form) -> Quotient:
+def _lump(columns: Sequence[dict], vector: Sequence[dict]) -> Quotient:
     """Coarsest backward-lumpable partition of the states and its quotient.
 
     Each round, starting from one block, splits a block by the column-block
-    sums of T'' (_integer_step) at its states. Any lumpable partition
-    refines every round's, so the first round that splits nothing gives the
-    coarsest one, its blocks numbered in the order of their first state.
+    sums of T's term maps at its states. Any lumpable partition refines
+    every round's, so the first round that splits nothing gives the
+    coarsest one, its blocks numbered in the order of their first state,
+    and its sums are T'. T' and v' = P^T v are lifted by their own least
+    shifts (_lifted), those of T and v as sums of counts cancel no term.
     _check_lumping checks the quotient before it is returned.
     """
-    columns, vec, step, start = form
     block_of, count = [0] * len(columns), 1
     while True:
         keys: dict = {}
         split = [keys.setdefault((block_of[s], frozenset(
-            _block_sums(column, block_of).items())), len(keys))
+            _block_sums(column.items(), block_of).items())), len(keys))
             for s, column in enumerate(columns)]
         if len(keys) == count:
             break
         block_of, count = split, len(keys)
-    sums = [_block_sums(columns[block_of.index(d)], block_of)
-            for d in range(count)]
-    rows = tuple(tuple((d, sums[d][c]) for d in range(count) if c in sums[d])
-                 for c in range(count))
-    q = Quotient(tuple(block_of), rows, _block_vector(vec, block_of, count),
-                 step, start)
-    _check_lumping(form, q)
+    # nothing split, so key d holds block d and its column of T'
+    step, cells = _lifted({(c, d): terms for d, (_, column)
+                           in enumerate(keys) for c, terms in column})
+    start, vec = _lifted(_block_sums(enumerate(vector), block_of))
+    rows = tuple(tuple((d, cells[c, d]) for d in range(count)
+                       if (c, d) in cells) for c in range(count))
+    q = Quotient(tuple(block_of), rows,
+                 tuple(vec.get(c, ()) for c in range(count)), step, start)
+    _check_lumping(columns, vector, q)
     return q
 
 
-def _check_lumping(form, q: Quotient) -> None:
-    """Check q against the integer form (_integer_step) of T and v: equal
-    shifts, P^T T'' = q.rows P^T and q.v = P^T v'' term by term, reading
-    q.rows as the iteration does (repeated entries of a row add up). Raise
+def _check_lumping(columns: Sequence[dict], vector: Sequence[dict],
+                   q: Quotient) -> None:
+    """Check q against the term maps of T and v: each term of q.rows and
+    q.v nonnegative and, shifted back by q.step or q.start, of its total
+    degree, and then P^T T = T' P^T and v' = P^T v term by term, reading
+    q.rows as the iteration does (repeated entries and terms add up). Raise
     CertificateError if any fails or q.block_of is not a partition."""
-    columns, vec, step, start = form
     n, m = len(columns), q.dimension
     if len(q.block_of) != n or set(q.block_of) != set(range(m)):
         raise CertificateError("lumping is not a partition of the states")
-    if (q.step, q.start) != (step, start):
-        raise CertificateError("lumped operator is not shifted as T and v are")
+
+    def back(terms: _Terms, shift) -> Counter:
+        out, (alpha, beta, degree) = Counter(), shift
+        for i, j, c in terms:
+            if min(i, j) < 0 or i - alpha + j - beta != degree:
+                raise CertificateError(
+                    f"lumped term x^{i} y^{j} does not fit shift {shift}")
+            out[i - alpha, j - beta, 0] += c
+        return out
     entries = [[] for _ in range(m)]
     for c, row in enumerate(q.rows):
         for d, terms in row:
             if not 0 <= d < m:
                 raise CertificateError(
                     f"lumped step matrix names block {d} of {m}")
-            entries[d].append((c, terms))
+            entries[d].append((c, back(terms, q.step)))
     # the column sums of q.rows, each quotient block its own block
     expected = [_block_sums(pairs, range(m)) for pairs in entries]
-    for s, column in enumerate(columns):
-        if _block_sums(column, q.block_of) != expected[q.block_of[s]]:
+    for s, (column, b) in enumerate(zip(columns, q.block_of)):
+        if _block_sums(column.items(), q.block_of) != expected[b]:
             raise CertificateError(
                 f"lumped step matrix fails P^T T = T' P^T at state {s}")
-    if _block_vector(vec, q.block_of, m) != q.v:
+    if len(q.v) != m or _block_sums(enumerate(vector), q.block_of) != \
+            _block_sums([(c, back(ts, q.start)) for c, ts in enumerate(q.v)],
+                        range(m)):
         raise CertificateError("lumped initial vector is not P^T v")
 
 
@@ -279,16 +278,16 @@ class TransferSystem:
     integer term maps: columns[s] maps each row i of a nonzero entry to the
     terms {(ex, ey, ez): coefficient} of T[i][s] (as in LaurentPoly3.terms),
     and vector[i] holds the terms of v[i]. The properties t and v make the
-    dense PolyMatrix of each on request. The quotient is derived from the
-    term maps when the system is made, stored shifted to integer terms, and
-    checked against them term by term (P^T T = T' P^T, v' = P^T v and the
-    shifts, raising CertificateError otherwise); every member, generating
-    function and certificate is computed from it. An entry that is not
-    homogeneous, z-free and with nonnegative integer coefficients, a row
-    outside the states, or a vector of another length is refused with
-    AlgebraError there and then. The system is frozen, so the quotient, the
-    cached generating function and its denominator's cached partials
-    always belong to columns and vector.
+    dense PolyMatrix of each on request. An entry that is not homogeneous,
+    z-free, with int exponents and nonnegative integer coefficients, a row
+    that is no int state, or a vector of another length is refused with
+    AlgebraError when the system is made, by a check that only reads the
+    term maps. The quotient is lumped from them, shifted to integer terms
+    and checked against them term by term once shifted back (P^T T = T' P^T,
+    v' = P^T v and its degrees, else CertificateError); every member,
+    generating function and certificate is computed from it. The system is
+    frozen, so the quotient, the cached generating function and its
+    denominator's cached partials always belong to columns and vector.
     """
 
     columns: Sequence[dict]
@@ -301,8 +300,8 @@ class TransferSystem:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "quotient",
-                           _lump(_integer_step(self.columns, self.vector)))
+        _check_terms(self.columns, self.vector)
+        object.__setattr__(self, "quotient", _lump(self.columns, self.vector))
 
     @property
     def dimension(self) -> int:

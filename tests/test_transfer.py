@@ -19,8 +19,8 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    sld_bruteforce_stabilizer, sld_from_wep, wep_by_iteration,
                    wep_values_by_iteration)
 from sldgf import analysis, transfer
-from sldgf.transfer import (Quotient, _admissible, _check_lumping,
-                            _integer_step, _lump, _state_index, _state_masks)
+from sldgf.transfer import (Quotient, _admissible, _check_lumping, _lump,
+                            _state_index, _state_masks)
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
@@ -386,6 +386,18 @@ class TestPairwiseReference:
         assert (sys_.columns, sys_.vector) == pairwise_terms(spec)
 
 
+def assert_least_shifts(sys_):
+    """The quotient's shifts are the least x and y shifts that clear the
+    negative exponents of T and of v, read off their term maps."""
+    def least(entries):
+        exps = [exp for e in entries for exp in e]
+        return (max([0] + [-ex for ex, _, _ in exps]),
+                max([0] + [-ey for _, ey, _ in exps]))
+    q = sys_.quotient
+    assert q.step[:2] == least(e for c in sys_.columns for e in c.values())
+    assert q.start[:2] == least(sys_.vector)
+
+
 class TestLumping:
     @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
     def test_quotient_dimensions(self, systems, name):
@@ -407,7 +419,8 @@ class TestLumping:
     @pytest.mark.parametrize("tamper", ["entry", "dropped-entry",
                                         "repeated-entry", "foreign-block",
                                         "start", "block", "shift",
-                                        "start-shift"])
+                                        "start-shift", "step-degree",
+                                        "negative-exponent", "long-start"])
     def test_tampered_quotient_raises(self, systems, tamper):
         # the quotient holds integer terms (i, j, c) standing for c x^i y^j
         sys_ = systems["grid_2"]
@@ -431,17 +444,47 @@ class TestLumping:
             step = (step[0] + 1,) + step[1:]
         elif tamper == "start-shift":
             start = start[:2] + (start[2] + 1,)
+        elif tamper == "step-degree":
+            # one more qubit per step, with the terms left as they were
+            step = step[:2] + (step[2] + 1,)
+        elif tamper == "long-start":
+            # one block more than the step matrix has, holding nothing
+            vec.append(())
+        elif tamper == "negative-exponent":
+            # one x fewer per step and in every term: the same T', but the
+            # iteration's integer points cannot take x^-1
+            step = (step[0] - 1,) + step[1:]
+            rows = [tuple((d, tuple((i - 1, j, c) for i, j, c in terms))
+                          for d, terms in row) for row in rows]
         else:
             block_of[block_of.index(1)] = 0
         bad = Quotient(tuple(block_of), tuple(rows), tuple(vec), step, start)
         with pytest.raises(CertificateError, match="lump"):
-            _check_lumping(_integer_step(sys_.columns, sys_.vector), bad)
+            _check_lumping(sys_.columns, sys_.vector, bad)
 
     def test_untampered_quotient_is_accepted(self, systems):
         sys_ = systems["cycle"]
-        form = _integer_step(sys_.columns, sys_.vector)
-        _check_lumping(form, sys_.quotient)
-        assert _lump(form) == sys_.quotient
+        _check_lumping(sys_.columns, sys_.vector, sys_.quotient)
+        assert _lump(sys_.columns, sys_.vector) == sys_.quotient
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
+    def test_quotient_shifts_are_the_least_shifts_of_t_and_v(self, systems,
+                                                              name):
+        # lumping sums nonnegative counts, so no exponent of T or v cancels
+        # and the quotient's own least shifts are those of T and v
+        sys_ = systems.get(name) or custom_system(name)
+        assert_least_shifts(sys_)
+
+    def test_least_shifts_include_negative_exponents(self, systems):
+        # path's step holds x^-1 and cycle's x^-2 and y^-1, so the shifts
+        # checked above are not all zero
+        assert systems["path"].quotient.step[:2] == (1, 0)
+        assert systems["cycle"].quotient.step[:2] == (2, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_specs())
+    def test_generated_quotient_shifts_are_the_least_shifts(self, spec):
+        assert_least_shifts(build_transfer_system(spec))
 
     def test_system_is_frozen(self, systems):
         # the quotient and the cached generating function are derived from
@@ -603,15 +646,32 @@ class TestIntegerKernel:
         # the members of a family count colourings; a step matrix or an
         # initial vector that does not is refused when the system is made
         path = systems["path"]
-        for t_entry, v_entry in ((X * F(1, 2), ONE), (X - Y, ONE),
-                                 (X + ONE, ONE), (X, Z)):
+        entries = [(t.terms, v.terms) for t, v in (
+            (X * F(1, 2), ONE), (X - Y, ONE), (X + ONE, ONE), (X, Z))]
+        # term maps are read as given, so a float or bool exponent or
+        # coefficient is refused too, in T and in v, not read as the int
+        # it equals
+        x, one = {(1, 0, 0): 1}, {(0, 0, 0): 1}
+        for bad in ({(1, 0, 0): 1.0}, {(1.0, 0, 0): 1}, {(1, 0.0, 0): 1},
+                    {(1, 0, 0.0): 1}, {(1, 0, 0): True}, {(True, 0, 0): 1},
+                    {(1, 0, False): 1}, {(1, 0, 0): F(3, 2)}):
+            entries += [(bad, one), (x, bad)]
+        for t_terms, v_terms in entries:
             with pytest.raises(AlgebraError, match="nonnegative integer"):
-                TransferSystem(columns=[{1: t_entry.terms}, {}, {}, {}],
-                               vector=[v_entry.terms, {}, {}, {}],
+                TransferSystem(columns=[{1: t_terms}, {}, {}, {}],
+                               vector=[v_terms, {}, {}, {}],
                                spec=path.spec)
+        # an integral Fraction or int coefficient is an integer
+        for c in (F(1), 1):
+            TransferSystem(columns=[{1: {(1, 0, 0): c}}, {}, {}, {}],
+                           vector=[{(0, 0, 0): c}, {}, {}, {}],
+                           spec=path.spec)
         # the term maps are sparse, so a row outside the states or a vector
         # of another length is refused too, not wrapped or truncated
-        for row, size in ((-1, 4), (4, 4), (1, 3), (1, 5)):
+        # a non-int row (a bool included, as _rational reads it) is refused
+        # too, not read as the row it equals
+        for row, size in ((-1, 4), (4, 4), (1, 3), (1, 5), (1.0, 4),
+                          (True, 4)):
             with pytest.raises(AlgebraError, match="4-state system"):
                 TransferSystem(columns=[{row: X.terms}, {}, {}, {}],
                                vector=[ONE.terms] + [{}] * (size - 1),
