@@ -153,17 +153,6 @@ class LaurentPoly3:
             return 0
         return max(k[2] for k in self.terms)
 
-    def is_homogeneous_xy(self, degree: int | None = None) -> bool:
-        """True if every term has the same e_x + e_y (and no z exponent)."""
-        if not self.terms:
-            return True
-        degs = {k[0] + k[1] for k in self.terms}
-        if any(k[2] != 0 for k in self.terms):
-            return False
-        if len(degs) != 1:
-            return False
-        return degree is None or degs == {degree}
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly3") -> "LaurentPoly3":

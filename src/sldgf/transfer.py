@@ -1,10 +1,12 @@
 """Transfer-matrix construction for graph-family weight enumerators.
 
-Every boundary vertex carries a state out of four: its colour (white/black)
-and its external parity, the parity of black neighbours already absorbed
-into the removed part of the graph. States are indexed 2*colour + parity
-(white-even 0, white-odd 1, black-even 2, black-odd 3); a k-vertex boundary
-is indexed base 4 with position 0 most significant.
+Every boundary vertex carries a letter: white-even 0, white-odd 1 or black
+2, the parity being that of the black neighbours absorbed into the removed
+part of the graph. The paper's four states also split black by parity, but
+a black vertex is never admissible and its parity enters no other count, so
+its 4^k-state matrix merges exactly onto these 3^k (tests/pairwise_build.py
+keeps it as the reference). A k-vertex boundary is indexed base 3 with
+position 0 most significant.
 
 One cut-and-glue step maps each boundary state and each colouring of the
 fresh replacement vertices (external parity zero) onto the next boundary:
@@ -20,7 +22,7 @@ weight enumerator of member r is the component sum
 1^T T^r v of the step matrix iterated on the base graph's state vector.
 T and v are stored once, as the integer term maps of their nonzero
 entries (TransferSystem.columns and .vector); the dense PolyMatrix of
-each, the paper's matrix and vector, is made only on request (.t, .v).
+each is made only on request (.t, .v).
 
 Most boundary states are interchangeable for that sum. The states are
 partitioned into the coarsest backward-lumpable blocks (Kemeny & Snell,
@@ -31,7 +33,7 @@ state-to-block indicator matrix this is P^T T = T' P^T, and with 1^T =
 is found by refinement on exact column-block sums over the nonzero
 entries of T, and the identity is checked term by term whenever a
 TransferSystem is made. Every member, generating function and certificate
-is computed on T'; T and v stay the paper's matrix and vector.
+is computed on T'.
 
 The entries of T and v are homogeneous with int exponents and nonnegative
 integer coefficients, or the system is refused with AlgebraError when it
@@ -88,23 +90,24 @@ CE_POINT = (Fraction(3, 4), Fraction(1, 4))
 
 
 def _state_masks(index: int, vertices: Sequence[int]) -> tuple[int, int]:
-    """The colour and parity masks, bit v for vertex v, of the composite
-    index over the ordered vertices, position 0 most significant."""
+    """The colour and parity masks, bit v for vertex v, of the state index
+    over the ordered vertices, position 0 most significant; a black vertex
+    has parity 0."""
     colours = parities = 0
     for v in reversed(vertices):
-        colours |= (index >> 1 & 1) << v
-        parities |= (index & 1) << v
-        index >>= 2
+        index, letter = divmod(index, 3)
+        colours |= (letter >> 1) << v
+        parities |= (letter & 1) << v
     return colours, parities
 
 
-def _state_index(colours: int, parities: int, vertices: Sequence[int]) -> int:
-    """The composite index over the ordered vertices of colour and parity
-    masks: the inverse of _state_masks, and linear over XOR."""
-    index = 0
+def _gather(mask: int, vertices: Sequence[int]) -> int:
+    """The bits of mask at the ordered vertices, vertices[0] most
+    significant: a position mask, linear over XOR."""
+    out = 0
     for v in vertices:
-        index = index << 2 | (colours >> v & 1) << 1 | (parities >> v & 1)
-    return index
+        out = out << 1 | mask >> v & 1
+    return out
 
 
 def _odd(masks: Sequence[int], colours: int) -> int:
@@ -274,10 +277,11 @@ class TransferSystem:
     described by spec, which also gives the prefix members and the
     recursion start.
 
-    T and v, the paper's 4^k-state matrix and vector, are stored once, as
-    integer term maps: columns[s] maps each row i of a nonzero entry to the
-    terms {(ex, ey, ez): coefficient} of T[i][s] (as in LaurentPoly3.terms),
-    and vector[i] holds the terms of v[i]. The properties t and v make the
+    T and v, on the 3^k states of a k-vertex boundary (the paper's 4^k
+    with black parity merged), are stored once, as integer term maps:
+    columns[s] maps each row i of a nonzero entry to the terms {(ex, ey,
+    ez): coefficient} of T[i][s] (as in LaurentPoly3.terms), and vector[i]
+    holds the terms of v[i]. The properties t and v make the
     dense PolyMatrix of each on request. An entry that is not homogeneous,
     z-free, with int exponents and nonnegative integer coefficients, a row
     that is no int state, or a vector of another length is refused with
@@ -335,9 +339,10 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     vertices add are odd, the XOR of their neighbour masks, so the
     admissible count is the popcount of ~(colours | parities ^ odd), and
     the restricted parities are parities XOR the neighbour masks of the
-    dropped black vertices only. Both XORs, and so the row, split into a
-    part of the boundary state and a part of the fill, and the fill parts
-    are computed once per build.
+    dropped black vertices only. Both XORs, and so the position masks of
+    the next boundary's colours and parities, split into a part of the
+    boundary state and a part of the fill, and the fill parts are computed
+    once per build. A table of their base-3 readings gives the row.
     """
     spec.validate()
     g, j, k = spec.base_graph, spec.replacement, len(spec.boundary)
@@ -347,30 +352,36 @@ def build_transfer_system(spec: FamilySpec) -> TransferSystem:
     fresh = sorted(set(range(j.vertex_count)) - set(glued))
     growth, masks = len(fresh), j.neighbour_masks
     dropped = ~sum(1 << u for u in retained)
+    # the state of position masks c and p is ternary[c] + ternary[c | p]
+    ternary = [int(f"{m:b}", 3) for m in range(1 << k)]
 
-    def parts(colours: int, parities: int) -> tuple[int, int, int]:
-        # colours, the parity mask of j and the row index of one part
-        return colours, parities ^ _odd(masks, colours), _state_index(
-            colours, parities ^ _odd(masks, colours & dropped), retained)
+    def parts(colours: int, parities: int) -> tuple[int, int, int, int]:
+        # colours and the parity mask of j of one part, and its position
+        # masks of the next boundary's colours and parities
+        restricted = parities ^ _odd(masks, colours & dropped)
+        return (colours, parities ^ _odd(masks, colours),
+                _gather(colours, retained), _gather(restricted, retained))
     fills = [parts(sum(1 << u for i, u in enumerate(fresh) if fill >> i & 1),
                    0) for fill in range(1 << growth)]
     every = (1 << j.vertex_count) - 1
-    columns = [{} for _ in range(4 ** k)]
+    columns = [{} for _ in range(3 ** k)]
     for state, column in enumerate(columns):
         w_h = _admissible(h, *_state_masks(state, range(k)))
-        colours, odd, row = parts(*_state_masks(state, glued))
-        for fill_colours, fill_odd, fill_row in fills:
+        colours, odd, black, parity = parts(*_state_masks(state, glued))
+        for fill_colours, fill_odd, fill_black, fill_parity in fills:
             d = (~(colours | fill_colours | odd ^ fill_odd)
                  & every).bit_count() - w_h
-            column.setdefault(row ^ fill_row, Counter())[d, growth - d, 0] += 1
+            c = black | fill_black
+            column.setdefault(ternary[c] + ternary[c | parity ^ fill_parity],
+                              Counter())[d, growth - d, 0] += 1
     n, base_masks = g.vertex_count, g.neighbour_masks
     outside = ~sum(1 << u for u in spec.boundary)
-    vector = [Counter() for _ in range(4 ** k)]
+    vector = [Counter() for _ in range(3 ** k)]
     for colours in range(1 << n):
         w = _admissible(g, colours, 0)
-        row = _state_index(colours, _odd(base_masks, colours & outside),
-                           spec.boundary)
-        vector[row][w, n - w, 0] += 1
+        c = _gather(colours, spec.boundary)
+        p = _gather(_odd(base_masks, colours & outside), spec.boundary)
+        vector[ternary[c] + ternary[c | p]][w, n - w, 0] += 1
     return TransferSystem(columns=columns, vector=vector, spec=spec)
 
 

@@ -1,11 +1,16 @@
-"""The pair-list transfer build: the test-only reference.
+"""The paper's 4^k-state transfer build: the test-only reference.
 
-The package counts each colouring as a colour bitmask and a parity bitmask,
-the parities of black neighbours being the XOR of their neighbour masks.
-The build it replaced handled every fill of every boundary state as a list
-of (colour, parity) pairs, one per vertex, and restricted it onto the next
-boundary vertex by vertex. It stays here, unchanged, as the reference that
-TransferSystem.columns and .vector are compared against.
+The paper gives every boundary vertex four states, its colour and its
+external parity, and a k-vertex boundary 4^k of them. The package builds
+on three letters, white-even, white-odd and black: a black vertex is never
+admissible and its parity enters no other vertex's count, so black-even
+and black-odd are interchangeable, and merging them is an exact
+(backward-lumpable) reduction of the paper's matrix. This module keeps
+the paper's matrix, built apart from the package: every fill of every
+boundary state is a list of (colour, parity) pairs, one per vertex,
+restricted onto the next boundary vertex by vertex. The tests check
+TransferSystem.columns and .vector against it through the merge
+(merge_state): P^T T4 = T3 P^T and v3 = P^T v4, term by term.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+from sldgf.algebra import LaurentPoly3, PolyMatrix
 from sldgf.family import FamilySpec, Graph
 
 
@@ -23,6 +29,16 @@ def decode_states(index: int, size: int) -> list[tuple[int, int]]:
     for pos in range(size):
         s = (index >> (2 * (size - 1 - pos))) & 3
         out.append((s >> 1, s & 1))
+    return out
+
+
+def merge_state(index: int, size: int) -> int:
+    """The package's state of a base-4 composite index: each position's
+    letter, white-even 0, white-odd 1 or black 2 whatever its parity, as
+    a base-3 digit, position 0 most significant."""
+    out = 0
+    for colour, parity in decode_states(index, size):
+        out = 3 * out + (2 if colour else parity)
     return out
 
 
@@ -110,3 +126,11 @@ def pairwise_terms(spec: FamilySpec) -> tuple[list[dict], list[Counter]]:
         w = colouring_weight(g, colours, [0] * n)
         vector[to_boundary([(c, 0) for c in colours])][w, n - w, 0] += 1
     return columns, vector
+
+
+def pairwise_matrices(spec: FamilySpec) -> tuple[PolyMatrix, PolyMatrix]:
+    """The paper's step matrix T and initial vector v of spec, dense."""
+    columns, vector = pairwise_terms(spec)
+    return (PolyMatrix([[LaurentPoly3(c.get(i)) for c in columns]
+                        for i in range(len(columns))]),
+            PolyMatrix([[LaurentPoly3(terms)] for terms in vector]))

@@ -3,9 +3,9 @@
 The caterpillar family replaces its growth vertex by a three-vertex star
 whose centre inherits the old edges and one of whose leaves grows next;
 member sizes follow n(r) = 2r - 1. The 3-wide ladder extrudes its last
-3-vertex rung by a fresh one, so its boundary has three vertices and 64
-states; the 4-wide ladder does the same with 4-vertex rungs and 256
-states. Nothing here is pinned to the catalog: agreement of series
+3-vertex rung by a fresh one, so its boundary has three vertices, 27
+states (64 in the paper's 4-letter alphabet); the 4-wide ladder does the
+same with 4-vertex rungs and 81 states (256). Nothing here is pinned to the catalog: agreement of series
 extraction, iteration, and both oracles on a family the code has never seen
 is the whole point.
 """
@@ -17,9 +17,11 @@ from sldgf import (build_transfer_system, family_gf, iter_weps,
                    parse_family_spec, realize, series_coefficients,
                    sld_bruteforce_colouring, sld_bruteforce_stabilizer,
                    sld_from_wep, wep_by_iteration)
+from sldgf.transfer import _lump
 
 from conftest import brute_sectors
 from golden_forms import LADDER_3_GF
+from pairwise_build import merge_state, pairwise_matrices, pairwise_terms
 from unlumped import unlumped_weps
 from wide_ladder import ladder, quotient_digest
 
@@ -68,7 +70,8 @@ LADDER_4 = {
 def test_caterpillar_pipeline_end_to_end():
     spec = parse_family_spec(json.dumps(CATERPILLAR))
     sys_ = build_transfer_system(spec)
-    assert sys_.dimension == 4
+    assert sys_.dimension == 3
+    assert pairwise_matrices(spec)[0].rows == 4
 
     # realized members: r=2 is the 3-star, r=3 a five-vertex caterpillar
     g2 = realize(spec, 2)
@@ -105,15 +108,16 @@ def test_caterpillar_entanglement_values_are_exact():
 
 
 def test_three_vertex_boundary_ladder():
-    # the 64 states lump exactly to 18, on which the order-16 recurrence is
-    # derived and certified in seconds
+    # the 27 states (64 in the paper's matrix) lump exactly to 18, on
+    # which the order-16 recurrence is derived and certified in seconds
     spec = parse_family_spec(json.dumps(LADDER_3))
     sys_ = build_transfer_system(spec)
-    t = sys_.t
-    assert (t.rows, t.cols) == (64, 64)
-    assert sum(not e.is_zero() for row in t.data for e in row) == 512
-    for col in range(64):
-        assert sum(row[col].eval_xy(1, 1) for row in t.data) == 2 ** 3
+    for t, size, nonzeros in ((pairwise_matrices(spec)[0], 64, 512),
+                              (sys_.t, 27, 216)):
+        assert (t.rows, t.cols) == (size, size)
+        assert sum(not e.is_zero() for row in t.data for e in row) == nonzeros
+        for col in range(size):
+            assert sum(row[col].eval_xy(1, 1) for row in t.data) == 2 ** 3
     assert sys_.quotient.dimension == 18
 
     gf = family_gf(sys_)
@@ -138,15 +142,25 @@ def test_three_vertex_boundary_ladder():
 
 
 def test_four_vertex_boundary_ladder():
-    # the 256 states lump exactly to 45; the members up to 24 qubits agree
-    # with the unlumped iteration and with both oracles
+    # the 81 states (256 in the paper's matrix) lump exactly to 45; the
+    # members up to 24 qubits agree with the unlumped iteration and with
+    # both oracles
     spec = parse_family_spec(json.dumps(LADDER_4))
     sys_ = build_transfer_system(spec)
-    assert (sys_.dimension, sys_.quotient.dimension) == (256, 45)
-    # the quotient the dense build gave, and the 5- and 6-wide checks in
+    assert (sys_.dimension, sys_.quotient.dimension) == (81, 45)
+    # the quotient of the paper's 256 states, as the dense build gave it,
+    # and of the 81: the same rows, vector and shifts, each 4-letter state
+    # in its merged state's block; the 5- to 7-wide checks in
     # wide_ladder.py widen this same document
-    assert quotient_digest(sys_.quotient) == (
+    q, q4 = sys_.quotient, _lump(*pairwise_terms(spec))
+    assert quotient_digest(q4) == (
         "6882ce81fe40f30bb8633c6345c3f356b127ad91fdb5e24ca16b8f1eff3a4662")
+    assert quotient_digest(q) == (
+        "c9225798b071f4626ae4b4c784d426f3826f215222ce5c8f3584ba480fe62758")
+    assert (q4.rows, q4.v, q4.step, q4.start) == (q.rows, q.v, q.step,
+                                                  q.start)
+    assert q4.block_of == tuple(q.block_of[merge_state(s, 4)]
+                                for s in range(256))
     assert ladder(4) == LADDER_4
     weps = list(iter_weps(sys_, 6))
     assert weps == list(unlumped_weps(sys_, 6))

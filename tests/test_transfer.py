@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,12 +21,13 @@ from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    wep_values_by_iteration)
 from sldgf import analysis, transfer
 from sldgf.transfer import (Quotient, _admissible, _check_lumping, _lump,
-                            _state_index, _state_masks)
+                            _gather, _state_masks)
 
 from conftest import brute_sectors, wep_terms_from_sectors
 from fraction_free import resolvent_matrix, solve_linear_raw
 from golden_forms import GOLDEN_GF, LADDER_3_GF
-from pairwise_build import colouring_weight, encode_states, pairwise_terms
+from pairwise_build import (colouring_weight, encode_states, merge_state,
+                            pairwise_matrices, pairwise_terms)
 from test_custom_family import CATERPILLAR, LADDER_3, LADDER_4
 from unlumped import unlumped_weps
 
@@ -58,14 +60,21 @@ def fraction_free_gf(sys_):
 
 
 class TestStateIndexing:
-    def test_composite_index_is_base_four_msb_first(self):
-        # positions bo, we, be: colour bits 0 and 2, parity bit 0
-        index = _state_index(0b101, 0b001, range(3))
-        assert index == 3 * 16 + 0 * 4 + 2
-        assert _state_masks(index, range(3)) == (0b101, 0b001)
-        # position p reads and writes the bit of vertex vertices[p]
-        assert _state_index(0b0100, 0b1000, [3, 2]) == 1 * 4 + 2
-        assert _state_masks(1 * 4 + 2, [3, 2]) == (0b0100, 0b1000)
+    def test_state_index_is_base_three_msb_first(self):
+        # positions black, white-even, white-odd: letters 2, 0, 1, so
+        # colour bit 0 and parity bit 2
+        assert _state_masks(2 * 9 + 0 * 3 + 1, range(3)) == (0b001, 0b100)
+        # position p reads the bit of vertex vertices[p]
+        assert _state_masks(1 * 3 + 2, [3, 2]) == (0b0100, 0b1000)
+        assert _gather(0b0100, [3, 2]) == 0b01
+        assert _gather(0b1000, [3, 2]) == 0b10
+        # every state decodes to the masks whose pair list the reference
+        # merges back to it; a black vertex has parity 0
+        for state in range(27):
+            colours, parities = _state_masks(state, range(3))
+            assert not colours & parities
+            pairs = [(colours >> v & 1, parities >> v & 1) for v in range(3)]
+            assert merge_state(encode_states(pairs), 3) == state
 
 
 class TestColouringWeight:
@@ -102,25 +111,37 @@ class TestColouringWeight:
 
 
 class TestStepMatrices:
+    # the paper displays the 4-state matrices (white-even, white-odd,
+    # black-even, black-odd), which the reference builds; the package's
+    # 3-state matrices (white-even, white-odd, black) merge the black rows
+    # and the equal black columns
     def test_path_step_matrix_display(self, systems):
-        t = systems["path"].t
-        expected = [
+        t = pairwise_matrices(builtin("path"))[0]
+        assert t.data == [
             [mono(1, 0), mono(1, 0), ZERO, ZERO],
             [ZERO, ZERO, mono(0, 1), mono(0, 1)],
             [mono(-1, 2), mono(1, 0), ZERO, ZERO],
             [ZERO, ZERO, mono(0, 1), mono(0, 1)],
         ]
-        assert t.data == expected
+        assert systems["path"].t.data == [
+            [mono(1, 0), mono(1, 0), ZERO],
+            [ZERO, ZERO, mono(0, 1)],
+            [mono(-1, 2), mono(1, 0), mono(0, 1)],
+        ]
 
     def test_star_step_matrix_display(self, systems):
-        t = systems["star"].t
-        expected = [
+        t = pairwise_matrices(builtin("star"))[0]
+        assert t.data == [
             [mono(1, 0), mono(1, 0), ZERO, ZERO],
             [mono(-1, 2), mono(1, 0), ZERO, ZERO],
             [ZERO, ZERO, mono(0, 1), mono(0, 1)],
             [ZERO, ZERO, mono(0, 1), mono(0, 1)],
         ]
-        assert t.data == expected
+        assert systems["star"].t.data == [
+            [mono(1, 0), mono(1, 0), ZERO],
+            [mono(-1, 2), mono(1, 0), ZERO],
+            [ZERO, ZERO, mono(0, 1, 2)],
+        ]
 
     def test_step_entries_are_homogeneous_of_fixed_degree(self, systems):
         # entries collect one monomial per extension branch; branches can
@@ -154,8 +175,10 @@ class TestStepMatrices:
                 assert total == 2 ** growth
 
     def test_path_initial_vector(self, systems):
+        assert pairwise_matrices(builtin("path"))[1].column(0) == [
+            mono(2, 0), mono(0, 2), mono(0, 2), mono(0, 2)]
         assert systems["path"].v.column(0) == [mono(2, 0), mono(0, 2),
-                                               mono(0, 2), mono(0, 2)]
+                                               mono(0, 2, 2)]
 
     def test_star_initial_vector_equals_paths(self, systems):
         assert systems["star"].v.column(0) == systems["path"].v.column(0)
@@ -166,12 +189,15 @@ class TestStepMatrices:
         # middle vertex's colour
         triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         acc = [LaurentPoly3.zero() for _ in range(16)]
+        merged = [LaurentPoly3.zero() for _ in range(9)]
         for mask in range(8):
             c0, c1, c2 = [(mask >> v) & 1 for v in range(3)]
             weight = colouring_weight(triangle, [c0, c1, c2], [0, 0, 0])
             state = encode_states([(c0, c1), (c2, c1)])
             acc[state] = acc[state] + mono(weight, 3 - weight)
-        assert systems["cycle"].v.column(0) == acc
+            merged[merge_state(state, 2)] += mono(weight, 3 - weight)
+        assert pairwise_matrices(builtin("cycle"))[1].column(0) == acc
+        assert systems["cycle"].v.column(0) == merged
 
     def test_build_makes_no_dense_matrix(self, monkeypatch):
         # T and v are counted straight into integer term maps; the dense
@@ -191,10 +217,13 @@ class TestStepMatrices:
             assert sys_.quotient.dimension == QUOTIENT_DIMENSIONS[spec.name]
 
     def test_dimensions(self, systems):
-        assert systems["path"].dimension == 4
-        assert systems["cycle"].dimension == 16
-        assert systems["grid_2"].dimension == 16
-        assert systems["joint_squares"].dimension == 4
+        assert systems["path"].dimension == 3
+        assert systems["cycle"].dimension == 9
+        assert systems["grid_2"].dimension == 9
+        assert systems["joint_squares"].dimension == 3
+        for name in BUILTIN_FAMILIES:
+            sys_ = systems[name]
+            assert sys_.dimension == 3 ** len(sys_.spec.boundary), name
 
     @pytest.mark.parametrize("field, bad, message", [
         ("next_boundary_map", {0: 2, 1: 2}, "injective"),
@@ -239,7 +268,8 @@ class TestIteration:
             sys_ = systems[name]
             for r in range(1, 13):
                 n = sys_.spec.qubit_count(r)
-                assert wep_by_iteration(sys_, r).is_homogeneous_xy(n), (name, r)
+                # sld_from_wep refuses a non-homogeneous enumerator
+                assert sld_from_wep(wep_by_iteration(sys_, r)).n == n, (name, r)
 
     def test_iter_weps_matches_single_member_calls(self, systems):
         sys_ = systems["cycle"]
@@ -275,17 +305,19 @@ class TestGeneratingFunctions:
 
     def test_one_vertex_start_gives_same_series(self, systems):
         # starting the geometric series one step earlier, from the
-        # single-vertex state vector, must produce the same function
+        # single-vertex state vector, must produce the same function, with
+        # the paper's 4-state step matrix and with the package's 3-state one
         for name in ("path", "star"):
-            sys_ = systems[name]
-            v1 = PolyMatrix([[X], [ZERO], [Y], [ZERO]])
-            nums, den = solve_linear_raw(resolvent_matrix(sys_.t),
-                                         v1.column(0))
-            total = ZERO
-            for num in nums:
-                total = total + num
-            gf = ratfunc_normalize(den + total.shift((0, 0, 1)), den)
-            assert ratfunc_equal(gf, GOLDEN_GF[name])
+            for t, v1 in ((pairwise_matrices(builtin(name))[0],
+                           PolyMatrix([[X], [ZERO], [Y], [ZERO]])),
+                          (systems[name].t, PolyMatrix([[X], [ZERO], [Y]]))):
+                nums, den = solve_linear_raw(resolvent_matrix(t),
+                                             v1.column(0))
+                total = ZERO
+                for num in nums:
+                    total = total + num
+                gf = ratfunc_normalize(den + total.shift((0, 0, 1)), den)
+                assert ratfunc_equal(gf, GOLDEN_GF[name]), (name, t.rows)
 
     def test_series_equals_iteration(self, systems):
         for name in BUILTIN_FAMILIES:
@@ -365,25 +397,43 @@ def family_specs(draw):
     return spec
 
 
+def assert_black_parity_merge(sys_):
+    """The system's 3^k-state T3 and v3 are the paper's 4^k-state T4 and
+    v4, built by the pair-list reference, with black-even and black-odd
+    merged: P^T T4 = T3 P^T and v3 = P^T v4 term by term, P the indicator
+    matrix of merge_state."""
+    columns, vector = pairwise_terms(sys_.spec)
+    k = len(sys_.spec.boundary)
+    assert (len(columns), sys_.dimension) == (4 ** k, 3 ** k)
+    merge = [merge_state(s, k) for s in range(4 ** k)]
+
+    def merged(pairs):
+        # P^T of the (4-letter row, terms) pairs of one column or vector
+        out = {}
+        for i, terms in pairs:
+            out.setdefault(merge[i], Counter()).update(terms)
+        return {i: terms for i, terms in out.items() if terms}
+    for s, column in enumerate(columns):
+        assert merged(column.items()) == sys_.columns[merge[s]], s
+    assert merged(enumerate(vector)) == {
+        i: terms for i, terms in enumerate(sys_.vector) if terms}
+
+
 class TestPairwiseReference:
     @pytest.mark.parametrize("doc", [CATERPILLAR, LADDER_3, LADDER_4],
                              ids=["caterpillar", "ladder_3", "ladder_4"])
     def test_custom_terms_equal_pair_lists(self, doc):
-        spec = parse_family_spec(json.dumps(doc))
-        sys_ = build_transfer_system(spec)
-        assert (sys_.columns, sys_.vector) == pairwise_terms(spec)
+        assert_black_parity_merge(
+            build_transfer_system(parse_family_spec(json.dumps(doc))))
 
     def test_builtin_terms_equal_pair_lists(self, systems):
         for name in BUILTIN_FAMILIES:
-            sys_ = systems[name]
-            assert (sys_.columns, sys_.vector) == pairwise_terms(sys_.spec), \
-                name
+            assert_black_parity_merge(systems[name])
 
     @settings(max_examples=40, deadline=None)
     @given(family_specs())
     def test_generated_terms_equal_pair_lists(self, spec):
-        sys_ = build_transfer_system(spec)
-        assert (sys_.columns, sys_.vector) == pairwise_terms(spec)
+        assert_black_parity_merge(build_transfer_system(spec))
 
 
 def assert_least_shifts(sys_):
@@ -402,8 +452,17 @@ class TestLumping:
     @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
     def test_quotient_dimensions(self, systems, name):
         sys_ = systems.get(name) or custom_system(name)
-        assert sys_.quotient.dimension == QUOTIENT_DIMENSIONS[name]
-        assert sys_.dimension == 4 ** len(sys_.spec.boundary)
+        q, k = sys_.quotient, len(sys_.spec.boundary)
+        assert q.dimension == QUOTIENT_DIMENSIONS[name]
+        assert sys_.dimension == 3 ** k
+        # the paper's 4^k-state matrix lumps to the same quotient: merging
+        # black parity keeps the order of the states, so the blocks are
+        # numbered alike and each 4-letter state joins its merged state's
+        q4 = _lump(*pairwise_terms(sys_.spec))
+        assert (q4.rows, q4.v, q4.step, q4.start) == (q.rows, q.v, q.step,
+                                                      q.start)
+        assert q4.block_of == tuple(q.block_of[merge_state(s, k)]
+                                    for s in range(4 ** k))
 
     @pytest.mark.parametrize("name", sorted(QUOTIENT_DIMENSIONS))
     def test_lumped_members_equal_unlumped(self, systems, name):

@@ -1,7 +1,7 @@
 """Iteration of the unlumped step matrix: the test-only reference.
 
 The package iterates the exactly lumped quotient of the step matrix. This
-is the iteration of the full 4^k-state matrix T on the initial vector v
+is the iteration of the full 3^k-state matrix T on the initial vector v
 that it replaced, run over the stored term maps of T and v, as the
 reference the lumped members are compared against.
 """
