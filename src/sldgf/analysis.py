@@ -30,7 +30,8 @@ from fractions import Fraction
 from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
 from .family import SLD, FamilyError, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
-                       _sector_lengths, family_gf, wep_values_by_iteration)
+                       _member_index, _sector_lengths, family_gf,
+                       wep_values_by_iteration)
 
 WORKING_DPS = 40
 
@@ -184,6 +185,7 @@ class LeadingTerm:
     residue: mp.mpc
 
     def coefficient(self, r: int) -> mp.mpf:
+        r = _member_index(r)
         if r < 0:
             raise ValueError("member index must be nonnegative")
         import mpmath as mp
@@ -294,6 +296,70 @@ def _grid_sign(coeffs: list[int], k: int, depth: int) -> int:
     return (value > 0) - (value < 0)
 
 
+_MAX_DEPTH = 200  # halvings of [0, 1] at most, in a member threshold
+
+
+def _crossing_guess(sld: SLD) -> float:
+    """Float estimate of the crossing mu of kbar(mu) = n/2, the member
+    criterion's root (see critical_lambda_sweep), by Newton in t = ln mu.
+
+    The sums S_j = sum_k (k - n/2)^j a_k mu^k are one float Horner pass
+    each, with a_k = A_k / 2^s, s the least shift that brings the largest
+    below 2^960. Each a_k is rounded on its own, so a small A_k such as
+    A_0 = 1 stays in the sums, where it can weigh as much as all the rest.
+    kbar - n/2 is S_1/S_0, and its derivative in t is the variance
+    S_2/S_0 - (S_1/S_0)^2. Newton runs on ln(kbar / (n - kbar)), which
+    has the same root and is linear in t for a binomial SLD. A step that
+    leaves the bracket [t_lo, t_hi] on the crossing, or that cannot be
+    taken, halves the bracket instead: t_hi = 0 because P(1) < 0, and t_lo
+    puts mu below 2^-201, whose cell is 0 at every depth. The iteration
+    stops once a step is no shorter than the one before it, which is where
+    rounding takes over from convergence.
+    """
+    n, half = sld.n, sld.n / 2
+    scale = 1 << max(0, max(sld).bit_length() - 960)
+    a = [c / scale for c in reversed(sld.sectors)]
+    b = [(k - half) * c for k, c in zip(range(n, -1, -1), a)]
+    c2 = [(k - half) * c for k, c in zip(range(n, -1, -1), b)]
+    t_lo, t_hi = -(_MAX_DEPTH + 1) * math.log(2) - 1, 0.0
+    t, last = 0.0, math.inf
+    for _ in range(100):
+        mu = math.exp(t)
+        s0 = s1 = s2 = 0.0
+        for c in a:
+            s0 = s0 * mu + c
+        for c in b:
+            s1 = s1 * mu + c
+        for c in c2:
+            s2 = s2 * mu + c
+        if s0 > 0:
+            f, var = s1 / s0, s2 / s0 - (s1 / s0) ** 2
+        else:  # every term underflowed, far left of the crossing
+            f, var = -half, 0.0
+        if f > 0:
+            t_hi = t
+        else:
+            t_lo = t
+        step = math.inf
+        if var > 0 and -half < f < half:
+            step = (-math.log((half + f) / (half - f))
+                    * (half + f) * (half - f) / (n * var))
+        if not t_lo <= t + step <= t_hi:
+            step = (t_lo + t_hi) / 2 - t
+        if not 0 < abs(step) < last:
+            break
+        last = abs(step)
+        t += step
+    return math.exp(t)
+
+
+def _narrow(cell: int, depth: int, tol: float) -> bool:
+    """The halving's stop test: the cell [cell, cell + 1] 2^-depth in mu is
+    narrower than tol in lam = sqrt(mu), in correctly rounded floats."""
+    return (math.sqrt((cell + 1) / (1 << depth))
+            - math.sqrt(cell / (1 << depth)) < tol)
+
+
 def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     """sqrt of the midpoint of the last cell [lo, lo + 1] 2^-depth of halving
     [0, 1] around the member criterion's one crossing in mu, once the cell
@@ -302,21 +368,74 @@ def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
 
     The criterion changes sign at most once on (0, 1) (see
     critical_lambda_sweep), so the points right of the crossing form one
-    interval reaching up to 1, and halving [0, 1] needs no scan for a
-    bracket. The floats are correctly rounded quotients of integers, as a
-    Fraction's are, so the result is that of halving with Fraction ends.
+    interval reaching up to 1, and the halving's cell at depth d is
+    floor(mu_c 2^d) for the crossing mu_c < 1. Its cells form one chain, each
+    the floor of the next one's half, and it stops at the first that passes
+    the stop test. So the search does not halve from [0, 1]. It reads the
+    chain off a float guess of mu_c (_crossing_guess), takes the depth D at
+    which that chain stops, and checks the guessed cell at D by the exact
+    signs at its two ends: if they hold, its ancestors are the halving's,
+    and so are D and the result. An end at 0 or 1 has a known sign and is
+    not probed.
+
+    On a miss the probes gallop on the same grid away from the end whose
+    sign failed, at 1, 3, 7, ... cells from the guessed cell, for at most 8
+    probes in all, and then halve at the points with the most trailing
+    zeros, which are the halving's own. The bracket [lo, hi] is kept on
+    the grid of spacing 2^-200, and the stop test is applied to each cell
+    of the chain as soon as the bracket lies inside it, so a miss ends
+    where the halving would, at most 8 probes after it.
+
+    The floats are correctly rounded quotients of integers, as a Fraction's
+    are, so the result is that of halving with Fraction ends.
     """
     _check_tolerance(tol)
+    n = sld.n
     # integer coefficients of Q = Q1 - Q2 as a polynomial in mu = lam^2
-    coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
+    coeffs = [(n - 2 * k) * a for k, a in enumerate(sld)]
     if sum(coeffs) >= 0:
         return None
-    lo = depth = 0
-    while depth < 200 and not (math.sqrt((lo + 1) / (1 << depth))
-                               - math.sqrt(lo / (1 << depth)) < tol):
-        depth += 1
-        lo = 2 * lo + (_grid_sign(coeffs, 2 * lo + 1, depth) >= 0)
-    return math.sqrt((2 * lo + 1) / (2 << depth))
+    # a cell at depth d is at least 2^-(d + 1) wide in lam, and rounding
+    # moves the float difference by less than 2^-50, so no depth shallower
+    # than the first d with 2^-(d + 1) <= tol + 2^-48 passes the stop test
+    first = max(0, -math.frexp(tol + 2.0 ** -48)[1])
+    top = 1 << _MAX_DEPTH
+    guess = min(int(math.ldexp(_crossing_guess(sld), _MAX_DEPTH)), top - 1)
+    depth = next((d for d in range(first, _MAX_DEPTH)
+                  if _narrow(guess >> _MAX_DEPTH - d, d, tol)), _MAX_DEPTH)
+    unit = 1 << _MAX_DEPTH - depth  # a cell at the guessed depth
+    # grid points in units of 2^-200, with P(lo) >= 0 > P(hi)
+    lo, hi, tested, probes = 0, top, first, 0
+    k = guess - guess % unit
+    step = unit if k == 0 else 0  # the sign at 0 is known
+    k += step
+    while True:
+        # the depth of the cell holding the bracket, and the chain's stop
+        # test on every cell down to it; the halving stops at 200 anyway
+        common = _MAX_DEPTH - (lo ^ (hi - 1)).bit_length()
+        for d in range(tested, common + 1):
+            cell = lo >> _MAX_DEPTH - d
+            if d == _MAX_DEPTH or _narrow(cell, d, tol):
+                return math.sqrt((2 * cell + 1) / (2 << d))
+        tested = max(tested, common + 1)
+        if step is None or probes == 8 or not lo < k < hi:
+            step = None
+            split = _MAX_DEPTH - 1 - common
+            k = (hi - 1) >> split << split
+        zeros = (k & -k).bit_length() - 1
+        probes += 1
+        left = _grid_sign(coeffs, k >> zeros, _MAX_DEPTH - zeros) >= 0
+        if left:
+            lo = k
+        else:
+            hi = k
+        if step is not None:
+            # the gallop goes on while it stays on the side it started from
+            if step and (step > 0) != left:
+                step = None
+            else:
+                step = 2 * step or (unit if left else -unit)
+                k += step
 
 
 def _sld(n: int, shift: int, digits: list[int]) -> SLD:
@@ -340,18 +459,21 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
                           tol: float = 1e-10) -> list[tuple[int, float | None]]:
     """Critical noise strengths for several members in one iteration pass.
 
-    Each is sqrt(mu_c), with mu_c the root of P(mu) = sum_k (n-2k) A_k mu^k
-    found by halving [0, 1] in integers, and None when P(1) >= 0 (the
-    member is never certified entangled). The bracket is a grid cell
-    [lo, lo + 1] 2^-d, and a probe's sign that of 2^(d deg P) P(k 2^-d),
-    from one Horner pass; every member's A_k are the integers of the one
-    member stream (_sector_lengths).
-    P has one sign change at most on (0, inf):
+    Each is sqrt(mu_c), with mu_c the root of P(mu) = sum_k (n-2k) A_k mu^k,
+    and None when P(1) >= 0 (the member is never certified entangled).
+    The value is that of halving [0, 1] in exact integers: the midpoint of
+    the last grid cell [lo, lo + 1] 2^-d, once it is narrower than tol in
+    lam. P has one sign change at most on (0, inf):
     P = W * (n - 2 kbar) with W = sum_k A_k mu^k > 0 and kbar = mu W'/W
     the mean of k under the weights A_k mu^k, and d kbar / d ln mu is their
-    variance, so kbar never decreases.
+    variance, so kbar never decreases. So the last cell depends only on
+    where mu_c lies. A float Newton on kbar = n/2 guesses mu_c, and the
+    exact signs of P at the two ends of the guessed cell confirm it, each
+    from one Horner pass on 2^(d deg P) P(k 2^-d) in integers
+    (_critical_lambda_from_sld). Every member's A_k are the integers of
+    the one member stream (_sector_lengths).
     """
-    wanted = sorted(set(r_values))
+    wanted = sorted({_member_index(r) for r in r_values})
     if not wanted:
         return []
     if wanted[0] < 1:

@@ -72,6 +72,7 @@ unlumped T in tests/unlumped.py.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -408,6 +409,17 @@ def _digit_bytes(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 8))
 
 
+def _member_index(r) -> int:
+    """r as an int, or ValueError for a bool or for anything operator.index
+    refuses (2.5, 3.0, Fraction(5, 2))."""
+    if not isinstance(r, bool):
+        try:
+            return operator.index(r)
+        except TypeError:
+            pass
+    raise ValueError(f"member index must be an integer, not {r!r}")
+
+
 def _sector_lengths(sys: TransferSystem, r_max: int, r_min: int = 0):
     """Yield (n, shift, digits) for the members r_min .. r_max, the one
     decode of every member (see the module docstring): member r has degree
@@ -416,6 +428,7 @@ def _sector_lengths(sys: TransferSystem, r_max: int, r_min: int = 0):
     Kronecker digits are 8 width bits, 2^(8 width) above every member's
     value at (1, 1); digits that do not add up to that value again show a
     carry and raise CertificateError."""
+    r_max, r_min = _member_index(r_max), _member_index(r_min)
     if r_max < 0:
         raise ValueError("member index must be nonnegative")
     q, start = sys.quotient, sys.spec.recursion_start
@@ -440,12 +453,30 @@ def _sector_lengths(sys: TransferSystem, r_max: int, r_min: int = 0):
         yield degree0 + m * degree, beta * m + beta0, digits
 
 
+def _member(n: int, shift: int, digits: list[int]) -> LaurentPoly3:
+    """The member of degree n with the digits of _sector_lengths."""
+    return LaurentPoly3({(n - e, e, 0): Fraction(c)
+                         for e, c in enumerate(digits, -shift) if c})
+
+
 def _members(sys: TransferSystem, r_max: int, r_min: int = 0):
     """Yield the exact members r_min .. r_max, read off their digits
     (_sector_lengths)."""
-    for n, shift, digits in _sector_lengths(sys, r_max, r_min):
-        yield LaurentPoly3({(n - e, e, 0): Fraction(c)
-                            for e, c in enumerate(digits, -shift) if c})
+    for member in _sector_lengths(sys, r_max, r_min):
+        yield _member(*member)
+
+
+def _value_at_zero(n: int, shift: int, digits: list[int], x0: Fraction,
+                   y0: Fraction) -> Fraction:
+    """W(x0, y0) of the member with these digits (_sector_lengths) where x0
+    or y0 is 0: only its term c x^n survives y0 = 0, and only c y^n
+    survives x0 = 0. A member with a negative exponent is evaluated whole
+    (eval_xy), so that 0 to a negative power raises as it does there."""
+    if any(digits[:shift]) or any(digits[n + shift + 1:]):
+        return _member(n, shift, digits).eval_xy(x0, y0)
+    e = 0 if y0 == 0 else n
+    c = digits[e + shift] if e + shift < len(digits) else 0
+    return c * x0 ** (n - e) * y0 ** e
 
 
 def wep_by_iteration(sys: TransferSystem, r: int) -> LaurentPoly3:
@@ -465,9 +496,11 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     With (x0, y0) = (a, b)/d over the least common denominator, member
     start + m is the component sum of T''(a, b)^m v''(a, b) divided by
     d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0), one
-    Fraction per member. Where that divisor vanishes every member is
-    decoded (_members) and evaluated instead.
+    Fraction per member. Where that divisor vanishes, at a zero coordinate,
+    one term of each member survives, and its coefficient is read off the
+    member's digits (_value_at_zero).
     """
+    r_max = _member_index(r_max)
     if r_max < 0:
         raise ValueError("member index must be nonnegative")
     x0, y0 = _rational(x0), _rational(y0)
@@ -476,7 +509,8 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     d = math.lcm(x0.denominator, y0.denominator)
     a, b = int(x0 * d), int(y0 * d)
     if (a == 0 and (alpha or alpha0)) or (b == 0 and (beta or beta0)):
-        return [w.eval_xy(x0, y0) for w in _members(sys, r_max)]
+        return [_value_at_zero(*member, x0, y0)
+                for member in _sector_lengths(sys, r_max)]
     out = [w.eval_xy(x0, y0) for w in sys.spec.prefix_weps[:r_max + 1]]
     per_step = d ** degree * a ** alpha * b ** beta
     den = d ** degree0 * a ** alpha0 * b ** beta0

@@ -93,6 +93,38 @@ def test_negative_member_bound_rejected(systems, entry, r):
         entry(systems["path"], r)
 
 
+@pytest.mark.parametrize("r", [2.5, 3.0, F(5, 2), True])
+@pytest.mark.parametrize("entry", [
+    lambda sys_, r: critical_lambda_sweep(sys_, [r, 2]),
+    lambda sys_, r: critical_lambda(sys_, r),
+    lambda sys_, r: wep_by_iteration(sys_, r),
+    lambda sys_, r: list(iter_weps(sys_, r)),
+    lambda sys_, r: criterion_q(sys_, "0.5", r),
+    lambda sys_, r: fidelity_exact(sys_, "0.5", r),
+    lambda sys_, r: fidelity_sweep(sys_, 0, r),
+    lambda sys_, r: wep_values_by_iteration(sys_, 1, 1, r),
+    lambda sys_, r: concentratable_entanglement(sys_, r),
+    lambda sys_, r: fidelity_asymptotic(sys_, "0.5", r),
+], ids=["critical_lambda_sweep", "critical_lambda", "wep_by_iteration",
+        "iter_weps", "criterion_q", "fidelity_exact", "fidelity_sweep",
+        "wep_values_by_iteration", "concentratable_entanglement",
+        "fidelity_asymptotic"])
+def test_member_index_must_be_an_integer(systems, entry, r):
+    # a float or Fraction index, even a whole one, and a bool are refused,
+    # not sliced with or taken as member 1; fidelity_sweep at lam = 0 reads
+    # cycle's members at a zero coordinate
+    with pytest.raises(ValueError, match="member index must be an integer"):
+        entry(systems["cycle"], r)
+
+
+def test_member_index_may_be_any_integer_type(systems):
+    import numpy as np
+    path = systems["path"]
+    assert critical_lambda_sweep(path, [np.int64(3), 2]) == \
+        critical_lambda_sweep(path, [3, 2])
+    assert criterion_q(path, "0.5", np.int8(4)) == criterion_q(path, "0.5", 4)
+
+
 class TestClosedFormChecks:
     def test_path_roots_and_agreement(self, systems):
         report = ce_closed_form_check(systems["path"], 30)
@@ -390,7 +422,18 @@ class TestThresholdBisection:
         monkeypatch.setattr(analysis, "_grid_sign", always_right)
         assert analysis._critical_lambda_from_sld(sld, 1e-300) == \
             math.sqrt(F(1, 1 << 201))
-        assert calls == [(1, d) for d in range(1, 201)]
+        # the guessed cell, left of 1/sqrt(3), fails its check, and the
+        # gallop left from it stops after 8 probes in all, at 1, 3, ..., 127
+        # cells from it; then the halving's own probes at 1/2, 1/4, ... take
+        # the cell down to 0 at depth 200
+        points = [F(k, 1 << d) for k, d in calls[:8]]
+        cell = points[0] - points[1]
+        assert cell.numerator == 1 and cell.denominator > 1 << 50
+        assert points[0] == math.floor(
+            analysis._crossing_guess(sld) / cell) * cell
+        assert points == [points[0] - j * cell
+                          for j in (0, 1, 3, 7, 15, 31, 63, 127)]
+        assert calls[8:] == [(1, d) for d in range(1, 201)]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
     def test_member_search_rejects_bad_tolerance(self, systems, tol):
@@ -409,6 +452,58 @@ class TestThresholdBisection:
         assert found == [reference.critical_lambda_from_sld(s, 1e-10)
                          for s in slds]
         assert len(calls) <= 64 * len(slds)
+
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_builtin_members_take_two_probes(self, systems, name):
+        # the float guess lands in the halving's last cell, and its two ends
+        # are the only exact signs taken
+        for w in list(iter_weps(systems[name], 50))[1:]:
+            patch, calls = counted(analysis, "_grid_sign")
+            with patch:
+                analysis._critical_lambda_from_sld(sld_from_wep(w), 1e-10)
+            assert len(calls) <= 2
+
+    @pytest.mark.parametrize("guess", [
+        lambda mu: mu + 5e-10, lambda mu: mu - 5e-10, lambda mu: mu + 3e-9,
+        lambda mu: mu - 5e-9, lambda mu: 0.0, lambda mu: 1.0],
+        ids=["cells_right", "cells_left", "tens_of_cells_right",
+             "tens_of_cells_left", "zero", "one"])
+    @pytest.mark.parametrize("name", ["path", "star", "grid_2"])
+    def test_wrong_guess_still_gives_the_bisection(self, systems, monkeypatch,
+                                                   name, guess):
+        # cells are 2^-33 to 2^-35 wide at tol 1e-10, so the guesses are a
+        # few cells off, a few tens, or at either end; a miss gallops from
+        # the guessed cell, or halves where the gallop would run far
+        real = analysis._crossing_guess
+        monkeypatch.setattr(analysis, "_crossing_guess",
+                            lambda sld: guess(real(sld)))
+        for w in list(iter_weps(systems[name], 30))[1:]:
+            sld = sld_from_wep(w)
+            patch, calls = counted(analysis, "_grid_sign")
+            with patch:
+                value = analysis._critical_lambda_from_sld(sld, 1e-10)
+            assert value == reference.critical_lambda_bisection_from_sld(
+                sld, 1e-10)
+            assert len(calls) <= 64
+
+    def test_sectors_beyond_the_float_range(self):
+        # 1100 qubits with A_k about C(n, k) 3^k / 2^n, the largest near
+        # 2^1056, out of a float's range before the shift. Without A_0 the
+        # crossing would be mu = 1/3, where A_0 = 1 weighs as much as all
+        # the rest, so the guess must keep it to land near 0.337
+        n = 1100
+        sectors = [1] + [math.comb(n, k) * 3 ** k >> n for k in range(1, n + 1)]
+        sectors[-1] += (1 << n) - sum(sectors)
+        sld = SLD(tuple(sectors))
+        assert max(sectors).bit_length() > 1024
+        for tol, most in ((1e-10, 2), (1e-16, 64)):
+            patch, calls = counted(analysis, "_grid_sign")
+            with patch:
+                value = analysis._critical_lambda_from_sld(sld, tol)
+            assert value == reference.critical_lambda_bisection_from_sld(
+                sld, tol)
+            assert abs(value ** 2 - 0.337) < 0.001
+            assert len(calls) <= most
 
     @pytest.mark.parametrize("name", sorted(LIMITS))
     def test_limit_pinned_with_few_pole_searches(self, systems, name):

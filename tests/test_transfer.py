@@ -682,6 +682,37 @@ class TestIntegerKernel:
             assert wep_values_by_iteration(sys_, *point, 20) == \
                 [w.eval_xy(*point) for w in reference], point
 
+    @pytest.mark.parametrize("name", ["cycle", "complete_bipartite_2"])
+    def test_zero_coordinate_reads_the_surviving_term(self, systems, name):
+        # both have x^-1 and y^-1 step entries, so at lam = 0 and at x0 = 0
+        # each value is one coefficient read off the member's digits; the
+        # decoded members, evaluated whole, give the same values
+        sys_ = systems[name]
+        members = list(transfer._members(sys_, 60))
+        for point in ((F(1, 2), 0), (0, F(2, 5))):
+            assert wep_values_by_iteration(sys_, *point, 60) == \
+                [w.eval_xy(*point) for w in members], point
+
+    @pytest.mark.parametrize("start", [
+        X + 3 * mono(-1, 2), X ** 2 + 3 * Y ** 2 + mono(3, -1),
+        mono(-1, 3) + Y * Y], ids=["negative_x", "negative_y", "both"])
+    def test_zero_coordinate_with_negative_exponents(self, systems, start):
+        # a hand-built member with a negative exponent is evaluated whole,
+        # and raises where 0 meets that exponent, as eval_xy does
+        sys_ = TransferSystem(columns=[{0: ONE.terms}, {}, {}, {}],
+                              vector=[start.terms, {}, {}, {}],
+                              spec=systems["path"].spec)
+        members = list(iter_weps(sys_, 6))
+
+        def read(value):
+            try:
+                return value()
+            except AlgebraError as exc:
+                return str(exc)
+        for point in ((0, F(1, 3)), (F(1, 2), 0), (0, 0)):
+            assert read(lambda: wep_values_by_iteration(sys_, *point, 6)) \
+                == read(lambda: [w.eval_xy(*point) for w in members]), point
+
     def test_float_point_read_as_at_every_entry_point(self, systems):
         # y0 = 0.4 is 2/5 here as in fidelity_sweep at lambda = 0.8, not
         # the binary float nearest it
