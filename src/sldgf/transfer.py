@@ -42,7 +42,10 @@ stored term maps. Only the quotient is shifted, by the least x^alpha
 y^beta clearing its x^-1 and y^-1 entries: one loop (_sums) iterates T''
 = x^alpha y^beta T' (Quotient) over Python ints.
 A value at (x0, y0) = (a, b)/d iterates T''(a, b) and makes one
-Fraction per member, dividing by d^n a^(alpha m) b^(beta m). A symbolic
+Fraction per member, dividing by d^n a^(alpha m) b^(beta m). The power of
+2 that the sum and that divisor share is shifted out by bit counts first,
+which roughly halves what Fraction's gcd is left to reduce at a dyadic
+point; odd common factors are left to Fraction. A symbolic
 member is read off by Kronecker substitution (Harvey, JSC 2009): T'' is
 iterated at (1, 2^B), and the base-2^B digits of the component sum are
 the member's coefficients. A coefficient is at most the member's value at
@@ -496,9 +499,14 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     With (x0, y0) = (a, b)/d over the least common denominator, member
     start + m is the component sum of T''(a, b)^m v''(a, b) divided by
     d^(degree0 + m degree) a^(alpha m + alpha0) b^(beta m + beta0), one
-    Fraction per member. Where that divisor vanishes, at a zero coordinate,
-    one term of each member survives, and its coefficient is read off the
-    member's digits (_value_at_zero).
+    Fraction per member. The power of 2 common to a sum and its divisor is
+    stripped first: the lowest set bit of their OR is the lower of their
+    two lowest set bits (that of the divisor for a zero sum), and shifting
+    both by it is exact. Odd common factors are left to Fraction, which
+    still reduces the rest, so every value is the same reduced fraction.
+    Where that divisor vanishes, at a zero coordinate, one term of each
+    member survives, and its coefficient is read off the member's digits
+    (_value_at_zero).
     """
     r_max = _member_index(r_max)
     if r_max < 0:
@@ -515,7 +523,9 @@ def wep_values_by_iteration(sys: TransferSystem, x0, y0,
     per_step = d ** degree * a ** alpha * b ** beta
     den = d ** degree0 * a ** alpha0 * b ** beta0
     for s in _sums(*_at(q, a, b), r_max - start):
-        out.append(Fraction(s, den))
+        low = s | den
+        v = (low & -low).bit_length() - 1
+        out.append(Fraction(s >> v, den >> v))
         den *= per_step
     return out
 
