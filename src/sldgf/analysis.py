@@ -264,23 +264,21 @@ def criterion_q(sys: TransferSystem, lam,
     """Exact (Q1, Q2, Q1 - Q2) of member r at noise strength lam.
 
     Q1 = sum_k (n-k) lam^(2k) A_k and Q2 = sum_k k lam^(2k) A_k; the state
-    is certified entangled when the difference is negative. With mu = lam^2
-    = p/q, both are integer sums over the weights p^k q^(n-k), divided by
-    q^n once each.
+    is certified entangled when the difference is negative.
     """
     lam = _noise_parameter(lam)
     sld = _sld(*next(_sector_lengths(sys, r, r)))
     mu = lam * lam
-    p, q, n = mu.numerator, mu.denominator, sld.n
-    s1 = s2 = 0
-    power = 1  # p^k
+    n = sld.n
+    power = Fraction(1)
+    q1 = Fraction(0)
+    q2 = Fraction(0)
     for k, a in enumerate(sld):
-        # after step k, s1 = sum_(j <= k) (n-j) A_j p^j q^(k-j), s2 alike
-        s1 = s1 * q + (n - k) * a * power
-        s2 = s2 * q + k * a * power
-        power *= p
-    den = q ** n
-    return Fraction(s1, den), Fraction(s2, den), Fraction(s1 - s2, den)
+        if a:
+            q1 += (n - k) * a * power
+            q2 += k * a * power
+        power *= mu
+    return q1, q2, q1 - q2
 
 
 def _check_tolerance(tol: float) -> None:
@@ -383,11 +381,10 @@ def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     On a miss the probes gallop on the same grid away from the end whose
     sign failed, at 1, 3, 7, ... cells from the guessed cell, for at most 8
     probes in all, and then halve at the points with the most trailing
-    zeros, which are the halving's own. The bracket [lo, hi] is kept on the
-    grid of spacing 2^-200, and the stop test is applied to each cell of
-    the chain as soon as the bracket lies inside it, so a miss ends where
-    the halving would, at most 8 probes after it. Where tol is so coarse
-    that the halving stops by depth 3, it runs from the start, unguessed.
+    zeros, which are the halving's own. The bracket [lo, hi] is kept on
+    the grid of spacing 2^-200, and the stop test is applied to each cell
+    of the chain as soon as the bracket lies inside it, so a miss ends
+    where the halving would, at most 8 probes after it.
 
     The floats are correctly rounded quotients of integers, as a Fraction's
     are, so the result is that of halving with Fraction ends.
@@ -403,23 +400,15 @@ def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     # than the first d with 2^-(d + 1) <= tol + 2^-48 passes the stop test
     first = max(0, -math.frexp(tol + 2.0 ** -48)[1])
     top = 1 << _MAX_DEPTH
+    guess = min(int(math.ldexp(_crossing_guess(sld), _MAX_DEPTH)), top - 1)
+    depth = next((d for d in range(first, _MAX_DEPTH)
+                  if _narrow(guess >> _MAX_DEPTH - d, d, tol)), _MAX_DEPTH)
+    unit = 1 << _MAX_DEPTH - depth  # a cell at the guessed depth
     # grid points in units of 2^-200, with P(lo) >= 0 > P(hi)
     lo, hi, tested, probes = 0, top, first, 0
-    if _narrow(0, 3, tol):
-        # the cell at 0 is the widest in lam, so every cell at depth 3
-        # passes the stop test: the halving takes 3 probes at most, less
-        # than the float guess costs
-        k = step = None
-    else:
-        guess = min(int(math.ldexp(_crossing_guess(sld), _MAX_DEPTH)),
-                    top - 1)
-        depth = next((d for d in range(first, _MAX_DEPTH)
-                      if _narrow(guess >> _MAX_DEPTH - d, d, tol)),
-                     _MAX_DEPTH)
-        unit = 1 << _MAX_DEPTH - depth  # a cell at the guessed depth
-        k = guess - guess % unit
-        step = unit if k == 0 else 0  # the sign at 0 is known
-        k += step
+    k = guess - guess % unit
+    step = unit if k == 0 else 0  # the sign at 0 is known
+    k += step
     while True:
         # the depth of the cell holding the bracket, and the chain's stop
         # test on every cell down to it; the halving stops at 200 anyway

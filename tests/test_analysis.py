@@ -463,27 +463,6 @@ class TestThresholdBisection:
                 analysis._critical_lambda_from_sld(sld_from_wep(w), 1e-10)
             assert len(calls) <= 2
 
-    def test_coarse_tolerance_halves_without_a_guess(self, systems,
-                                                     monkeypatch):
-        # at tol 0.5 every cell at depth 3 passes the stop test, and at
-        # tol 5 the one at depth 0 does: the halving needs at most 3 probes
-        # there, so the float guess is never made; at 1e-10 it is
-        def no_guess(sld):
-            raise AssertionError("float guess made")
-        monkeypatch.setattr(analysis, "_crossing_guess", no_guess)
-        for name in sorted(LIMITS):
-            for w in list(iter_weps(systems[name], 50))[1:]:
-                sld = sld_from_wep(w)
-                for tol in (0.5, 5.0):
-                    patch, calls = counted(analysis, "_grid_sign")
-                    with patch:
-                        value = analysis._critical_lambda_from_sld(sld, tol)
-                    assert value == \
-                        reference.critical_lambda_bisection_from_sld(sld, tol)
-                    assert len(calls) <= 3
-        with pytest.raises(AssertionError, match="float guess"):
-            analysis._critical_lambda_from_sld(sld, 1e-10)
-
     @pytest.mark.parametrize("guess", [
         lambda mu: mu + 5e-10, lambda mu: mu - 5e-10, lambda mu: mu + 3e-9,
         lambda mu: mu - 5e-9, lambda mu: 0.0, lambda mu: 1.0],

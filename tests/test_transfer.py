@@ -682,35 +682,26 @@ class TestIntegerKernel:
             assert wep_values_by_iteration(sys_, *point, 20) == \
                 [w.eval_xy(*point) for w in reference], point
 
-    @pytest.mark.parametrize("name", ["cycle", "complete_bipartite_2"])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_zero_coordinate_reads_the_surviving_term(self, systems, name):
-        # both have x^-1 and y^-1 step entries, so at lam = 0 and at x0 = 0
-        # each value is one coefficient read off the member's digits; the
-        # decoded members, evaluated whole, give the same values
+        # the values equal the decoded members, evaluated whole. At lam = 0
+        # and at x0 = 0 a family with x^-1 and y^-1 step entries (cycle,
+        # complete_bipartite_2) reads each value as one coefficient off the
+        # member's digits. Elsewhere the values strip the power of 2 they
+        # share with their divisor before Fraction reduces them: at
+        # (1/2, k/64) it comes from d, a and b alike; at (1/2, -1/2) half
+        # or more of the values are 0 over an even divisor; at (-1/2, 1/4)
+        # a family with an odd x-shift has divisors of both signs, and
+        # (3/4, 1/4) has an odd numerator
         sys_ = systems[name]
         members = list(transfer._members(sys_, 60))
-        for point in ((F(1, 2), 0), (0, F(2, 5))):
-            assert wep_values_by_iteration(sys_, *point, 60) == \
-                [w.eval_xy(*point) for w in members], point
-
-    def test_values_equal_the_decoded_members(self, systems):
-        # the values strip the power of 2 they share with their divisor
-        # before Fraction reduces them: at (1/2, k/64) it comes from d, a
-        # and b alike; at (1/2, -1/2) half or more of the values are 0 over
-        # an even divisor; at (-1/2, 1/4) a family with an odd x-shift has
-        # divisors of both signs, and (3/4, 1/4) has an odd numerator
-        points = ((F(1, 2), F(17, 64)), (F(1, 2), F(29, 64)),
-                  (F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 4)),
-                  (F(3, 4), F(1, 4)))
-        for name in BUILTIN_FAMILIES:
-            sys_ = systems[name]
-            members = list(transfer._members(sys_, 60))
-            for point in points:
-                values = wep_values_by_iteration(sys_, *point, 60)
-                assert values == [w.eval_xy(*point) for w in members], \
-                    (name, point)
-                if point == (F(1, 2), F(-1, 2)):
-                    assert values.count(0) >= 30, name
+        for point in ((F(1, 2), 0), (0, F(2, 5)), (F(1, 2), F(17, 64)),
+                      (F(1, 2), F(29, 64)), (F(1, 2), F(-1, 2)),
+                      (F(-1, 2), F(1, 4)), (F(3, 4), F(1, 4))):
+            values = wep_values_by_iteration(sys_, *point, 60)
+            assert values == [w.eval_xy(*point) for w in members], point
+            if point == (F(1, 2), F(-1, 2)):
+                assert values.count(0) >= 30
 
     @pytest.mark.parametrize("start", [
         X + 3 * mono(-1, 2), X ** 2 + 3 * Y ** 2 + mono(3, -1),
