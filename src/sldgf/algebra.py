@@ -11,7 +11,8 @@ test-only reference in tests/fraction_free.py.
 Conventions baked in here and relied on everywhere else:
 
 * a polynomial is a map {(e_x, e_y, e_z): coefficient}; zero coefficients are
-  never stored and the zero polynomial is the empty map,
+  never stored and the zero polynomial is the empty map. LaurentPoly3._of,
+  through which every arithmetic result is built, is the one unchecked path,
 * e_x and e_y may be negative (Laurent terms such as x^-1 y^2 show up in
   transfer matrices), e_z is always >= 0,
 * term iteration order is ascending lexicographic on the exponent triple, so
@@ -26,6 +27,7 @@ Conventions baked in here and relied on everywhere else:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -90,15 +92,25 @@ class LaurentPoly3:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                if coeff == 0:
+                coeff = _rational(coeff)
+                if not coeff:
                     continue
                 ex, ey, ez = exp
                 if (type(ex), type(ey), type(ez)) != (int, int, int):
                     ex, ey, ez = map(_integer, exp)
                 if ez < 0:
                     raise AlgebraError(f"negative z exponent in term {exp}")
-                clean[ex, ey, ez] = _rational(coeff)
+                clean[ex, ey, ez] = coeff
         self.terms = clean
+
+    @staticmethod
+    def _of(terms: dict[Exponent, Fraction]) -> "LaurentPoly3":
+        """Wrap terms unchecked, the one path past __init__'s checks: every
+        exponent must be an int triple with e_z >= 0, every coefficient a
+        nonzero Fraction, and the dict must be the result's own."""
+        result = LaurentPoly3.__new__(LaurentPoly3)
+        result.terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -155,48 +167,28 @@ class LaurentPoly3:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly3") -> "LaurentPoly3":
+    def _merge(self, other: "LaurentPoly3", op) -> "LaurentPoly3":
+        """self op other term by term, for op operator.add or operator.sub;
+        a term that cancels is dropped."""
         if not other.terms:
             return self
-        if not self.terms:
-            return other
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = coeff
+            acc = op(out.get(exp, 0), coeff)
+            if acc:
+                out[exp] = acc
             else:
-                acc = acc + coeff
-                if acc:
-                    out[exp] = acc
-                else:
-                    del out[exp]
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = out
-        return result
+                del out[exp]
+        return LaurentPoly3._of(out)
 
-    def __neg__(self) -> "LaurentPoly3":
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = {exp: -coeff for exp, coeff in self.terms.items()}
-        return result
+    def __add__(self, other: "LaurentPoly3") -> "LaurentPoly3":
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "LaurentPoly3") -> "LaurentPoly3":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = -coeff
-            else:
-                acc = acc - coeff
-                if acc:
-                    out[exp] = acc
-                else:
-                    del out[exp]
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = out
-        return result
+        return self._merge(other, operator.sub)
+
+    def __neg__(self) -> "LaurentPoly3":
+        return LaurentPoly3._of({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly3 | int | Fraction | float"
                 ) -> "LaurentPoly3":
@@ -222,9 +214,7 @@ class LaurentPoly3:
                         out[exp] = acc
                     else:
                         del out[exp]
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = out
-        return result
+        return LaurentPoly3._of(out)
 
     __rmul__ = __mul__
 
@@ -232,19 +222,15 @@ class LaurentPoly3:
         factor = _rational(factor)
         if factor == 0:
             return LaurentPoly3()
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = {exp: coeff * factor for exp, coeff in self.terms.items()}
-        return result
+        return LaurentPoly3._of({e: c * factor for e, c in self.terms.items()})
 
     def shift(self, by: Exponent) -> "LaurentPoly3":
         """Multiply by the monomial x^a y^b z^c where by = (a, b, c)."""
         dx, dy, dz = by
         if dx == 0 and dy == 0 and dz == 0:
             return self
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = {(ex + dx, ey + dy, ez + dz): coeff
-                        for (ex, ey, ez), coeff in self.terms.items()}
-        return result
+        return LaurentPoly3._of({(ex + dx, ey + dy, ez + dz): c
+                                 for (ex, ey, ez), c in self.terms.items()})
 
     def __pow__(self, power: int) -> "LaurentPoly3":
         if power < 0:
@@ -269,24 +255,12 @@ class LaurentPoly3:
     # -- calculus and evaluation ---------------------------------------------
 
     def partial(self, name: str) -> "LaurentPoly3":
-        """Formal partial derivative with respect to x, y or z."""
-        idx = _VAR_INDEX[name]
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[idx] = e - 1
-            key = (new[0], new[1], new[2])
-            acc = out.get(key, Fraction(0)) + coeff * e
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = out
-        return result
+        """Formal partial derivative with respect to x, y or z. Lowering one
+        exponent keeps distinct terms distinct, so none collide or cancel."""
+        i = _VAR_INDEX[name]
+        return LaurentPoly3._of({
+            (*exp[:i], exp[i] - 1, *exp[i + 1:]): coeff * exp[i]
+            for exp, coeff in self.terms.items() if exp[i]})
 
     def eval_xy(self, x0: int | Fraction, y0: int | Fraction) -> Fraction:
         """Evaluate a z-free polynomial at exact (x0, y0); raise AlgebraError
@@ -297,10 +271,9 @@ class LaurentPoly3:
 
     def z_slice(self, r: int) -> "LaurentPoly3":
         """The coefficient of z^r, as a polynomial in x and y only."""
-        result = LaurentPoly3.__new__(LaurentPoly3)
-        result.terms = {(ex, ey, 0): coeff
-                        for (ex, ey, ez), coeff in self.terms.items() if ez == r}
-        return result
+        return LaurentPoly3._of({(ex, ey, 0): coeff
+                                 for (ex, ey, ez), coeff in self.terms.items()
+                                 if ez == r})
 
     # -- rendering -----------------------------------------------------------
 

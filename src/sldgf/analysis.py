@@ -315,6 +315,11 @@ def _crossing_guess(sld: SLD) -> float:
     puts mu below 2^-201, whose cell is 0 at every depth. The iteration
     stops once a step is no shorter than the one before it, which is where
     rounding takes over from convergence.
+
+    Past about 2500 qubits the one shift leaves every term of S_0 below
+    the float range near the crossing. At such a point alone the sums are
+    taken again over the weights exp(ln A_k + k t - top), top the largest
+    exponent, which keep their ratios and put the largest at 1.
     """
     n, half = sld.n, sld.n / 2
     scale = 1 << max(0, max(sld).bit_length() - 960)
@@ -332,10 +337,15 @@ def _crossing_guess(sld: SLD) -> float:
             s1 = s1 * mu + c
         for c in c2:
             s2 = s2 * mu + c
-        if s0 > 0:
-            f, var = s1 / s0, s2 / s0 - (s1 / s0) ** 2
-        else:  # every term underflowed, far left of the crossing
-            f, var = -half, 0.0
+        if s0 == 0:  # every term underflowed: weigh them by logs
+            logs = [(k - half, math.log(c) + k * t)
+                    for k, c in enumerate(sld.sectors) if c]
+            top = max(e for _, e in logs)
+            w = [(d, math.exp(e - top)) for d, e in logs]
+            s0 = sum(x for _, x in w)
+            s1 = sum(d * x for d, x in w)
+            s2 = sum(d * d * x for d, x in w)
+        f, var = s1 / s0, s2 / s0 - (s1 / s0) ** 2
         if f > 0:
             t_hi = t
         else:

@@ -35,6 +35,27 @@ def laurent_polys(max_terms=12):
         lambda ts: poly_from_terms((ex, ey, ez, c) for ex, ey, ez, c in ts))
 
 
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) with b holding the negation of some of a's terms, so that
+    a + b cancels there; exponents range over negative x and y powers."""
+    a = draw(laurent_polys())
+    shared = draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms \
+        else set()
+    terms = dict(draw(laurent_polys()).terms)
+    for exp in shared:
+        terms[exp] = terms.get(exp, 0) - a.terms[exp]
+    return a, LaurentPoly3(terms)
+
+
+def stores_no_zero(p):
+    """p keeps the kernel's invariant: int exponent triples with e_z >= 0
+    and nonzero Fraction coefficients."""
+    return all(type(c) is F and c != 0 and exp[2] >= 0
+               and all(type(e) is int for e in exp)
+               for exp, c in p.terms.items())
+
+
 class TestPolyOps:
     def test_difference_of_squares(self):
         assert (X + Y) * (X - Y) == X * X - Y * Y
@@ -149,6 +170,36 @@ class TestPolyOps:
         p = ONE - LaurentPoly3.const(2) * X * Y * Z * Z
         assert str(p) == "1 - 2*x*y*z^2"
         assert p.latex() == "1 - 2 x y z^{2}"
+
+    @pytest.mark.parametrize("zero", ["0", "0/5", F(0), 0.0])
+    def test_zero_coefficients_are_not_stored(self, zero):
+        # each is read as an exact rational before the zero test, so none
+        # is kept as a stored Fraction(0)
+        p = LaurentPoly3({(0, 0, 0): zero, (1, -1, 2): zero})
+        assert p.is_zero()
+        assert p == LaurentPoly3()
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cancelling_pairs())
+    def test_sum_and_difference(self, pair):
+        a, b = pair
+        assert (a + b) - b == a
+        assert a - b == a + (-b)
+        assert (a - a).is_zero()
+        for p in (a + b, a - b, b - a, -b, a - a, a * b, a.scale(F(-2, 3)),
+                  a.shift((-1, 2, 1)), a.z_slice(1)):
+            assert stores_no_zero(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cancelling_pairs())
+    def test_partial_obeys_leibniz(self, pair):
+        a, b = pair
+        for name in "xyz":
+            assert (a * b).partial(name) == \
+                a.partial(name) * b + a * b.partial(name)
+            assert stores_no_zero(a.partial(name))
 
 
 class TestNumberReader:

@@ -491,11 +491,8 @@ class TestThresholdBisection:
         # 2^1056, out of a float's range before the shift. Without A_0 the
         # crossing would be mu = 1/3, where A_0 = 1 weighs as much as all
         # the rest, so the guess must keep it to land near 0.337
-        n = 1100
-        sectors = [1] + [math.comb(n, k) * 3 ** k >> n for k in range(1, n + 1)]
-        sectors[-1] += (1 << n) - sum(sectors)
-        sld = SLD(tuple(sectors))
-        assert max(sectors).bit_length() > 1024
+        sld = reference.binomial_sld(1100)
+        assert max(sld).bit_length() > 1024
         for tol, most in ((1e-10, 2), (1e-16, 64)):
             patch, calls = counted(analysis, "_grid_sign")
             with patch:
@@ -504,6 +501,17 @@ class TestThresholdBisection:
                 sld, tol)
             assert abs(value ** 2 - 0.337) < 0.001
             assert len(calls) <= most
+
+    def test_sums_beyond_the_float_range(self):
+        # at 3000 qubits every shifted term A_k mu^k underflows near the
+        # crossing, so the guess weighs them by logs; taken as far left of
+        # the crossing, it landed near 1/2 and the search took 41 probes
+        sld = reference.binomial_sld(3000)
+        patch, calls = counted(analysis, "_grid_sign")
+        with patch:
+            value = analysis._critical_lambda_from_sld(sld, 1e-10)
+        assert abs(value ** 2 - 0.335) < 0.001
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("name", sorted(LIMITS))
     def test_limit_pinned_with_few_pole_searches(self, systems, name):

@@ -6,10 +6,11 @@ member-independent limit) and bisecting it. Both criteria change sign at
 most once, so the package then bisected from [0, 1] directly; the scans
 stay here, unchanged, as the reference that the member bisection is
 compared against. critical_lambda_bisection_from_sld is that bisection
-as it was, over Fraction brackets; it is the reference at tolerances
-coarser than the scan's cell. Their sign test is the package's earlier one,
-_poly_sign_at, a Horner pass at the numerator and denominator of a
-Fraction point, so the reference shares no sign code with the package's integer halving.
+as it was, over Fraction brackets, and bisection_cell its last cell; it is
+the reference at tolerances coarser than the scan's cell. Their sign test
+is the package's earlier one, _poly_sign_at, a Horner pass at the
+numerator and denominator of a Fraction point, so the reference shares no
+sign code with the package's integer halving.
 
 The limit's bisection, critical_lambda_asymptotic_bisection, is the
 reference for the package's secant-guided search on the same dyadic grid:
@@ -75,11 +76,12 @@ def critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     return math.sqrt((lo + hi) / 2)
 
 
-def critical_lambda_bisection_from_sld(sld: SLD,
-                                      tol: float) -> float | None:
-    """The member threshold by halving [0, 1] with Fraction brackets, as the
-    package found it before its bracket became grid integers: the stop test
-    and the result read the Fraction ends as floats."""
+def bisection_cell(sld: SLD,
+                   tol: float) -> tuple[Fraction, Fraction] | None:
+    """The last cell [lo, hi] of halving [0, 1] with Fraction brackets, as
+    the package halved before its bracket became grid integers: the stop
+    test reads the Fraction ends as floats. None when the member has no
+    threshold."""
     if not 0 < tol < math.inf:
         raise AnalysisError("tolerance must be positive and finite")
     coeffs = [(sld.n - 2 * k) * a for k, a in enumerate(sld)]
@@ -94,7 +96,25 @@ def critical_lambda_bisection_from_sld(sld: SLD,
             hi = mid
         else:
             lo = mid
-    return math.sqrt((lo + hi) / 2)
+    return lo, hi
+
+
+def critical_lambda_bisection_from_sld(sld: SLD,
+                                      tol: float) -> float | None:
+    """The member threshold by halving [0, 1] with Fraction brackets: sqrt
+    of the midpoint of bisection_cell, read as a float."""
+    cell = bisection_cell(sld, tol)
+    return None if cell is None else math.sqrt(sum(cell) / 2)
+
+
+def binomial_sld(n: int) -> SLD:
+    """An SLD on n qubits with A_k about C(n, k) 3^k / 2^n and A_0 = 1, its
+    crossing near mu = 1/3. Past about 1000 qubits its largest A_k is out
+    of a float's range, and past about 2500 every shifted term of the float
+    guess's sums underflows near the crossing."""
+    sectors = [1] + [math.comb(n, k) * 3 ** k >> n for k in range(1, n + 1)]
+    sectors[-1] += (1 << n) - sum(sectors)
+    return SLD(tuple(sectors))
 
 
 def critical_lambda_asymptotic(sys: TransferSystem,

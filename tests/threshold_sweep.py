@@ -1,15 +1,18 @@
 """Check the member thresholds against the bisection they replace.
 
 Run as ``PYTHONPATH=src python tests/threshold_sweep.py``. It is not a
-pytest module (it bisects some 5000 members with Fraction brackets, which
-takes a minute), so Tier-1 does not collect it. For members 1..200 of the
-seven built-ins and members 1..50 of the 4-wide ladder, at tol 1e-10, 1e-12
-and 1e-16, it compares critical_lambda_sweep with
-threshold_reference.critical_lambda_bisection_from_sld. It prints the exact
-sign probes (_grid_sign calls) per member and the misses: members whose
-float guess (_crossing_guess) does not lie in the bisection's last cell, so
-that the search galloped from the guessed cell. It exits 1 on the first
-threshold that differs.
+pytest module (it bisects some 1450 members with Fraction brackets at three
+tolerances, which takes a minute and a half), so Tier-1 does not collect
+it. For members 1..200 of the seven built-ins, members 1..50 of the 4-wide
+ladder and the binomial SLDs on 3000 and 5000 qubits
+(threshold_reference.binomial_sld), at tol 1e-10, 1e-12 and 1e-16, it
+compares critical_lambda_sweep, or the member search on an SLD with no
+family, with the Fraction bisection: sqrt of the midpoint of
+threshold_reference.bisection_cell. It prints the exact sign probes
+(_grid_sign calls) per member and the misses: members whose float guess
+(_crossing_guess), read on the last cell's grid as the search reads it,
+is not that cell, so that the search galloped from the guessed cell. It
+exits 1 on the first threshold that differs.
 """
 
 from __future__ import annotations
@@ -31,21 +34,17 @@ from sldgf import analysis
 TOLERANCES = (1e-10, 1e-12, 1e-16)
 BUILTIN_MEMBERS = 200
 LADDER_MEMBERS = 50
+BINOMIAL_QUBITS = (3000, 5000)
 
 
-def guessed_threshold(mu: float, tol: float) -> float:
-    """The bisection's float, with the crossing taken to be mu: the result
-    when the guess lies in the bisection's last cell."""
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(200):
-        if math.sqrt(hi) - math.sqrt(lo) < tol:
-            break
-        mid = (lo + hi) / 2
-        if mid <= mu:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt((lo + hi) / 2)
+def missed(guess: float, cell: tuple[Fraction, Fraction]) -> bool:
+    """Whether floor(guess 2^depth), capped at the last cell of [0, 1] as
+    the search caps it, is not the bisection's last cell [lo, hi], of width
+    2^-depth."""
+    lo, hi = cell
+    depth = (hi - lo).denominator.bit_length() - 1
+    index = min(math.floor(math.ldexp(guess, depth)), (1 << depth) - 1)
+    return index != lo * (1 << depth)
 
 
 def families():
@@ -57,8 +56,11 @@ def families():
 
 
 def main() -> int:
-    swept = [(name, sys_, [sld_from_wep(w) for w in iter_weps(sys_, r_max)])
+    swept = [(name, sys_, [sld_from_wep(w)
+                           for w in iter_weps(sys_, r_max)][1:])
              for name, sys_, r_max in families()]
+    swept += [(f"binomial_{n}", None, [reference.binomial_sld(n)])
+              for n in BINOMIAL_QUBITS]
     calls = []
     real = analysis._grid_sign
 
@@ -69,28 +71,28 @@ def main() -> int:
         members = misses = probes = most = 0
         for name, sys_, slds in swept:
             found = []
-            for sld in slds[1:]:
+            for sld in slds:
                 calls.clear()
                 with mock.patch.object(analysis, "_grid_sign", counted):
                     found.append(analysis._critical_lambda_from_sld(sld, tol))
                 probes += len(calls)
                 most = max(most, len(calls))
-            if critical_lambda_sweep(sys_, range(1, len(slds)), tol) != list(
+            if sys_ is not None and critical_lambda_sweep(
+                    sys_, range(1, len(slds) + 1), tol) != list(
                     enumerate(found, 1)):
                 print(f"{name} at tol {tol:g}: critical_lambda_sweep differs "
                       f"from its members' searches")
                 return 1
-            for r, (value, sld) in enumerate(zip(found, slds[1:]), 1):
-                expected = reference.critical_lambda_bisection_from_sld(sld,
-                                                                        tol)
+            for r, (value, sld) in enumerate(zip(found, slds), 1):
+                cell = reference.bisection_cell(sld, tol)
+                expected = None if cell is None else math.sqrt(sum(cell) / 2)
                 if value != expected:
                     print(f"{name} member {r} at tol {tol:g}: {value!r}, "
                           f"the bisection gives {expected!r}")
                     return 1
                 if value is not None:
                     members += 1
-                    misses += value != guessed_threshold(
-                        analysis._crossing_guess(sld), tol)
+                    misses += missed(analysis._crossing_guess(sld), cell)
         print(f"tol {tol:g}: {members} thresholds, as the bisection gives "
               f"them; {probes / members:.2f} probes per member, at most "
               f"{most}; {misses} misses")
