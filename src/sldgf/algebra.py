@@ -267,7 +267,8 @@ class LaurentPoly3:
         for 0 to a negative power."""
         if self.max_degree_z():
             raise AlgebraError("eval_xy called on a polynomial involving z")
-        return _z_coefficients(self, x0, y0)[0]
+        (coeffs,), scale = _integer_z_coefficients((self,), x0, y0)
+        return Fraction(coeffs[0], scale)
 
     def z_slice(self, r: int) -> "LaurentPoly3":
         """The coefficient of z^r, as a polynomial in x and y only."""
@@ -605,27 +606,54 @@ def uni_reduce(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:
     return _normalise_pair(p, q)
 
 
-def _z_coefficients(poly: LaurentPoly3, x0: int | Fraction,
-                    y0: int | Fraction) -> list[Fraction]:
-    """Coefficients, low degree first, of the polynomial in z left by
-    substituting exact (x0, y0) into poly: one pass adding c x0^ex y0^ey to
-    the coefficient of z^ez for each term. Raises AlgebraError for 0 to a
-    negative power."""
+def _integer_z_coefficients(polys: Sequence[LaurentPoly3], x0: int | Fraction,
+                            y0: int | Fraction) -> tuple[list[list[int]], int]:
+    """The polynomials in z left by substituting exact (x0, y0) into each of
+    polys, all scaled by one positive integer S into integers: their
+    coefficient lists, low degree first, and S.
+
+    With x0 = a/b in lowest terms and lo <= 0 <= hi bounding every x
+    exponent, x0^ex is a^(ex - lo) b^(hi - ex) over a^-lo b^hi, and y0^ey
+    likewise; so each term c x0^ex y0^ey is an integer product of two
+    power-table entries over the one scale S, the product of both tables'
+    scales and the lcm of the coefficients' denominators. Raises
+    AlgebraError for 0 to a negative power, naming the coordinate; polys
+    are checked in turn, x before y.
+    """
     x0, y0 = _rational(x0), _rational(y0)
+    for poly in polys:
+        for idx, value in enumerate((x0, y0)):
+            if value == 0 and any(exp[idx] < 0 for exp in poly.terms):
+                raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "
+                                   "negative exponent")
+    common = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+    scale, tables = common, []
     for idx, value in enumerate((x0, y0)):
-        if value == 0 and any(exp[idx] < 0 for exp in poly.terms):
-            raise AlgebraError(f"evaluating at {'xy'[idx]} = 0 with a "
-                               "negative exponent")
-    coeffs = [Fraction(0)] * (poly.max_degree_z() + 1)
-    for (ex, ey, ez), coeff in poly.terms.items():
-        coeffs[ez] += coeff * x0 ** ex * y0 ** ey
-    return coeffs
+        exps = {0, *(exp[idx] for poly in polys for exp in poly.terms)}
+        lo, hi = min(exps), max(exps)
+        nums, dens = [1], [1]
+        for _ in range(hi - lo):
+            nums.append(nums[-1] * value.numerator)
+            dens.append(dens[-1] * value.denominator)
+        tables.append({e: nums[e - lo] * dens[hi - e] for e in exps})
+        scale *= nums[-lo] * dens[hi]
+    xs, ys = tables
+    out = []
+    for poly in polys:
+        coeffs = [0] * (poly.max_degree_z() + 1)
+        for (ex, ey, ez), c in poly.terms.items():
+            coeffs[ez] += (c.numerator * (common // c.denominator)
+                           * xs[ex] * ys[ey])
+        out.append(coeffs)
+    return out, scale
 
 
 def _univariate(poly: LaurentPoly3, x0: int | Fraction,
                 y0: int | Fraction) -> UniPolyZ:
-    """The polynomial in z left by substituting exact (x0, y0) into poly."""
-    return UniPolyZ(_z_coefficients(poly, x0, y0))
+    """The polynomial in z left by substituting exact (x0, y0) into poly;
+    AlgebraError for 0 to a negative power."""
+    (coeffs,), scale = _integer_z_coefficients((poly,), x0, y0)
+    return UniPolyZ([Fraction(c, scale) for c in coeffs])
 
 
 def uni_specialize(f: RatFunc3, x0: int | Fraction,
@@ -634,10 +662,13 @@ def uni_specialize(f: RatFunc3, x0: int | Fraction,
 
     No cancellation of common factors is attempted here; the pair is only
     jointly rescaled to integer coefficients with content 1 and a positive
-    lowest denominator coefficient.
+    lowest denominator coefficient. That pair is unique, so it is read off
+    the integers of _integer_z_coefficients, divided by their gcd.
     """
-    p = _univariate(f.num, x0, y0)
-    q = _univariate(f.den, x0, y0)
-    if q.is_zero():
+    (p, q), _ = _integer_z_coefficients((f.num, f.den), x0, y0)
+    if not any(q):
         raise ZeroDenominatorError("denominator vanishes at the given point")
-    return _normalise_pair(p, q)
+    g = gcd(*p, *q)
+    if next(c for c in q if c) < 0:
+        g = -g
+    return UniPolyZ([c // g for c in p]), UniPolyZ([c // g for c in q])

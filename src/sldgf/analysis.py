@@ -17,7 +17,11 @@ nonnegative series demand).
 
 Every asymptotic goes through one pole kernel: `_simple_pole` (the dominant
 root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
-`_leading_term` joins into a `LeadingTerm`.
+`_leading_term` joins into a `LeadingTerm`. The kernel's Horner evaluations
+and Newton polish run on mpmath's raw libmp values (`_mpc_` and `_mpf_`
+tuples) through the same libmp functions that mpc and mpf arithmetic
+calls, at the context's precision, so they give the same bits as that
+arithmetic without building an object per operation.
 """
 
 from __future__ import annotations
@@ -64,42 +68,66 @@ def _mpf_from_fraction(value: Fraction) -> mp.mpf:
 
 
 def _mp_poly(poly: UniPolyZ):
-    """poly as a Horner evaluator at mpmath points, its coefficients
-    converted to mpf once, at the working precision of the call."""
+    """poly as a Horner evaluator at raw libmp complex values (_mpc_
+    tuples), its coefficients converted to raw mpf values once, at the
+    context's precision and rounding when called. Each step is the
+    mpc_mul and mpc_add_mpf that mpc's * and + with an mpf run, so the
+    value is that of Horner on mpc and mpf objects, bit for bit; an
+    integral coefficient converts by from_int alone, which is what
+    dividing it by mpf(1) leaves."""
     import mpmath as mp
-    coeffs = [_mpf_from_fraction(c) for c in reversed(poly.coeffs)]
+    from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_mul, mpf_div
+    prec, rnd = mp.mp._prec_rounding
+    coeffs = [from_int(c.numerator, prec, rnd) if c.denominator == 1
+              else mpf_div(from_int(c.numerator, prec, rnd),
+                           from_int(c.denominator, prec, rnd), prec, rnd)
+              for c in reversed(poly.coeffs)]
 
-    def at(z) -> mp.mpc:
-        acc = mp.mpc(0)
+    def at(z: tuple) -> tuple:
+        acc = (fzero, fzero)
         for c in coeffs:
-            acc = acc * z + c
+            acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
         return acc
     return at
 
 
 def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
-    """All complex roots: companion-matrix estimates polished by Newton."""
+    """All complex roots, by modulus, real part and imaginary part:
+    companion-matrix estimates polished by at most 8 Newton steps.
+
+    The polish runs on raw libmp values at the context's precision: each
+    step is the mpc_div and mpc_sub of mpc's / and -, and the stop tests
+    compare |q'(z)| and |step| (mpc_abs, as abs on an mpc) with 1e-30 and
+    1e-35 max(1, |z|), converted once per call. So the roots are those of
+    the same Newton on mpc objects, bit for bit.
+    """
     import mpmath as mp
     import numpy as np
+    from mpmath.libmp import (fone, from_float, from_str, mpc_abs, mpc_div,
+                              mpc_sub, mpf_gt, mpf_lt, mpf_mul)
 
     # scale exactly before any float conversion so huge integer coefficients
     # cannot overflow a double
     scale = max(abs(c) for c in q.coeffs)
     coeffs_high_first = [float(c / scale) for c in reversed(q.coeffs)]
     estimates = np.roots(coeffs_high_first)
+    prec, rnd = mp.mp._prec_rounding
+    tiny, eps = from_str("1e-30", prec, rnd), from_str("1e-35", prec, rnd)
     q_at, dq_at = _mp_poly(q), _mp_poly(q.derivative())
     roots = []
     for est in estimates:
-        z = mp.mpc(est)
+        z = from_float(est.real, prec, rnd), from_float(est.imag, prec, rnd)
         for _ in range(8):
             d = dq_at(z)
-            if abs(d) < mp.mpf("1e-30"):
+            if mpf_lt(mpc_abs(d, prec, rnd), tiny):
                 break
-            step = q_at(z) / d
-            z = z - step
-            if abs(step) < mp.mpf("1e-35") * max(1, abs(z)):
+            step = mpc_div(q_at(z), d, prec, rnd)
+            z = mpc_sub(z, step, prec, rnd)
+            size = mpc_abs(z, prec, rnd)
+            bound = mpf_mul(eps, size, prec, rnd) if mpf_gt(size, fone) else eps
+            if mpf_lt(mpc_abs(step, prec, rnd), bound):
                 break
-        roots.append(z)
+        roots.append(mp.make_mpc(z))
     roots.sort(key=lambda w: (mp.fabs(w), mp.re(w), mp.im(w)))
     return roots
 
@@ -130,29 +158,25 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
     import mpmath as mp
     with mp.workdps(WORKING_DPS):
         roots = _all_roots(q)
-    min_mod = min(mp.fabs(r) for r in roots)
-    near = [r for r in roots
-            if mp.fabs(r) <= min_mod * (1 + MODULUS_TIE_RTOL)]
-    real_positive_candidates = [
-        r for r in near
-        if abs(mp.im(r)) <= REAL_AXIS_RTOL * max(1, mp.fabs(r)) and mp.re(r) > 0]
-    z_star = real_positive_candidates[0] if real_positive_candidates else near[0]
-    cluster = [r for r in roots
-               if mp.fabs(r - z_star) <= ROOT_CLUSTER_RTOL * max(1, mp.fabs(z_star))]
-    outside = [r for r in roots
-               if mp.fabs(r - z_star) > ROOT_CLUSTER_RTOL * max(1, mp.fabs(z_star))]
-    if outside:
-        second = min(mp.fabs(r) for r in outside)
-        gap = float(second / min_mod)
-    else:
-        gap = math.inf
-    real_positive = bool(
-        abs(mp.im(z_star)) <= REAL_AXIS_RTOL * max(1, mp.fabs(z_star))
-        and mp.re(z_star) > 0)
+    # each modulus and each distance to z* once, at the caller's precision
+    mods = [mp.fabs(r) for r in roots]
+    min_mod = min(mods)
+
+    def real_positive(i: int) -> bool:
+        return bool(abs(mp.im(roots[i])) <= REAL_AXIS_RTOL * max(1, mods[i])
+                    and mp.re(roots[i]) > 0)
+    near = [i for i, m in enumerate(mods)
+            if m <= min_mod * (1 + MODULUS_TIE_RTOL)]
+    star = next((i for i in near if real_positive(i)), near[0])
+    z_star = roots[star]
+    reach = ROOT_CLUSTER_RTOL * max(1, mods[star])
+    dists = [mp.fabs(r - z_star) for r in roots]
+    outside = [m for m, d in zip(mods, dists) if d > reach]
+    gap = float(min(outside) / min_mod) if outside else math.inf
     return SingularityReport(
-        z_star=z_star, real_positive=real_positive,
-        multiplicity=len(cluster), unique=gap > 1 + MODULUS_TIE_RTOL,
-        modulus_gap=gap)
+        z_star=z_star, real_positive=real_positive(star),
+        multiplicity=sum(d <= reach for d in dists),
+        unique=gap > 1 + MODULUS_TIE_RTOL, modulus_gap=gap)
 
 
 def _reduced_specialisation(sys: TransferSystem, x0: Fraction,
@@ -171,9 +195,14 @@ def _simple_pole(q: UniPolyZ) -> SingularityReport:
     return report
 
 
-def _residue(p: UniPolyZ, dq: UniPolyZ, z) -> mp.mpc:
-    """Residue -p(z)/q'(z) of p/q at a simple root z of q."""
-    return -_mp_poly(p)(z) / _mp_poly(dq)(z)
+def _residue(p: UniPolyZ, dq: UniPolyZ, z: mp.mpc) -> mp.mpc:
+    """Residue -p(z)/q'(z) of p/q at a simple root z of q, by the mpc_neg
+    and mpc_div of mpc's - and /."""
+    import mpmath as mp
+    from mpmath.libmp import mpc_div, mpc_neg
+    prec, rnd = mp.mp._prec_rounding
+    return mp.make_mpc(mpc_div(mpc_neg(_mp_poly(p)(z._mpc_), prec, rnd),
+                               _mp_poly(dq)(z._mpc_), prec, rnd))
 
 
 @dataclass
@@ -552,8 +581,8 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
         report = _simple_pole(q)
         z = report.z_star
         q_x, q_y = _gf_den_partials(sys)
-        num = _mp_poly(_univariate(q_x, Fraction(1), mu))(z)
-        den = _mp_poly(_univariate(q_y, Fraction(1), mu))(z)
+        num = mp.make_mpc(_mp_poly(_univariate(q_x, Fraction(1), mu))(z._mpc_))
+        den = mp.make_mpc(_mp_poly(_univariate(q_y, Fraction(1), mu))(z._mpc_))
         if abs(den) <= mp.mpf("1e-25") * max(1, abs(num)):
             raise DegenerateSingularityError(
                 report, f"criterion ratio is indeterminate at lam = {lam}")

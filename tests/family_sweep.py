@@ -1,0 +1,154 @@
+"""Sweep the asymptotics over generated growing families, on both pole
+kernels.
+
+Run as ``PYTHONPATH=src python tests/family_sweep.py [--count N] [--seed S]``.
+It is not a pytest module (300 families on two kernels take about 12 s on
+a 2-core Xeon), so Tier-1 does not collect it. It draws families in the shape of
+test_transfer.family_specs with seeded ``random``: a boundary of 0 to 2
+vertices, a base graph of up to 6 vertices and a replacement of up to 5
+that adds at least one qubit. For each family it runs
+critical_lambda_asymptotic and fidelity_leading_term at lam = 4/5, once on
+the package's pole kernel and once on the reference kernel of
+tests/pole_reference.py, and exits 1 if any family's outcome differs: a
+different value, or a different failure.
+
+It prints, not gates, the counts of results, NoThresholdError and
+DegenerateSingularityError for both, and each degenerate case: the
+noise strength probed, the report's multiplicity and uniqueness, and
+whether the exact uni_gcd(q, q') is constant, so that every root of q is
+simple and a reported multiplicity above 1 comes from the float kernel.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import random
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pole_reference as reference
+from pole_reference import bits
+
+from sldgf import (AnalysisError, DegenerateSingularityError, FamilySpec,
+                   Graph, LaurentPoly3, NoThresholdError,
+                   build_transfer_system, uni_gcd)
+from sldgf import analysis
+
+FIDELITY_LAMBDA = Fraction(4, 5)
+
+
+def random_spec(rng: random.Random) -> FamilySpec:
+    """A valid growing family as test_transfer.family_specs draws one, with
+    a replacement larger than the boundary."""
+    k = rng.randint(0, 2)
+    n = rng.randint(k, 6)
+    m = rng.randint(k + 1, 5)
+
+    def edges(size):
+        return {pair for pair in itertools.combinations(range(size), 2)
+                if rng.random() < 0.5}
+    base, rep = edges(n), edges(m)
+    boundary = rng.sample(range(n), k)
+    glue = rng.sample(range(m), k)
+    nxt = rng.sample(range(m), k)
+    if k == 2:
+        rep.discard(tuple(sorted(nxt)))
+        if tuple(sorted(boundary)) in base:
+            rep.add(tuple(sorted(nxt)))
+    spec = FamilySpec(
+        name="generated", base_graph=Graph.from_edges(n, sorted(base)),
+        boundary=tuple(boundary), replacement=Graph.from_edges(m, sorted(rep)),
+        glue_map=dict(zip(boundary, glue)),
+        next_boundary_map=dict(zip(boundary, nxt)),
+        prefix_weps=(LaurentPoly3.const(1),))
+    spec.validate()
+    return spec
+
+
+def threshold(sys_, ratio) -> tuple:
+    """critical_lambda_asymptotic with the criterion ratio ``ratio``:
+    ("value", limit) or (error type, message, last lam probed)."""
+    probes = []
+
+    def recorded(sys_, lam):
+        probes.append(lam)
+        return ratio(sys_, lam)
+    real = analysis.criterion_asymptotic_ratio
+    analysis.criterion_asymptotic_ratio = recorded
+    try:
+        return "value", analysis.critical_lambda_asymptotic(sys_)
+    except AnalysisError as exc:
+        return type(exc), str(exc), probes[-1] if probes else None
+    finally:
+        analysis.criterion_asymptotic_ratio = real
+
+
+def leading(sys_, leading_term) -> tuple:
+    """fidelity_leading_term's pole and residue bits, or its failure."""
+    try:
+        lead = leading_term(sys_, FIDELITY_LAMBDA)
+    except AnalysisError as exc:
+        return type(exc), str(exc), FIDELITY_LAMBDA
+    report = lead.report
+    return ("value", bits(report.z_star), report.multiplicity,
+            report.unique, report.modulus_gap, bits(lead.residue))
+
+
+def degenerate_line(index: int, sys_, what: str, outcome: tuple) -> str:
+    """One degenerate case: where, why, the report of the reduced
+    denominator q there and the exact gcd test on q."""
+    _, message, lam = outcome
+    point = ((Fraction(1), lam * lam) if what == "threshold"
+             else (Fraction(1, 2), lam / 2))
+    _, q = analysis._reduced_specialisation(sys_, *point)
+    report = analysis.dominant_singularity(q)
+    simple = uni_gcd(q, q.derivative()).degree() == 0
+    return (f"  family {index} {what} at lam = {lam} ({float(lam):.9f}): "
+            f"{message}; multiplicity {report.multiplicity}, unique "
+            f"{report.unique}, gcd(q, q') "
+            f"{'constant' if simple else 'not constant'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    counts = {what: Counter() for what in ("threshold", "fidelity")}
+    degenerate, differ = [], []
+    for index in range(args.count):
+        sys_ = build_transfer_system(random_spec(rng))
+        outcomes = {
+            "threshold": (threshold(sys_, analysis.criterion_asymptotic_ratio),
+                          threshold(sys_, reference.criterion_asymptotic_ratio)),
+            "fidelity": (leading(sys_, analysis.fidelity_leading_term),
+                         leading(sys_, reference.fidelity_leading_term))}
+        for what, (package, ref) in outcomes.items():
+            if package != ref:
+                differ.append(f"  family {index} {what}: {package[:2]} "
+                              f"against the reference's {ref[:2]}")
+            kind = package[0]
+            counts[what]["result" if kind == "value" else kind.__name__] += 1
+            if kind is DegenerateSingularityError:
+                degenerate.append(degenerate_line(index, sys_, what, package))
+    print(f"{args.count} generated growing families, seed {args.seed}")
+    for what, counter in counts.items():
+        names = ("result", NoThresholdError.__name__,
+                 DegenerateSingularityError.__name__)
+        line = ", ".join(f"{counter[name]} {name}" for name in names)
+        others = sorted(set(counter) - set(names))
+        line += "".join(f", {counter[name]} {name}" for name in others)
+        print(f"{what}: {line}")
+    print(f"degenerate cases ({len(degenerate)}):")
+    print("\n".join(degenerate) if degenerate else "  none")
+    print(f"outcomes that differ from the reference kernel: {len(differ)}")
+    if differ:
+        print("\n".join(differ))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
