@@ -14,9 +14,10 @@ failure, such as a figure --out directory that cannot be created.
 
 Each command imports only what it computes with: the analysis layer inside
 fidelity, critical-lambda and figure; mpmath and numpy inside the root
-finder and the asymptotics (--asymptotic, figure), numpy inside the
-brute-force oracles. verify checks its members in this process; --jobs is
-accepted and validated but starts no workers.
+finder and the asymptotics (--asymptotic, figure). The brute-force oracles
+need neither, so verify loads no numerical library. verify checks its
+members in this process; --jobs is accepted and validated but starts no
+workers.
 """
 
 from __future__ import annotations

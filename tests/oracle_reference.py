@@ -1,9 +1,9 @@
 """Per-vertex brute-force oracles: the test-only reference.
 
-The package's oracles combine two half-size tables per bitmask. These are
-the per-vertex sweeps they replaced, kept unchanged as the reference the
-split-table oracles are compared against: every 2^n bitmask in plain
-binary order, with the per-vertex work vectorised over mask blocks.
+The package's oracles are bit-sliced sweeps over Python ints. These are
+per-vertex numpy sweeps, kept unchanged as the reference those oracles are
+compared against: every 2^n bitmask in plain binary order, with the
+per-vertex work vectorised over mask blocks.
 """
 
 from __future__ import annotations

@@ -494,19 +494,18 @@ print(json.dumps([code, [name for name in ("numpy", "mpmath",
     (["wep", "--family", "path", "-r", "3"], []),
     (["sld", "--family", "star", "-r", "3"], []),
     (["ce", "--family", "grid_2", "--r-max", "5"], []),
-    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "1"],
-     ["numpy"]),
-    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "2"],
-     ["numpy"]),
+    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "1"], []),
+    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "2"], []),
     (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8"], []),
     (["critical-lambda", "--family", "path", "--r-max", "5"], []),
     (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8",
       "--asymptotic"], ["numpy", "mpmath"]),
     (["critical-lambda", "--family", "path", "--r-max", "5",
       "--asymptotic"], ["numpy", "mpmath"]),
+    (["figure", "fig4", "--r-max", "3"], ["numpy", "mpmath"]),
 ], ids=["families", "gf", "wep", "sld", "ce", "verify", "verify-jobs",
         "fidelity", "critical-lambda", "fidelity-asymptotic",
-        "critical-lambda-asymptotic"])
+        "critical-lambda-asymptotic", "figure"])
 def test_commands_import_only_what_they_compute_with(argv, allowed):
     cp = run_python("-c", _LOADED_BY, *argv)
     assert cp.returncode == 0, cp.stderr

@@ -1,8 +1,11 @@
 """Brute-force oracle pair: mutual agreement and pinned small cases."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldgf import (BUILTIN_FAMILIES, FamilyError, Graph, VertexCapExceeded,
                    builtin, oracle, realize, sld_bruteforce_colouring,
@@ -76,7 +79,7 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
 
 
 def test_split_tables_match_reference_on_random_graphs():
-    # every size from 0 to 16, so both odd and even splits are covered
+    # every size from 0 to 16, each swept as one chunk
     rng = random.Random(20261018)
     for n in range(17):
         for _ in range(3 if n < 14 else 1):
@@ -104,16 +107,33 @@ def test_oracles_agree_on_family_members():
 
 
 def test_many_small_chunks_match_reference(monkeypatch):
-    # 2^3-mask chunks split both the high rows and the low row
-    monkeypatch.setattr(oracle, "_BLOCK_BITS", 3)
+    # at 0 to 3 vertices a plane is at most one byte of the pattern, with a
+    # chunk width of 3 and with one above n; at 9 to 12 vertices 2^3-mask
+    # chunks make the high vertices walk many chunks
     rng = random.Random(7)
+    for width in (3, 5):
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", width)
+        for n in range(4):
+            _assert_matches_reference(Graph(n, frozenset()))
+            _assert_matches_reference(_random_graph(rng, n))
+            _assert_matches_reference(Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 3)
     for n in range(9, 13):
         _assert_matches_reference(_random_graph(rng, n))
 
 
-def test_vertex_cap_fits_the_table_words():
-    # the split tables hold one vertex per bit of a uint32 word
-    assert oracle.DEFAULT_VERTEX_CAP <= 32
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_small_chunks_match_reference_on_random_graphs(data):
+    n = data.draw(st.integers(0, 14), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                max_size=len(pairs)), label="edges")
+    g = Graph.from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+    width = data.draw(st.integers(1, 5), label="chunk bits")
+    with mock.patch.object(oracle, "_CHUNK_BITS", width):
+        _assert_matches_reference(g)
 
 
 def test_chunked_sweep_matches_iteration():
