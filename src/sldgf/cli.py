@@ -165,13 +165,17 @@ def _cmd_sld(args) -> int:
 
 def _oracles(spec, r: int):
     """Vertex count and the sector lengths of both brute-force oracles for
-    member r, or None when the member has no graph."""
+    member r, each None when the member has no graph."""
     try:
         graph = realize(spec, r)
     except FamilyError:
-        return None
+        return spec.qubit_count(r) if r >= 1 else 0, None, None
     return (graph.vertex_count, list(sld_bruteforce_colouring(graph).sectors),
             list(sld_bruteforce_stabilizer(graph).sectors))
+
+
+# the sector-length columns of a verify row, in output order
+_SLD_COLUMNS = ("series", "iteration", "colouring", "stabilizer")
 
 
 def _cmd_verify(args) -> int:
@@ -193,36 +197,27 @@ def _cmd_verify(args) -> int:
     weps = list(iter_weps(sys_, r_max))
     table = []
     for r in range(r_max + 1):
-        n, colouring, stabilizer = _oracles(spec, r) or (
-            spec.qubit_count(r) if r >= 1 else 0, None, None)
+        n, *oracles = _oracles(spec, r)
         iteration = _sld_or_none(weps[r])
-        table.append({
-            "r": r, "n": n,
-            "series": _sld_or_none(series[r]), "iteration": iteration,
-            "colouring": colouring, "stabilizer": stabilizer,
-            "agree": series[r] == weps[r] and all(
-                sld is None or sld == iteration
-                for sld in (colouring, stabilizer))})
+        slds = (_sld_or_none(series[r]), iteration, *oracles)
+        table.append({"r": r, "n": n, **dict(zip(_SLD_COLUMNS, slds)),
+                      "agree": series[r] == weps[r] and all(
+                          sld is None or sld == iteration for sld in oracles)})
     all_ok = all(t["agree"] for t in table)
     if args.format == "json":
         _emit_json({"family": spec.name, "max_qubits": args.max_qubits,
                     "rows": table, "ok": all_ok})
     elif args.format == "csv":
-        rows_csv = [[str(t["r"]), str(t["n"]), _fmt_sld(t["series"]),
-                     _fmt_sld(t["iteration"]), _fmt_sld(t["colouring"]),
-                     _fmt_sld(t["stabilizer"]), str(t["agree"]).lower()]
-                    for t in table]
-        _emit(_csv_text(["r", "n", "series", "iteration", "colouring",
-                         "stabilizer", "agree"], rows_csv))
+        rows_csv = [[str(t["r"]), str(t["n"]),
+                     *(_fmt_sld(t[c]) for c in _SLD_COLUMNS),
+                     str(t["agree"]).lower()] for t in table]
+        _emit(_csv_text(["r", "n", *_SLD_COLUMNS, "agree"], rows_csv))
     else:
         _emit(f"family {spec.name}, members with at most {args.max_qubits} qubits")
         for t in table:
             _emit(f"  r={t['r']:<3} n={t['n']:<3} "
-                  f"series={_fmt_sld(t['series'])} "
-                  f"iteration={_fmt_sld(t['iteration'])} "
-                  f"colouring={_fmt_sld(t['colouring'])} "
-                  f"stabilizer={_fmt_sld(t['stabilizer'])} "
-                  f"{'ok' if t['agree'] else 'MISMATCH'}")
+                  + "".join(f"{c}={_fmt_sld(t[c])} " for c in _SLD_COLUMNS)
+                  + ("ok" if t["agree"] else "MISMATCH"))
         _emit("all agree" if all_ok else "MISMATCH FOUND")
     return 0 if all_ok else 1
 

@@ -318,9 +318,9 @@ def realize(spec: FamilySpec, r: int) -> Graph:
 
     Members below recursion_start exist only where a prefix graph is
     defined; from recursion_start on, the graph is built by r -
-    recursion_start cut-and-glue steps applied to the base graph. Vertex
-    labels of deleted vertices are retired; the result is renumbered
-    contiguously in creation order.
+    recursion_start cut-and-glue steps applied to the base graph. Each
+    step numbers the kept vertices first, in their order, then the
+    replacement's, so vertices stay numbered in creation order.
     """
     if r < 0:
         raise FamilyError("member index must be nonnegative")
@@ -331,38 +331,23 @@ def realize(spec: FamilySpec, r: int) -> Graph:
         raise FamilyError(
             f"member {r} of family {spec.name!r} precedes the recursion and "
             "has no defined graph")
-    alive = list(range(spec.base_graph.vertex_count))
-    edges = set(spec.base_graph.edges)
-    boundary = list(spec.boundary)
-    next_label = spec.base_graph.vertex_count
-    glue_pos = [spec.glue_map[v] for v in spec.boundary]
-    next_pos = [spec.next_boundary_map[v] for v in spec.boundary]
+    n, edges, boundary = (spec.base_graph.vertex_count,
+                          list(spec.base_graph.edges), spec.boundary)
+    glue = [spec.glue_map[v] for v in spec.boundary]
+    nxt = [spec.next_boundary_map[v] for v in spec.boundary]
     for _ in range(r - spec.recursion_start):
-        boundary_set = set(boundary)
-        new_labels = [next_label + jv
-                      for jv in range(spec.replacement.vertex_count)]
-        next_label += spec.replacement.vertex_count
-        target_of = {boundary[t]: new_labels[glue_pos[t]]
-                     for t in range(len(boundary))}
-        next_edges = set()
-        for a, b in edges:
-            ina, inb = a in boundary_set, b in boundary_set
-            if not ina and not inb:
-                next_edges.add((a, b))
-            elif ina != inb:
-                outside, inside = (b, a) if ina else (a, b)
-                target = target_of[inside]
-                next_edges.add((min(outside, target), max(outside, target)))
-            # edges inside the boundary are cut together with its subgraph
-        for a, b in spec.replacement.edges:
-            la, lb = new_labels[a], new_labels[b]
-            next_edges.add((min(la, lb), max(la, lb)))
-        edges = next_edges
-        alive = [v for v in alive if v not in boundary_set] + new_labels
-        boundary = [new_labels[p] for p in next_pos]
-    renumber = {v: i for i, v in enumerate(sorted(alive))}
-    return Graph.from_edges(len(alive), [(renumber[a], renumber[b])
-                                         for a, b in edges])
+        cut = set(boundary)
+        label = {v: i for i, v in
+                 enumerate(v for v in range(n) if v not in cut)}
+        kept = len(label)
+        label.update((v, kept + g) for v, g in zip(boundary, glue))
+        # an edge inside the boundary is cut, one leaving it is glued
+        edges = [(label[a], label[b]) for a, b in edges
+                 if a not in cut or b not in cut]
+        edges += [(kept + a, kept + b) for a, b in spec.replacement.edges]
+        n = kept + spec.replacement.vertex_count
+        boundary = [kept + p for p in nxt]
+    return Graph.from_edges(n, edges)
 
 
 _X_PLUS_Y = poly_from_terms([(1, 0, 0, 1), (0, 1, 0, 1)])

@@ -172,6 +172,7 @@ def sld_bruteforce_stabilizer(g: Graph) -> SLD:
             high_z ^= neighbours[j]
         summands = [[support[q][high_z >> q & 1]]
                     for q in range(n) if not high_x >> q & 1]
+        heaviest = len(summands)
         while len(summands) > 1:
             summands = [_plane_sum(*summands[i:i + 2])
                         if i + 1 < len(summands) else summands[i]
@@ -179,7 +180,9 @@ def sld_bruteforce_stabilizer(g: Graph) -> SLD:
         weight = summands[0] if summands else []
         complement = [ones ^ plane for plane in weight]
         offset = high_x.bit_count()
-        for k in range(1 << len(weight)):
+        # no mask weighs more than the summands; an empty top carry plane
+        # is dropped, so the planes may bound k more tightly
+        for k in range(min(heaviest + 1, 1 << len(weight))):
             equal = ones
             for i, plane in enumerate(weight):
                 equal &= plane if k >> i & 1 else complement[i]

@@ -16,7 +16,7 @@ import sldgf
 from sldgf import (BUILTIN_FAMILIES, builtin, parse_family_spec,
                    serialize_family_spec)
 
-from test_custom_family import CATERPILLAR
+from test_custom_family import CATERPILLAR, SPIDER
 from test_family import BAD_DOCUMENTS, isolated_vertex_document, still_document
 
 # the child process imports the package from where the tests found it
@@ -76,6 +76,17 @@ def test_verify_exits_zero_on_agreement():
     cp = run_cli("verify", "--family", "path", "--max-qubits", "9")
     assert cp.returncode == 0, cp.stderr
     assert "all agree" in cp.stdout
+
+
+def test_verify_spider(tmp_path: Path):
+    # a custom family with a negative qubit offset, checked by both oracles
+    # up to 15 qubits
+    spec_file = tmp_path / "spider.json"
+    spec_file.write_text(json.dumps(SPIDER))
+    cp = run_cli("verify", "--spec", str(spec_file), "--max-qubits", "15")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.endswith("all agree\n")
+    assert "n=15" in cp.stdout
 
 
 def test_verify_parallel_matches_serial(tmp_path: Path):

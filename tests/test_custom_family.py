@@ -5,18 +5,22 @@ whose centre inherits the old edges and one of whose leaves grows next;
 member sizes follow n(r) = 2r - 1. The 3-wide ladder extrudes its last
 3-vertex rung by a fresh one, so its boundary has three vertices, 27
 states (64 in the paper's 4-letter alphabet); the 4-wide ladder does the
-same with 4-vertex rungs and 81 states (256). Nothing here is pinned to the catalog: agreement of series
-extraction, iteration, and both oracles on a family the code has never seen
-is the whole point.
+same with 4-vertex rungs and 81 states (256). The spider grows two-vertex
+legs from one centre, so its members have 2r - 1 qubits too. Nothing here
+is pinned to the catalog: agreement of series extraction, iteration, and
+both oracles on a family the code has never seen is the whole point.
 """
 
 import json
 from fractions import Fraction as F
 
-from sldgf import (build_transfer_system, family_gf, iter_weps,
-                   parse_family_spec, realize, series_coefficients,
-                   sld_bruteforce_colouring, sld_bruteforce_stabilizer,
-                   sld_from_wep, wep_by_iteration)
+import pytest
+
+from sldgf import (DegenerateSingularityError, build_transfer_system,
+                   critical_lambda_asymptotic, critical_lambda_sweep,
+                   family_gf, iter_weps, parse_family_spec, realize,
+                   series_coefficients, sld_bruteforce_colouring,
+                   sld_bruteforce_stabilizer, sld_from_wep, wep_by_iteration)
 from sldgf.transfer import _lump
 
 from conftest import brute_sectors
@@ -64,6 +68,19 @@ LADDER_4 = {
                      "terms": [{"e": [0, 0, 0], "c": "1"}]}],
     "recursion_start": 1,
     "qubit_count": {"offset": 0, "step": 4},
+}
+
+SPIDER = {
+    "name": "spider",
+    "base_graph": {"n": 1, "edges": []},
+    "boundary": [0],
+    "replacement": {"n": 3, "edges": [[0, 1], [1, 2]]},
+    "glue_map": {"0": 0},
+    "next_boundary_map": {"0": 0},
+    "prefix_weps": [{"vars": ["x", "y", "z"],
+                     "terms": [{"e": [0, 0, 0], "c": "1"}]}],
+    "recursion_start": 1,
+    "qubit_count": {"offset": -1, "step": 2},
 }
 
 
@@ -170,3 +187,27 @@ def test_four_vertex_boundary_ladder():
         colouring = sld_bruteforce_colouring(graph)
         assert colouring == sld_bruteforce_stabilizer(graph)
         assert sld_from_wep(wep) == colouring
+
+
+def test_spider_member_thresholds():
+    # the centre keeps every leg, so member r is a spider with r - 1 legs
+    # of two vertices; its member thresholds approach an interior limit
+    spec = parse_family_spec(json.dumps(SPIDER))
+    g3 = realize(spec, 3)
+    assert g3.vertex_count == 5 and sorted(g3.degrees()) == [1, 1, 2, 2, 2]
+    sys_ = build_transfer_system(spec)
+    assert critical_lambda_sweep(sys_, [60, 200]) == [
+        (60, 0.7602685966814963), (200, 0.7600912054081947)]
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateSingularityError,
+                   reason="the float pole kernel takes the two distinct "
+                   "poles near the edge probe for one double pole "
+                   "(FOUND, CHANGES.md:229); an exact root kernel decides it")
+def test_spider_asymptotic_threshold():
+    sys_ = build_transfer_system(parse_family_spec(json.dumps(SPIDER)))
+    limit = critical_lambda_asymptotic(sys_)
+    # the Richardson extrapolant of the 1/r law; members 400 and 800 give
+    # the same value to 4e-7
+    members = dict(critical_lambda_sweep(sys_, [200, 400]))
+    assert abs(limit - (2 * members[400] - members[200])) < 2e-6

@@ -11,7 +11,7 @@ from sldgf import (BUILTIN_FAMILIES, FamilyError, Graph, LaurentPoly3, SLD,
                    serialize_family_spec, sld_from_wep, wep_from_sld)
 
 from conftest import brute_sectors
-from test_custom_family import CATERPILLAR
+from test_custom_family import CATERPILLAR, LADDER_3
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
@@ -311,7 +311,49 @@ class TestCatalog:
             builtin(name).validate()
 
 
+# a ladder with a pendant vertex whose glue map swaps the two boundary
+# vertices, so each new rung is crossed against the last
+TWISTED_LADDER = {
+    "name": "twisted_ladder",
+    "base_graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+    "boundary": [1, 2],
+    "replacement": {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+    "glue_map": {"1": 1, "2": 0},
+    "next_boundary_map": {"1": 2, "2": 3},
+    "prefix_weps": [{"vars": ["x", "y", "z"],
+                     "terms": [{"e": [0, 0, 0], "c": "1"}]}],
+    "recursion_start": 1,
+    "qubit_count": {"offset": 1, "step": 2},
+}
+
+# exact members: the kept vertices keep their order and the replacement's
+# follow them, so every vertex is numbered in creation order
+REALIZED_EDGES = {
+    ("grid_2", 4): (8, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5),
+                        (4, 5), (4, 6), (5, 7), (6, 7)]),
+    ("joint_squares", 3): (10, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4),
+                                (3, 5), (4, 6), (5, 6), (6, 7), (6, 9),
+                                (7, 8), (8, 9)]),
+    ("ladder_3", 3): (9, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4),
+                          (3, 6), (4, 5), (4, 7), (5, 8), (6, 7), (7, 8)]),
+    ("caterpillar", 4): (7, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5),
+                             (4, 6)]),
+    ("twisted_ladder", 3): (7, [(0, 2), (1, 2), (1, 4), (2, 3), (3, 4),
+                                (3, 5), (4, 6), (5, 6)]),
+}
+
+
 class TestRealize:
+    @pytest.mark.parametrize("name, r", sorted(REALIZED_EDGES),
+                             ids=[name for name, _ in sorted(REALIZED_EDGES)])
+    def test_member_numbering(self, name, r):
+        documents = {doc["name"]: doc
+                     for doc in (CATERPILLAR, LADDER_3, TWISTED_LADDER)}
+        spec = (parse_family_spec(json.dumps(documents[name]))
+                if name in documents else builtin(name))
+        g = realize(spec, r)
+        assert (g.vertex_count, g.sorted_edges()) == REALIZED_EDGES[name, r]
+
     def test_path_member_four_is_a_chain(self):
         g = realize(builtin("path"), 4)
         assert g.vertex_count == 4

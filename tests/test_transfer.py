@@ -637,6 +637,15 @@ class TestLumping:
         assert list(iter_weps(sys_, bound)) == reference
         assert series_coefficients(gf, bound) == reference
 
+    @settings(max_examples=25, deadline=None)
+    @given(family_specs().filter(lambda spec: len(spec.boundary) <= 1))
+    def test_generated_gf_matches_fraction_free_reference(self, spec):
+        # the GF derived on the quotient equals the fraction-free solve of
+        # (I - zT) u = v on the unlumped T; with at most 3 states it is
+        # cheap, and it covers families that do not grow
+        sys_ = build_transfer_system(spec)
+        assert ratfunc_equal(family_gf(sys_), fraction_free_gf(sys_))
+
     @settings(max_examples=30, deadline=None)
     @given(family_specs())
     def test_generated_members_equal_both_oracles(self, spec):
