@@ -5,7 +5,10 @@ purity-criterion polynomial and its roots) are computed with rational
 arithmetic end to end. Floating point enters only through polynomial root
 finding and the residue/asymptotic evaluations, done in mpmath at a working
 precision well beyond double; mpmath is imported only by the functions
-that compute with it, so the exact quantities never load it.
+that compute with it, so the exact quantities never load it. The
+thresholds' guesses in doubles (_crossing_guess for a member,
+_limit_guess for the limit) only choose where the exact searches probe
+first.
 
 Singularity analysis operates on the univariate specialisation of the
 family generating function after cancelling its common univariate factor.
@@ -91,6 +94,16 @@ def _mp_poly(poly: UniPolyZ):
     return at
 
 
+def _root_estimates(coeffs: list) -> np.ndarray:
+    """Companion-matrix (np.roots) estimates of the roots of the polynomial
+    with coefficients coeffs, low degree first: integers, Fractions or
+    floats, scaled by the largest magnitude before any float conversion so
+    that huge integer coefficients cannot overflow a double."""
+    import numpy as np
+    scale = max(abs(c) for c in coeffs)
+    return np.roots([float(c / scale) for c in reversed(coeffs)])
+
+
 def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
     """All complex roots, by modulus, real part and imaginary part:
     companion-matrix estimates polished by at most 8 Newton steps.
@@ -102,15 +115,10 @@ def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
     the same Newton on mpc objects, bit for bit.
     """
     import mpmath as mp
-    import numpy as np
     from mpmath.libmp import (fone, from_float, from_str, mpc_abs, mpc_div,
                               mpc_sub, mpf_gt, mpf_lt, mpf_mul)
 
-    # scale exactly before any float conversion so huge integer coefficients
-    # cannot overflow a double
-    scale = max(abs(c) for c in q.coeffs)
-    coeffs_high_first = [float(c / scale) for c in reversed(q.coeffs)]
-    estimates = np.roots(coeffs_high_first)
+    estimates = _root_estimates(q.coeffs)
     prec, rnd = mp.mp._prec_rounding
     tiny, eps = from_str("1e-30", prec, rnd), from_str("1e-35", prec, rnd)
     q_at, dq_at = _mp_poly(q), _mp_poly(q.derivative())
@@ -538,26 +546,111 @@ def _criterion_vanishes_at_one(sys: TransferSystem) -> bool:
                    for n, shift, digits in _sector_lengths(sys, bound))
 
 
-def _crossing_cell(h, depth: int) -> Fraction:
+def _float_criterion(sys: TransferSystem):
+    """h = ratio - 1 of criterion_asymptotic_ratio as a function of a float
+    lam, in floats and unreduced: the z-coefficients of family_gf's
+    denominator q at (1, lam^2), the smallest-modulus root z of their
+    companion estimate (_root_estimates, as _all_roots starts from), and
+    the real part of q_x / (lam^2 q_y) - 1 at z. Raises ArithmeticError or
+    ValueError (numpy's LinAlgError) where floats fail."""
+    polys = (family_gf(sys).den, *_gf_den_partials(sys))
+    tables = []
+    for poly in polys:
+        sums = {}  # x summed out at x = 1, exactly
+        for (_, ey, ez), c in poly.terms.items():
+            sums[ey, ez] = sums.get((ey, ez), 0) + c
+        tables.append((poly.max_degree_z(),
+                       [(ey, ez, float(c)) for (ey, ez), c in sums.items()]))
+
+    def at(mu: float) -> list[list[float]]:
+        out = []
+        for degree, terms in tables:
+            coeffs = [0.0] * (degree + 1)
+            for ey, ez, c in terms:
+                coeffs[ez] += c * mu ** ey
+            out.append(coeffs)
+        return out
+
+    def horner(coeffs: list[float], z: complex) -> complex:
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+
+    def h(lam: float) -> float:
+        mu = lam * lam
+        q, q_x, q_y = at(mu)
+        z = complex(min(_root_estimates(q), key=abs))
+        return (horner(q_x, z) / (mu * horner(q_y, z))).real - 1
+    return h
+
+
+def _limit_guess(sys: TransferSystem) -> float | None:
+    """Float estimate of the limit's crossing lam_c: regula falsi with the
+    Illinois rule on the float criterion (_float_criterion) over
+    [2^-10, 1 - 2^-20], until a step no longer moves the iterate. None
+    where the floats fail or show no sign change there: the guess is a
+    hint, and no failure of it is an error."""
+    try:
+        h = _float_criterion(sys)
+
+        def g(lam: float) -> float:
+            # h / (h + 2), of h's sign, is 1 - 2 kbar/n in the limit: smooth
+            # where h is steep, as the secant of _crossing_cell finds
+            value = h(lam)
+            return value / (value + 2)
+        a, b = 2.0 ** -10, 1 - 2.0 ** -20
+        fa, fb = g(a), g(b)
+        if not fa > 0 >= fb:
+            return None
+        side = 0  # the end the last step replaced: 1 for a, -1 for b
+        for _ in range(100):
+            c = b - fb * (b - a) / (fb - fa)
+            if not a < c < b:
+                break
+            fc = g(c)
+            if fc > 0:
+                a, fa = c, fc
+                if side == 1:
+                    fb /= 2
+                side = 1
+            elif fc <= 0:
+                b, fb = c, fc
+                if side == -1:
+                    fa /= 2
+                side = -1
+            else:
+                return None
+        return c
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _crossing_cell(h, depth: int, guess: int | None) -> Fraction:
     """Midpoint of the cell, on the grid of spacing 2^-depth, that holds the
     one crossing of h in (0, 1), with h > 0 left of it and h <= 0 right of
-    it. The cell is the last bracket of halving [0, 1] depth times; the
-    probes are guided by a secant (see critical_lambda_asymptotic)."""
+    it. The cell is the last bracket of halving [0, 1] depth times. The
+    first two probes are the ends of the guessed cell [guess, guess + 1],
+    when given, and the rest are guided by a secant (see
+    critical_lambda_asymptotic); so a right guess takes two probes, and a
+    wrong one goes on from the bracket they leave."""
     import mpmath as mp
     lo, hi = 0, 1 << depth  # the bracket, in units of 2^-depth
     probes = []  # (grid point, h) of each probe
     while hi - lo > 1:
         # ceil(log2(hi - lo)) <= depth + 2 - len(probes) holds, so at most
         # depth + 2 probes are made; a probe within reach of both ends keeps
-        # it, and the midpoint always is
+        # it, the midpoint always is, and the first two may lie anywhere
         reach = 1 << (depth + 1 - len(probes))
         k = (lo + hi) // 2
-        if len(probes) >= 2 and probes[-1][1] != probes[-2][1]:
+        if guess is not None and len(probes) < 2:
+            k = guess + len(probes)
+        elif len(probes) >= 2 and probes[-1][1] != probes[-2][1]:
             (k0, h0), (k1, h1) = probes[-2:]
             # the secant step on g = 1/(h + 2) - 1/2, written in h
             step = h1 * (h0 + 2) * (k1 - k0) / (2 * (h1 - h0))
-            k = min(max(k1 - int(mp.nint(step)), lo + 1, hi - reach),
-                    hi - 1, lo + reach)
+            k = k1 - int(mp.nint(step))
+        k = min(max(k, lo + 1, hi - reach), hi - 1, lo + reach)
         value = h(Fraction(k, 1 << depth))
         probes.append((k, value))
         if value <= 0:
@@ -610,15 +703,22 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     spacing 2^-D, with D the first depth at which 2^-D < tol (at most 200),
     and the cell's midpoint is returned. That cell is the last bracket of
     halving [0, 1] D times, so the result is the bisection's. Each probe is
-    one pole search. The first two probes are the bisection's; each later
-    one is the grid point nearest the secant root, through the last two
-    probes, of g = 1/(h + 2) - 1/2. g is the limit of kbar/n - 1/2, smooth
-    where h is steeply convex (on path, h(1/2) is about 8.1 and h(edge)
-    about -0.67). A probe is moved towards the bracket's midpoint as far as
-    needed to keep the bracket closable by halving within D + 2 probes, so
-    no tolerance costs more than two pole searches beyond the bisection.
-    At the default tol the interior built-in limits take 8 to 10 probes,
-    where the bisection takes 34.
+    one pole search. A float guess of the crossing comes first
+    (_limit_guess), and the first two probes are the ends of the grid cell
+    that holds it, when that cell lies in (0, edge]: h > 0 at its lower end
+    and h <= 0 at its upper end put the crossing in it, and h never
+    increases, so it is the bisection's cell. Each later probe is the grid
+    point nearest the secant root, through the last two probes, of
+    g = 1/(h + 2) - 1/2. g is the limit of kbar/n - 1/2, smooth where h is
+    steeply convex (on path, h(1/2) is about 8.1 and h(edge) about -0.67).
+    A probe is moved towards the bracket's midpoint as far as needed to
+    keep the bracket closable by halving within D + 2 probes, so no
+    tolerance costs more than two pole searches beyond the bisection. At
+    the default tol the interior built-in limits take 3 pole searches, the
+    edge and the guessed cell's two ends, where the bisection takes 35.
+    Below about 1e-15 a cell is narrower than the guess is accurate, and
+    the secant takes over (12 pole searches on path at 1e-16, where the
+    bisection takes 55).
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
@@ -635,10 +735,17 @@ def critical_lambda_asymptotic(sys: TransferSystem,
         def h(lam: Fraction) -> mp.mpf:
             return criterion_asymptotic_ratio(sys, lam) - 1
 
-        edge_value = h(Fraction(1) - Fraction(1, 1 << 20))
+        edge = Fraction(1) - Fraction(1, 1 << 20)
+        edge_value = h(edge)
         if edge_value <= 0:
             depth = next((d for d in range(200) if 2.0 ** -d < tol), 200)
-            return float(_crossing_cell(h, depth))
+            guess = _limit_guess(sys)
+            cell = None
+            if guess is not None:
+                cell = math.floor(math.ldexp(guess, depth))
+                if not (0 < cell and Fraction(cell + 1, 1 << depth) <= edge):
+                    cell = None
+            return float(_crossing_cell(h, depth, cell))
         if edge_value < 1e-3:
             if _criterion_vanishes_at_one(sys):
                 raise NoThresholdError(

@@ -2,15 +2,19 @@
 kernels.
 
 Run as ``PYTHONPATH=src python tests/family_sweep.py [--count N] [--seed S]``.
-It is not a pytest module (300 families on two kernels take about 12 s on
-a 2-core Xeon), so Tier-1 does not collect it. It draws families in the shape of
-test_transfer.family_specs with seeded ``random``: a boundary of 0 to 2
-vertices, a base graph of up to 6 vertices and a replacement of up to 5
-that adds at least one qubit. For each family it runs
+It is not a pytest module (300 families on two kernels and the bisection
+take about 13 s on a 2-core Xeon), so Tier-1 does not collect it. It draws
+families in the shape of test_transfer.family_specs with seeded
+``random``: a boundary of 0 to 2 vertices, a base graph of up to 6
+vertices and a replacement of up to 5 that adds at least one qubit. For
+each family it runs
 critical_lambda_asymptotic and fidelity_leading_term at lam = 4/5, once on
 the package's pole kernel and once on the reference kernel of
 tests/pole_reference.py, and exits 1 if any family's outcome differs: a
-different value, or a different failure.
+different value, or a different failure. It also runs the limit's
+bisection (tests/threshold_reference.py) on the package's kernel, exits 1
+if its value or failure type differs from the package's search, and prints
+the pole searches that each of the two took in all.
 
 It prints, not gates, the counts of results, NoThresholdError and
 DegenerateSingularityError for both, and each degenerate case: the
@@ -29,6 +33,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pole_reference as reference
+import threshold_reference
 from pole_reference import bits
 
 from sldgf import (AnalysisError, DegenerateSingularityError, FamilySpec,
@@ -67,22 +72,29 @@ def random_spec(rng: random.Random) -> FamilySpec:
     return spec
 
 
-def threshold(sys_, ratio) -> tuple:
-    """critical_lambda_asymptotic with the criterion ratio ``ratio``:
-    ("value", limit) or (error type, message, last lam probed)."""
+def threshold(sys_, ratio, search) -> tuple[tuple, int]:
+    """search, the package's critical_lambda_asymptotic or the reference
+    bisection, with the criterion ratio ``ratio``: ("value", limit) or
+    (error type, message, last lam probed), and the number of pole
+    searches, one per ratio evaluated."""
     probes = []
 
     def recorded(sys_, lam):
         probes.append(lam)
         return ratio(sys_, lam)
-    real = analysis.criterion_asymptotic_ratio
-    analysis.criterion_asymptotic_ratio = recorded
+    # the bisection calls the ratio by the name it imported
+    modules = (analysis, threshold_reference)
+    real = [module.criterion_asymptotic_ratio for module in modules]
+    for module in modules:
+        module.criterion_asymptotic_ratio = recorded
     try:
-        return "value", analysis.critical_lambda_asymptotic(sys_)
+        outcome = "value", search(sys_)
     except AnalysisError as exc:
-        return type(exc), str(exc), probes[-1] if probes else None
+        outcome = type(exc), str(exc), probes[-1] if probes else None
     finally:
-        analysis.criterion_asymptotic_ratio = real
+        for module, ratio_ in zip(modules, real):
+            module.criterion_asymptotic_ratio = ratio_
+    return outcome, len(probes)
 
 
 def leading(sys_, leading_term) -> tuple:
@@ -118,12 +130,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     counts = {what: Counter() for what in ("threshold", "fidelity")}
-    degenerate, differ = [], []
+    degenerate, differ, differ_bisection = [], [], []
+    searches = Counter()
     for index in range(args.count):
         sys_ = build_transfer_system(random_spec(rng))
+        found = {}
+        for name, ratio, search in (
+                ("package", analysis.criterion_asymptotic_ratio,
+                 analysis.critical_lambda_asymptotic),
+                ("reference kernel", reference.criterion_asymptotic_ratio,
+                 analysis.critical_lambda_asymptotic),
+                ("bisection", analysis.criterion_asymptotic_ratio,
+                 threshold_reference.critical_lambda_asymptotic_bisection)):
+            found[name], calls = threshold(sys_, ratio, search)
+            searches[name] += calls
+        # the two searches probe different points, so a failure is compared
+        # by its type alone
+        package, bisection = (found[name][:2] if found[name][0] == "value"
+                              else found[name][:1]
+                              for name in ("package", "bisection"))
+        if package != bisection:
+            differ_bisection.append(f"  family {index}: {package} against "
+                                    f"the bisection's {bisection}")
         outcomes = {
-            "threshold": (threshold(sys_, analysis.criterion_asymptotic_ratio),
-                          threshold(sys_, reference.criterion_asymptotic_ratio)),
+            "threshold": (found["package"], found["reference kernel"]),
             "fidelity": (leading(sys_, analysis.fidelity_leading_term),
                          leading(sys_, reference.fidelity_leading_term))}
         for what, (package, ref) in outcomes.items():
@@ -147,7 +177,13 @@ def main(argv=None) -> int:
     print(f"outcomes that differ from the reference kernel: {len(differ)}")
     if differ:
         print("\n".join(differ))
-    return 1 if differ else 0
+    print(f"pole searches for the threshold: {searches['package']} by the "
+          f"package's search, {searches['bisection']} by the bisection")
+    print(f"thresholds that differ from the bisection: "
+          f"{len(differ_bisection)}")
+    if differ_bisection:
+        print("\n".join(differ_bisection))
+    return 1 if differ or differ_bisection else 0
 
 
 if __name__ == "__main__":

@@ -520,28 +520,71 @@ class TestThresholdBisection:
             value = critical_lambda_asymptotic(systems[name])
         assert value == LIMITS[name]
         # the edge point alone decides a boundary limit; an interior one
-        # needs it plus the secant-guided probes, where halving down to
-        # 1e-10 takes 34
+        # needs it plus the two ends of the cell the float guess lands in,
+        # where halving down to 1e-10 takes 34
         if name in BOUNDARY:
             assert len(calls) == 1
         else:
-            assert len(calls) <= 14
+            assert len(calls) <= 3
 
     @pytest.mark.parametrize("tol", [0.1, 1e-10])
     @pytest.mark.parametrize("name", ["path", "grid_2"])
     def test_limit_probes_lie_on_the_dyadic_grid(self, systems, name, tol):
         # the search ends on a cell of the grid the bisection stops on, of
-        # spacing 2^-depth, and probes only points of that grid
+        # spacing 2^-depth, and probes only points of that grid, after the
+        # edge; at the default tol the float guess lands in the last cell,
+        # and its two ends are the only grid points probed
         depth = next(d for d in range(200) if 2.0 ** -d < tol)
         edge = F(1) - F(1, 1 << 20)
         patch, calls = counted(analysis, "criterion_asymptotic_ratio")
         with patch:
-            critical_lambda_asymptotic(systems[name], tol)
+            value = critical_lambda_asymptotic(systems[name], tol)
         probes = [lam for _, lam in calls]
-        assert probes[0] == edge and probes[1] == F(1, 2)
+        assert probes[0] == edge
         assert all((lam * (1 << depth)).denominator == 1
                    for lam in probes[1:])
         assert len(set(probes)) == len(probes)
+        if tol == 1e-10:
+            # the midpoint of a cell 2^-34 wide is exact as a float
+            lo = F(math.floor(value * (1 << depth)), 1 << depth)
+            assert probes[1:] == [lo, lo + F(1, 1 << depth)]
+
+    @pytest.mark.parametrize("guess", [
+        lambda lam: lam + 2e-10, lambda lam: lam - 2e-10,
+        lambda lam: lam + 1e-6, lambda lam: 2.0 ** -10,
+        lambda lam: 1 - 2.0 ** -20, lambda lam: None],
+        ids=["cells_right", "cells_left", "far_right", "low_end", "edge",
+             "none"])
+    @pytest.mark.parametrize("name", ["path", "grid_2"])
+    def test_wrong_limit_guess_still_gives_the_bisection(
+            self, systems, monkeypatch, name, guess):
+        # cells are 2^-34 wide at the default tol, so the guesses are a few
+        # cells off, thousands, or at either end of the float search; a
+        # cell reaching past the edge is no guess, and none is probed. The
+        # grid probes stay within depth + 2 = 36, two beyond the
+        # bisection's, with the edge
+        real = analysis._limit_guess
+        monkeypatch.setattr(analysis, "_limit_guess",
+                            lambda sys_: guess(real(sys_)))
+        patch, calls = counted(analysis, "criterion_asymptotic_ratio")
+        with patch:
+            assert critical_lambda_asymptotic(systems[name]) == LIMITS[name]
+        assert len(calls) <= 1 + 36
+        assert all(lam <= F(1) - F(1, 1 << 20) for _, lam in calls)
+
+    @pytest.mark.parametrize("h", [
+        lambda lam: math.nan, lambda lam: math.inf, lambda lam: 1.0,
+        lambda lam: {2.0 ** -10: 1.0, 1 - 2.0 ** -20: -0.5}.get(lam, math.nan),
+        lambda lam: 10.0 ** 400, lambda lam: analysis._root_estimates([0.0]),
+        lambda lam: analysis._root_estimates([1.0, 1.0, math.nan])],
+        ids=["nan", "inf", "no_sign_change", "nan_inside", "overflow",
+             "zero_polynomial", "nan_coefficient"])
+    def test_float_failure_leaves_no_guess(self, systems, monkeypatch, h):
+        # a float criterion that fails, or shows no crossing, leaves the
+        # search without a guess, never with an error
+        monkeypatch.setattr(analysis, "_float_criterion", lambda sys_: h)
+        assert analysis._limit_guess(systems["path"]) is None
+        assert critical_lambda_asymptotic(systems["path"]) == LIMITS["path"]
 
     @pytest.mark.parametrize("tol", [0.1, 1e-2, 1e-3, 1e-6, 1e-10, 1e-14,
                                      1e-16])
@@ -587,6 +630,26 @@ class TestThresholdBisection:
         assert analysis._criterion_vanishes_at_one(sys_) \
             == reference.criterion_vanishes_at_one(sys_)
 
+    @settings(max_examples=10, deadline=None)
+    @given(family_specs().filter(lambda spec: spec.qubit_step > 0))
+    def test_generated_limit_matches_the_bisection(self, spec):
+        # the same float or the same failure, in no more pole searches,
+        # wherever the float guess lands
+        sys_ = build_transfer_system(spec)
+        found = []
+        for search in (critical_lambda_asymptotic,
+                       reference.critical_lambda_asymptotic_bisection):
+            patch, calls = counted(analysis, "dominant_singularity")
+            with patch:
+                try:
+                    outcome = search(sys_)
+                except AnalysisError as exc:
+                    outcome = type(exc)
+            found.append((outcome, len(calls)))
+        (outcome, calls), (expected, reference_calls) = found
+        assert outcome == expected
+        assert calls <= reference_calls
+
     def test_still_family_has_no_limit(self):
         # both partials of the ratio vanish when the qubit step is 0, so the
         # step is checked before any ratio is evaluated
@@ -613,18 +676,22 @@ class TestThresholdBisection:
             critical_lambda_asymptotic(systems[name], tol=tol)
 
     def test_degenerate_ratio_propagates(self, systems, monkeypatch):
-        # a degenerate pole on the way is reported, not stepped over
+        # a degenerate pole on the way is reported, not stepped over: here
+        # at the first probe after the edge
         real = analysis.criterion_asymptotic_ratio
+        probes = []
 
-        def degenerate_at_half(sys_, lam):
-            if lam == F(1, 2):
-                raise DegenerateSingularityError(None, "degenerate at 1/2")
+        def degenerate_at_second(sys_, lam):
+            probes.append(lam)
+            if len(probes) == 2:
+                raise DegenerateSingularityError(None, "degenerate at probe 2")
             return real(sys_, lam)
 
         monkeypatch.setattr(analysis, "criterion_asymptotic_ratio",
-                            degenerate_at_half)
-        with pytest.raises(DegenerateSingularityError, match="at 1/2"):
+                            degenerate_at_second)
+        with pytest.raises(DegenerateSingularityError, match="at probe 2"):
             critical_lambda_asymptotic(systems["path"])
+        assert probes[0] == F(1) - F(1, 1 << 20) and len(probes) == 2
 
     def test_no_degenerate_singularity_is_caught(self):
         # analysis failures propagate to the caller instead of being skipped,

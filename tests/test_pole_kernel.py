@@ -138,6 +138,19 @@ def test_hand_made_denominators(roots):
     assert analysis.dominant_singularity(q).multiplicity == 1
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the 8-step Newton from the np.roots estimates "
+                   "leaves two simple roots 1.2e-8 apart in relative terms "
+                   "unconverged, at 1.4978 with multiplicity 2 (FOUND, "
+                   "CHANGES.md:392); an exact root kernel separates them")
+def test_close_simple_roots_are_separated():
+    q = from_roots([F(3, 2), F(3, 2) * (1 + F(12, 10 ** 9))])
+    report = analysis.dominant_singularity(q)
+    with mp.workdps(analysis.WORKING_DPS):
+        assert abs(report.z_star - F(3, 2)) < mp.mpf("1e-30")
+    assert report.multiplicity == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(family_specs(), st.sampled_from(LAMBDAS))
 def test_generated_families(spec, lam):
