@@ -350,8 +350,9 @@ def _crossing_guess(sld: SLD) -> float:
     leaves the bracket [t_lo, t_hi] on the crossing, or that cannot be
     taken, halves the bracket instead: t_hi = 0 because P(1) < 0, and t_lo
     puts mu below 2^-201, whose cell is 0 at every depth. The iteration
-    stops once a step is no shorter than the one before it, which is where
-    rounding takes over from convergence.
+    stops once a step is no shorter than the one before it, below 2^-30,
+    which is where rounding takes over from convergence; far from the root
+    a step that does not shrink is an overshoot, and the iteration goes on.
 
     Past about 2500 qubits the one shift leaves every term of S_0 below
     the float range near the crossing. At such a point alone the sums are
@@ -393,7 +394,7 @@ def _crossing_guess(sld: SLD) -> float:
                     * (half + f) * (half - f) / (n * var))
         if not t_lo <= t + step <= t_hi:
             step = (t_lo + t_hi) / 2 - t
-        if not 0 < abs(step) < last:
+        if step == 0 or abs(step) >= last and last < 2.0 ** -30:
             break
         last = abs(step)
         t += step
@@ -585,43 +586,28 @@ def _float_criterion(sys: TransferSystem):
     return h
 
 
+# the float guess's grid: its points and their cells' midpoints, multiples
+# of 2^-53 in [0, 1], are floats, so the float criterion sees them exactly
+_GUESS_DEPTH = 52
+
+
 def _limit_guess(sys: TransferSystem) -> float | None:
-    """Float estimate of the limit's crossing lam_c: regula falsi with the
-    Illinois rule on the float criterion (_float_criterion) over
-    [2^-10, 1 - 2^-20], until a step no longer moves the iterate. None
-    where the floats fail or show no sign change there: the guess is a
+    """Float estimate of the limit's crossing lam_c: the midpoint of the
+    cell of spacing 2^-52 that _crossing_cell finds on the float criterion
+    (_float_criterion), once that is > 0 at 2^-10 and <= 0 at 1 - 2^-20.
+    None where the floats fail or show no sign change there: the guess is a
     hint, and no failure of it is an error."""
     try:
         h = _float_criterion(sys)
-
-        def g(lam: float) -> float:
-            # h / (h + 2), of h's sign, is 1 - 2 kbar/n in the limit: smooth
-            # where h is steep, as the secant of _crossing_cell finds
-            value = h(lam)
-            return value / (value + 2)
-        a, b = 2.0 ** -10, 1 - 2.0 ** -20
-        fa, fb = g(a), g(b)
-        if not fa > 0 >= fb:
+        if not h(2.0 ** -10) > 0 >= h(1 - 2.0 ** -20):
             return None
-        side = 0  # the end the last step replaced: 1 for a, -1 for b
-        for _ in range(100):
-            c = b - fb * (b - a) / (fb - fa)
-            if not a < c < b:
-                break
-            fc = g(c)
-            if fc > 0:
-                a, fa = c, fc
-                if side == 1:
-                    fb /= 2
-                side = 1
-            elif fc <= 0:
-                b, fb = c, fc
-                if side == -1:
-                    fa /= 2
-                side = -1
-            else:
-                return None
-        return c
+
+        def g(lam: Fraction) -> float:
+            value = h(float(lam))
+            if math.isnan(value):
+                raise ArithmeticError("the float criterion is NaN")
+            return value
+        return float(_crossing_cell(g, _GUESS_DEPTH, None))
     except (ArithmeticError, ValueError):
         return None
 
@@ -633,7 +619,8 @@ def _crossing_cell(h, depth: int, guess: int | None) -> Fraction:
     first two probes are the ends of the guessed cell [guess, guess + 1],
     when given, and the rest are guided by a secant (see
     critical_lambda_asymptotic); so a right guess takes two probes, and a
-    wrong one goes on from the bracket they leave."""
+    wrong one goes on from the bracket they leave. h takes the grid points
+    as Fractions and gives mpf or, in _limit_guess, float values."""
     import mpmath as mp
     lo, hi = 0, 1 << depth  # the bracket, in units of 2^-depth
     probes = []  # (grid point, h) of each probe
@@ -704,7 +691,8 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     and the cell's midpoint is returned. That cell is the last bracket of
     halving [0, 1] D times, so the result is the bisection's. Each probe is
     one pole search. A float guess of the crossing comes first
-    (_limit_guess), and the first two probes are the ends of the grid cell
+    (_limit_guess: the same search on the float criterion, to a cell of
+    2^-52), and the first two probes are the ends of the grid cell
     that holds it, when that cell lies in (0, edge]: h > 0 at its lower end
     and h <= 0 at its upper end put the crossing in it, and h never
     increases, so it is the bisection's cell. Each later probe is the grid
@@ -717,8 +705,8 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     the default tol the interior built-in limits take 3 pole searches, the
     edge and the guessed cell's two ends, where the bisection takes 35.
     Below about 1e-15 a cell is narrower than the guess is accurate, and
-    the secant takes over (12 pole searches on path at 1e-16, where the
-    bisection takes 55).
+    the secant takes over from the bracket the guessed cell leaves (5 pole
+    searches on path at 1e-16, where the bisection takes 55).
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.

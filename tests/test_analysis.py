@@ -9,7 +9,7 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sldgf import (BUILTIN_FAMILIES, SLD, AnalysisError,
@@ -388,11 +388,14 @@ def counted(module, name):
 class TestThresholdBisection:
     @settings(max_examples=200, deadline=None)
     @given(valid_slds())
+    @example(SLD((1, 4, 0, 0, 0, 1, 1476, 0, 0, 0, 0, 566)))
     def test_member_search_matches_the_scan(self, sld):
         # one sign change at most, so halving [0, 1] lands on the scan's
         # bracket; the scan alone costs up to 1024 sign evaluations. At
         # 1e-16 and 1e-300 the halving stops where both ends of the cell
-        # round to one float, below the scan's cell
+        # round to one float, below the scan's cell. On the example the
+        # float Newton's first steps do not shrink, far from its root: a
+        # guess that stopped there missed the cell, and took 65 signs
         for tol in (1e-10, 1e-6, 1e-16, 1e-300):
             patch, calls = counted(analysis, "_grid_sign")
             with patch:
@@ -527,6 +530,18 @@ class TestThresholdBisection:
         else:
             assert len(calls) <= 3
 
+    @pytest.mark.parametrize("name", sorted(set(LIMITS) - set(BOUNDARY)))
+    def test_limit_below_the_guess_takes_few_pole_searches(self, systems,
+                                                           name):
+        # at 1e-16 a cell of 2^-54 is narrower than the float guess is
+        # accurate, so the exact search goes on from the guessed cell's
+        # bracket; the guess is the float criterion's own cell of 2^-52,
+        # which leaves a few exact probes, where the bisection takes 55
+        patch, calls = counted(analysis, "dominant_singularity")
+        with patch:
+            critical_lambda_asymptotic(systems[name], 1e-16)
+        assert len(calls) <= 5
+
     @pytest.mark.parametrize("tol", [0.1, 1e-10])
     @pytest.mark.parametrize("name", ["path", "grid_2"])
     def test_limit_probes_lie_on_the_dyadic_grid(self, systems, name, tol):
@@ -575,13 +590,16 @@ class TestThresholdBisection:
     @pytest.mark.parametrize("h", [
         lambda lam: math.nan, lambda lam: math.inf, lambda lam: 1.0,
         lambda lam: {2.0 ** -10: 1.0, 1 - 2.0 ** -20: -0.5}.get(lam, math.nan),
+        lambda lam: {2.0 ** -10: 1.0, 0.5: math.inf}.get(lam, -0.5),
         lambda lam: 10.0 ** 400, lambda lam: analysis._root_estimates([0.0]),
         lambda lam: analysis._root_estimates([1.0, 1.0, math.nan])],
-        ids=["nan", "inf", "no_sign_change", "nan_inside", "overflow",
-             "zero_polynomial", "nan_coefficient"])
+        ids=["nan", "inf", "no_sign_change", "nan_inside", "inf_inside",
+             "overflow", "zero_polynomial", "nan_coefficient"])
     def test_float_failure_leaves_no_guess(self, systems, monkeypatch, h):
         # a float criterion that fails, or shows no crossing, leaves the
-        # search without a guess, never with an error
+        # search without a guess, never with an error. Inside, the first
+        # probe is 1/2: a NaN there is refused, and +inf next to the finite
+        # second probe makes the secant step NaN
         monkeypatch.setattr(analysis, "_float_criterion", lambda sys_: h)
         assert analysis._limit_guess(systems["path"]) is None
         assert critical_lambda_asymptotic(systems["path"]) == LIMITS["path"]
