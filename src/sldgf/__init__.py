@@ -28,9 +28,8 @@ _NAMES_BY_MODULE = {
         "VertexCapExceeded", "sld_bruteforce_colouring",
         "sld_bruteforce_stabilizer"),
     "transfer": (
-        "TransferSystem", "build_transfer_system", "certify_family_gf",
-        "family_gf", "iter_weps", "wep_by_iteration",
-        "wep_values_by_iteration"),
+        "TransferSystem", "build_transfer_system", "family_gf", "iter_weps",
+        "wep_by_iteration", "wep_values_by_iteration"),
 }
 
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ state-to-block indicator matrix this is P^T T = T' P^T, and with 1^T =
 1^T P^T and v' = P^T v every member is 1^T T'^r v' exactly. The partition
 is found by refinement on exact column-block sums over the nonzero
 entries of T, and the identity is checked term by term whenever a
-TransferSystem is made. Every member, generating function and certificate
-is computed on T'.
+TransferSystem is made. Every member and generating function is computed
+on T'.
 
 The entries of T and v are homogeneous with int exponents and nonnegative
 integer coefficients, or the system is refused with AlgebraError when it
@@ -63,13 +63,13 @@ The family generating function is derived from the minimal linear
 recurrence of the members, read off the same loop: Berlekamp-Massey on
 the sums at one Kronecker point (1, 2^B) gives the reduced denominator's
 connection coefficients as integers, whose balanced base-2^B digits are
-its coefficients (see _minimal_denominator). The result is reduced by
-construction and certified against the exact members (Cayley-Hamilton on
-T' bounds how many must agree) before it is returned. Certifying on T' is
-sound because its members are the members, by the checked identity. The
-fraction-free solve of (I - zT) u = v that this replaced is kept as a
-test-only reference in tests/fraction_free.py, and the iteration of the
-unlumped T in tests/unlumped.py.
+its coefficients (see _minimal_denominator). The decoded recurrence is
+proven on the sums at a second Kronecker point before it is used
+(_annihilates), so the numerator is exact by construction; proving it on
+T' is sound because its members are the members, by the checked
+identity. The fraction-free solve of (I - zT) u = v that this replaced is
+kept as a test-only reference in tests/fraction_free.py, and the
+iteration of the unlumped T in tests/unlumped.py.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
-                      NonConstantLeadingTermError, PolyMatrix, RatFunc3,
-                      _berlekamp_massey, _rational,
-                      ratfunc_normalize, series_coefficients)
+                      PolyMatrix, RatFunc3, _berlekamp_massey, _rational,
+                      ratfunc_normalize)
 from .family import FamilySpec, Graph, sld_from_wep
 
 _FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
@@ -292,8 +291,8 @@ class TransferSystem:
     AlgebraError when the system is made, by a check that only reads the
     term maps. The quotient is lumped from them, shifted to integer terms
     and checked against them term by term once shifted back (P^T T = T' P^T,
-    v' = P^T v and its degrees, else CertificateError); every member,
-    generating function and certificate is computed from it. The system is
+    v' = P^T v and its degrees, else CertificateError); every member and
+    generating function, with its proof, is computed from it. The system is
     frozen, so the quotient, the cached generating function and its
     denominator's cached partials always belong to columns and vector.
     """
@@ -557,26 +556,25 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
     base-2^B digits are the coefficients of c_k: digit e of c_k is the
     coefficient of x^(s k - e + beta k) y^(e - beta k) z^k.
 
-    The width B starts at _FIRST_DIGIT_BITS and doubles while some c_k is
-    not an integer, or while the decoded polynomial at t = 2 fails to
-    annihilate the sums at t = 2 from index order on. The loop ends: once
-    every coefficient is below 2^(B-1) in size and 2^B is no root of the
-    finitely many polynomials whose vanishing lowers the order, the digits
-    are the coefficients, and the true Q passes the check. The check only
-    spares wasted certificates; certify_family_gf is the proof.
+    The width B starts at _FIRST_DIGIT_BITS and doubles until every c_k is
+    an integer and _annihilates proves the decoded recurrence, so a wrong
+    decode is never returned. The loop ends: once every coefficient is
+    below 2^(B-1) in size and 2^B is no root of the finitely many
+    polynomials whose vanishing lowers the order, the digits are those of
+    the true Q. BM's order at one point is at most the generic order, and a
+    proven recurrence of that order bounds the generic order by it, so the
+    denominator is the reduced one.
     """
     q = sys.quotient
     _, beta, step = q.step
     steps = 2 * q.dimension - 1
-    at_two = list(_sums(*_at(q, 1, 2), steps))
+    ones = list(_sums(*_at(q, 1, 1), steps))
     bits = _FIRST_DIGIT_BITS
     while True:
         c, order = _berlekamp_massey(list(_sums(*_at(q, 1, 1 << bits), steps)))
         if all(c_k.denominator == 1 for c_k in c):
             digits = [_balanced_digits(c_k.numerator, bits) for c_k in c]
-            c_two = [sum(d << e for e, d in enumerate(ds)) for ds in digits]
-            if not any(sum(c_k * at_two[m - k] for k, c_k in enumerate(c_two))
-                       for m in range(order, steps + 1)):
+            if _annihilates(q, digits, order, ones):
                 break
         bits *= 2
     return LaurentPoly3({(step * k - e + beta * k, e - beta * k, k): d
@@ -584,38 +582,34 @@ def _minimal_denominator(sys: TransferSystem) -> tuple[LaurentPoly3, int]:
                          for e, d in enumerate(ds) if d}), order
 
 
-def certify_family_gf(sys: TransferSystem, gf: RatFunc3) -> None:
-    """Prove that gf is the family's generating function, or raise.
-
-    The members from the recursion start on satisfy the Cayley-Hamilton
-    recurrence of order dim T' (the quotient's members are the members), so
-    gf minus the true function has a numerator of z-degree at most
-    M = max(deg_z p + dim T', deg_z q + start + dim T' - 1); agreement of
-    the series on z^0 .. z^M therefore proves the identity.
-    Raises CertificateError on the first member that disagrees, or when gf
-    has no power series because q(x, y, 0) is not a nonzero constant.
-    """
-    n = sys.quotient.dimension
-    bound = max(gf.num.max_degree_z() + n,
-                gf.den.max_degree_z() + sys.spec.recursion_start + n - 1)
-    try:
-        series = series_coefficients(gf, bound)
-    except NonConstantLeadingTermError as exc:
-        raise CertificateError(f"{sys.spec.name}: {exc}") from exc
-    for r, wep in enumerate(iter_weps(sys, bound)):
-        if series[r] != wep:
-            raise CertificateError(
-                f"{sys.spec.name}: closed form disagrees with member {r}")
+def _annihilates(q: Quotient, digits: list[list[int]], order: int,
+                 ones: list[int]) -> bool:
+    """Whether c_k(t) = sum_e digits[k][e] t^e give P_m = sum_k c_k a_(m-k)
+    = 0 in Z[t] for every m >= order, a_j(t) the sums of T''(1, t) and
+    ones[j] = a_j(1). T'' has nonnegative terms, so each coefficient of P_m
+    is at most sum_k |c_k|_1 a_(m-k)(1) in size, below 2^(B-1) for the B
+    taken: P_m(2^B) = 0, checked by one sweep for m = order .. order + dim
+    T' - 1, forces P_m = 0. P_(order+j) = 1^T T''(1, t)^j w for one vector
+    w, so by Cayley-Hamilton those zeros make every later P_m zero."""
+    last = order + q.dimension - 1
+    norms = [sum(map(abs, ds)) for ds in digits]
+    bits = max(sum(norm * ones[m - k] for k, norm in enumerate(norms))
+               for m in range(order, last + 1)).bit_length() + 1
+    sums = list(_sums(*_at(q, 1, 1 << bits), last))
+    at_point = [sum(d << bits * e for e, d in enumerate(ds)) for ds in digits]
+    return not any(sum(c_k * sums[m - k] for k, c_k in enumerate(at_point))
+                   for m in range(order, last + 1))
 
 
 def family_gf(sys: TransferSystem) -> RatFunc3:
     """Closed-form generating function of the family's weight enumerators.
 
     The denominator is the reduced one of the minimal recurrence the members
-    obey (see _minimal_denominator); the numerator is that denominator times
-    the first start + order members, truncated below z^(start + order). The
-    pair is therefore reduced by construction, canonicalised, and certified
-    against the exact members by certify_family_gf before it is returned.
+    obey, proven to annihilate them from the recursion start on (see
+    _minimal_denominator). So its product with the series has no term from
+    z^(start + order) on: the numerator is that denominator times the first
+    start + order members, truncated below z^(start + order), and the pair
+    is exact and reduced by construction, and canonicalised.
     """
     if sys._gf is not None:
         return sys._gf
@@ -627,7 +621,6 @@ def family_gf(sys: TransferSystem) -> RatFunc3:
     num = LaurentPoly3({e: c for e, c in (den * head).terms.items()
                         if e[2] < cut})
     gf = ratfunc_normalize(num, den)
-    certify_family_gf(sys, gf)
     object.__setattr__(sys, "_gf", gf)
     return gf
 

@@ -2,8 +2,9 @@
 kernels.
 
 Run as ``PYTHONPATH=src python tests/family_sweep.py [--count N] [--seed S]``.
-It is not a pytest module (300 families on two kernels and the bisection
-take about 13 s on a 2-core Xeon), so Tier-1 does not collect it. It draws
+It is not a pytest module (300 families, their generating functions, two
+kernels and the bisection take about 15 s on a 2-core Xeon), so Tier-1
+does not collect it. It draws
 families in the shape of test_transfer.family_specs with seeded
 ``random``: a boundary of 0 to 2 vertices, a base graph of up to 6
 vertices and a replacement of up to 5 that adds at least one qubit. For
@@ -14,7 +15,12 @@ tests/pole_reference.py, and exits 1 if any family's outcome differs: a
 different value, or a different failure. It also runs the limit's
 bisection (tests/threshold_reference.py) on the package's kernel, exits 1
 if its value or failure type differs from the package's search, and prints
-the pole searches that each of the two took in all.
+the pole searches that each of the two took in all. Before any of that it
+checks each family's generating function: the series of family_gf must
+equal the members of the unlumped iteration (tests/unlumped.py) up to the
+Cayley-Hamilton bound of the unlumped T, which proves the pair without
+relying on the lumping or on the package's own proof; it prints the count
+that differ and exits 1 if any does.
 
 It prints, not gates, the counts of results, NoThresholdError and
 DegenerateSingularityError for both, and each degenerate case: the
@@ -38,8 +44,10 @@ from pole_reference import bits
 
 from sldgf import (AnalysisError, DegenerateSingularityError, FamilySpec,
                    Graph, LaurentPoly3, NoThresholdError,
-                   build_transfer_system, uni_gcd)
+                   build_transfer_system, family_gf, series_coefficients,
+                   uni_gcd)
 from sldgf import analysis
+from unlumped import unlumped_weps
 
 FIDELITY_LAMBDA = Fraction(4, 5)
 
@@ -70,6 +78,17 @@ def random_spec(rng: random.Random) -> FamilySpec:
         prefix_weps=(LaurentPoly3.const(1),))
     spec.validate()
     return spec
+
+
+def gf_differs(sys_) -> bool:
+    """Whether the series of family_gf differs from the unlumped members on
+    z^0 .. z^M, M = max(deg_z p + dim T, deg_z q + start + dim T - 1): the
+    members obey the Cayley-Hamilton recurrence of the unlumped T, so
+    agreement up to M proves the pair."""
+    gf, n = family_gf(sys_), sys_.dimension
+    bound = max(gf.num.max_degree_z() + n,
+                gf.den.max_degree_z() + sys_.spec.recursion_start + n - 1)
+    return series_coefficients(gf, bound) != list(unlumped_weps(sys_, bound))
 
 
 def threshold(sys_, ratio, search) -> tuple[tuple, int]:
@@ -130,10 +149,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     counts = {what: Counter() for what in ("threshold", "fidelity")}
-    degenerate, differ, differ_bisection = [], [], []
+    degenerate, differ, differ_bisection, differ_gf = [], [], [], []
     searches = Counter()
     for index in range(args.count):
         sys_ = build_transfer_system(random_spec(rng))
+        if gf_differs(sys_):
+            differ_gf.append(f"  family {index}")
         found = {}
         for name, ratio, search in (
                 ("package", analysis.criterion_asymptotic_ratio,
@@ -165,6 +186,10 @@ def main(argv=None) -> int:
             if kind is DegenerateSingularityError:
                 degenerate.append(degenerate_line(index, sys_, what, package))
     print(f"{args.count} generated growing families, seed {args.seed}")
+    print(f"generating functions that differ from the unlumped members: "
+          f"{len(differ_gf)}")
+    if differ_gf:
+        print("\n".join(differ_gf))
     for what, counter in counts.items():
         names = ("result", NoThresholdError.__name__,
                  DegenerateSingularityError.__name__)
@@ -183,7 +208,7 @@ def main(argv=None) -> int:
           f"{len(differ_bisection)}")
     if differ_bisection:
         print("\n".join(differ_bisection))
-    return 1 if differ or differ_bisection else 0
+    return 1 if differ or differ_bisection or differ_gf else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from sldgf import (BUILTIN_FAMILIES, AlgebraError, CertificateError,
                    FamilyError, FamilySpec, Graph, LaurentPoly3, PolyMatrix,
-                   RatFunc3, TransferSystem, build_transfer_system, builtin,
-                   certify_family_gf, critical_lambda_sweep, family_gf,
-                   fidelity_sweep, iter_weps, parse_family_spec,
+                   TransferSystem, build_transfer_system, builtin,
+                   critical_lambda_sweep, family_gf, fidelity_sweep,
+                   iter_weps, parse_family_spec,
                    poly_from_terms, ratfunc_equal, ratfunc_normalize, realize,
                    series_coefficients, sld_bruteforce_colouring,
                    sld_bruteforce_stabilizer, sld_from_wep, wep_by_iteration,
@@ -332,18 +332,6 @@ class TestGeneratingFunctions:
         assert (gf.num, gf.den) == (GOLDEN_GF["cycle"].num,
                                     GOLDEN_GF["cycle"].den)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_GF))
-    def test_certificate_rejects_a_perturbed_numerator(self, systems, name):
-        gf = family_gf(systems[name])
-        certify_family_gf(systems[name], gf)
-        exp, _ = gf.num.sorted_terms()[-1]
-        bumped = RatFunc3(gf.num + LaurentPoly3({exp: 1}), gf.den)
-        with pytest.raises(CertificateError):
-            certify_family_gf(systems[name], bumped)
-        # a denominator without a constant z^0 slice has no power series
-        with pytest.raises(CertificateError):
-            certify_family_gf(systems[name], RatFunc3(gf.num, gf.den * X))
-
     @pytest.mark.parametrize("name", ["path", "star", "pusteblume",
                                       "joint_squares", "caterpillar"])
     def test_matches_fraction_free_reference(self, systems, name):
@@ -353,6 +341,12 @@ class TestGeneratingFunctions:
         sys_ = (custom_system(name) if name == "caterpillar"
                 else systems[name])
         assert ratfunc_equal(family_gf(sys_), fraction_free_gf(sys_))
+
+
+# the recurrence order of each family's members, from the recursion start
+ORDERS = {"path": 3, "star": 3, "cycle": 3, "pusteblume": 3,
+          "complete_bipartite_2": 3, "joint_squares": 2, "grid_2": 6,
+          "caterpillar": 3, "ladder_3": 16}
 
 
 def custom_system(name):
@@ -567,35 +561,59 @@ class TestLumping:
     def test_narrow_first_digits_double_to_the_same_denominator(
             self, systems, monkeypatch):
         # 2-bit digits are too narrow for most of these denominators, so
-        # the t = 2 check must reject the decoded polynomial and the width
-        # double until it gives the reduced denominator and order
+        # the check on the sums must reject the decoded polynomial and the
+        # width double until it gives the reduced denominator and order
         monkeypatch.setattr(transfer, "_FIRST_DIGIT_BITS", 2)
         real, points = transfer._at, []
         monkeypatch.setattr(transfer, "_at", lambda h, a, b: points.append(
             (a, b)) or real(h, a, b))
-        orders = {"path": 3, "star": 3, "cycle": 3, "pusteblume": 3,
-                  "complete_bipartite_2": 3, "joint_squares": 2, "grid_2": 6,
-                  "caterpillar": 3, "ladder_3": 16}
         dens = {name: GOLDEN_GF[name].den for name in BUILTIN_FAMILIES}
         dens["caterpillar"] = (ONE - X ** 2 * Z - 3 * Y ** 2 * Z
                                + 2 * Y ** 6 * Z ** 3
                                - 4 * X ** 2 * Y ** 4 * Z ** 3
                                + 2 * X ** 4 * Y ** 2 * Z ** 3)
         dens["ladder_3"] = LADDER_3_GF.den
-        for name, order in orders.items():
+        for name, order in ORDERS.items():
             points.clear()
             den, found = transfer._minimal_denominator(
                 systems.get(name) or custom_system(name))
             assert found == order and dens[name] in (den, -den), name
-        # ladder_3 swept once at t = 2, then once per width: 2, 4, 8 and
-        # 16 bits
-        assert points == [(1, 2), (1, 4), (1, 16), (1, 256), (1, 65536)]
+        # ladder_3 swept once at t = 1 for the bound, then once per width
+        # (2, 4, 8 and 16 bits), each width's decode checked by one sweep
+        # at t = 2^B* with B* from that bound: every decode has integer
+        # coefficients, and only the 16-bit one passes
+        assert {a for a, _ in points} == {1}
+        assert [b.bit_length() - 1 for _, b in points] == [
+            0, 2, 104, 4, 105, 8, 105, 16, 105]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GF) + ["ladder_3"])
+    def test_perturbed_connection_coefficient_is_refused(
+            self, systems, monkeypatch, name):
+        # at the first width, Berlekamp-Massey returns the true connection
+        # integers with c_1 off by one. They still decode, so only the
+        # check on the sums can refuse them; the width must then double,
+        # and the true integers at 32 bits give the reduced denominator
+        real_at, real_bm = transfer._at, transfer._berlekamp_massey
+        points, widths = [], []
+        monkeypatch.setattr(transfer, "_at", lambda h, a, b: points.append(
+            b) or real_at(h, a, b))
+
+        def perturbed(seq):
+            widths.append(points[-1].bit_length() - 1)
+            c, order = real_bm(seq)
+            return ([c[0], c[1] + 1, *c[2:]] if len(widths) == 1 else c,
+                    order)
+        monkeypatch.setattr(transfer, "_berlekamp_massey", perturbed)
+        assert transfer._minimal_denominator(
+            systems.get(name) or custom_system(name)) == (
+            GOLDEN_GF.get(name, LADDER_3_GF).den, ORDERS[name])
+        assert widths == [16, 32]
 
     def test_order_above_denominator_degree_passes_the_check(
             self, monkeypatch):
         # the recurrence holds only from member start + 2 on, past the
-        # denominator's degree 1, so the t = 2 check must start at the
-        # order; started at the degree it rejects every digit width
+        # denominator's degree 1, so the check on the sums must start at
+        # the order; started at the degree it rejects every digit width
         real, calls = transfer._berlekamp_massey, []
 
         def one_width(seq):
