@@ -2,7 +2,7 @@
 recursively definable graph-state families.
 
 Exports resolve on first use (PEP 562), so a process imports only the
-submodules, and through them numpy and mpmath, that it calls into.
+submodules, and through them mpmath, that it calls into.
 """
 
 # submodule -> the names exported from it

@@ -2,13 +2,17 @@
 
 Exact quantities (concentratable entanglement, depolarizing fidelity, the
 purity-criterion polynomial and its roots) are computed with rational
-arithmetic end to end. Floating point enters only through polynomial root
-finding and the residue/asymptotic evaluations, done in mpmath at a working
-precision well beyond double; mpmath is imported only by the functions
-that compute with it, so the exact quantities never load it. The
-thresholds' guesses in doubles (_crossing_guess for a member,
-_limit_guess for the limit) only choose where the exact searches probe
-first.
+arithmetic end to end. Every decision about a pole is an exact sign too:
+the dominant pole of a specialised denominator is its smallest positive
+root (Pringsheim), isolated by a Sturm chain of integer polynomials and
+proven unique by an exact Schur-Cohn count (dominant_singularity). Floating
+point enters only through the value of that pole to the working precision
+and the residue/asymptotic evaluations, done in mpmath at a precision well
+beyond double; mpmath is imported only by the functions that compute with
+it, so the exact quantities never load it, and no other numerical library
+is loaded. The thresholds' guesses in doubles (_crossing_guess for a
+member, _limit_guess for the limit) only choose where the exact searches
+probe first.
 
 Singularity analysis operates on the univariate specialisation of the
 family generating function after cancelling its common univariate factor.
@@ -20,31 +24,29 @@ nonnegative series demand).
 
 Every asymptotic goes through one pole kernel: `_simple_pole` (the dominant
 root, required unique and simple) and `_residue` (-p(z*)/q'(z*)), which
-`_leading_term` joins into a `LeadingTerm`. The kernel's Horner evaluations
-and Newton polish run on mpmath's raw libmp values (`_mpc_` and `_mpf_`
-tuples) through the same libmp functions that mpc and mpf arithmetic
-calls, at the context's precision, so they give the same bits as that
-arithmetic without building an object per operation.
+`_leading_term` joins into a `LeadingTerm`. The residue's Horner
+evaluations run on mpmath's raw libmp values (`_mpc_` and `_mpf_` tuples)
+through the same libmp functions that mpc and mpf arithmetic calls, at the
+context's precision, so they give the same bits as that arithmetic without
+building an object per operation.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import UniPolyZ, _univariate, uni_reduce, uni_specialize
+from .algebra import (UniPolyZ, _integer_z_coefficients, _univariate,
+                      uni_reduce, uni_specialize)
 from .family import SLD, FamilyError, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
                        _member_index, _sector_lengths, family_gf,
                        wep_values_by_iteration)
 
 WORKING_DPS = 40
-
-ROOT_CLUSTER_RTOL = 1e-8
-MODULUS_TIE_RTOL = 1e-8
-REAL_AXIS_RTOL = 1e-10
 
 
 class AnalysisError(ValueError):
@@ -94,97 +96,320 @@ def _mp_poly(poly: UniPolyZ):
     return at
 
 
-def _root_estimates(coeffs: list) -> np.ndarray:
-    """Companion-matrix (np.roots) estimates of the roots of the polynomial
-    with coefficients coeffs, low degree first: integers, Fractions or
-    floats, scaled by the largest magnitude before any float conversion so
-    that huge integer coefficients cannot overflow a double."""
-    import numpy as np
-    scale = max(abs(c) for c in coeffs)
-    return np.roots([float(c / scale) for c in reversed(coeffs)])
+# -- the pole kernel: exact signs on integer polynomials ---------------------
 
 
-def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
-    """All complex roots, by modulus, real part and imaginary part:
-    companion-matrix estimates polished by at most 8 Newton steps.
+def _grid_value(coeffs: list[int], k: int, depth: int) -> int:
+    """2^(depth deg) P(k / 2^depth) for the integer polynomial P with
+    coefficients coeffs, low degree first, by Horner in integers."""
+    value = shift = 0
+    for c in reversed(coeffs):
+        value = value * k + (c << shift)
+        shift += depth
+    return value
 
-    The polish runs on raw libmp values at the context's precision: each
-    step is the mpc_div and mpc_sub of mpc's / and -, and the stop tests
-    compare |q'(z)| and |step| (mpc_abs, as abs on an mpc) with 1e-30 and
-    1e-35 max(1, |z|), converted once per call. So the roots are those of
-    the same Newton on mpc objects, bit for bit.
-    """
-    import mpmath as mp
-    from mpmath.libmp import (fone, from_float, from_str, mpc_abs, mpc_div,
-                              mpc_sub, mpf_gt, mpf_lt, mpf_mul)
 
-    estimates = _root_estimates(q.coeffs)
-    prec, rnd = mp.mp._prec_rounding
-    tiny, eps = from_str("1e-30", prec, rnd), from_str("1e-35", prec, rnd)
-    q_at, dq_at = _mp_poly(q), _mp_poly(q.derivative())
-    roots = []
-    for est in estimates:
-        z = from_float(est.real, prec, rnd), from_float(est.imag, prec, rnd)
-        for _ in range(8):
-            d = dq_at(z)
-            if mpf_lt(mpc_abs(d, prec, rnd), tiny):
-                break
-            step = mpc_div(q_at(z), d, prec, rnd)
-            z = mpc_sub(z, step, prec, rnd)
-            size = mpc_abs(z, prec, rnd)
-            bound = mpf_mul(eps, size, prec, rnd) if mpf_gt(size, fone) else eps
-            if mpf_lt(mpc_abs(step, prec, rnd), bound):
-                break
-        roots.append(mp.make_mpc(z))
-    roots.sort(key=lambda w: (mp.fabs(w), mp.re(w), mp.im(w)))
-    return roots
+def _grid_sign(coeffs: list[int], k: int, depth: int) -> int:
+    """Exact sign of an integer polynomial at the grid point k / 2^depth."""
+    value = _grid_value(coeffs, k, depth)
+    return (value > 0) - (value < 0)
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs without trailing zeros, divided by their positive content."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of p: p, p' and then each entry the negated
+    remainder of the two before it, every one a primitive integer
+    polynomial and a positive multiple of the classical entry. Its last
+    entry is gcd(p, p') up to a constant. The sign changes along it at a
+    point a that is no root of p, less those at b > a, are the number of
+    distinct roots of p in (a, b], b counted when it is one."""
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        # |lc b|^(deg a - deg b + 1) a = Q b + R, in integers
+        a, b = chain[-2], chain[-1]
+        if b[-1] < 0:
+            b = [-c for c in b]
+        lead, db, r = b[-1], len(b) - 1, list(a)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r.pop()
+            r = [x * lead for x in r]
+            if c:
+                for j in range(db):
+                    r[i - db + j] -= c * b[j]
+        r = _primitive([-c for c in r])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _variations(chain: list[list[int]], k: int, depth: int) -> int:
+    """Sign changes along chain at k / 2^depth, zeros skipped."""
+    count = last = 0
+    for poly in chain:
+        sign = _grid_sign(poly, k, depth)
+        if sign:
+            count += last == -sign
+            last = sign
+    return count
+
+
+def _isolate(chain: list[list[int]]) -> tuple[int, int, int]:
+    """(lo, hi, depth) with the smallest positive root of chain[0] the only
+    root in (lo, hi] / 2^depth, 0 < lo < hi <= 2 lo, and lo no root: the
+    binade (2^e, 2^(e+1)] that holds it, found by doubling or halving from
+    1, bisected on root counts until it holds that root alone."""
+    at_zero = _variations(chain, 0, 0)
+    signs = [(poly[-1] > 0) - (poly[-1] < 0) for poly in chain]
+    if at_zero == sum(a != b for a, b in zip(signs, signs[1:])):
+        raise AnalysisError("q has no positive root")
+
+    def roots_below(e: int) -> int:  # distinct roots in (0, 2^e]
+        return at_zero - (_variations(chain, 1 << e, 0) if e >= 0
+                          else _variations(chain, 1, -e))
+    e = 0
+    if roots_below(0):
+        e = -1
+        while roots_below(e):
+            e -= 1
+    else:
+        while not roots_below(e + 1):
+            e += 1
+    depth = max(0, -e)
+    lo, hi = 1 << (e + depth), 2 << (e + depth)
+    at_hi = _variations(chain, hi, depth)
+    while at_zero - at_hi > 1:
+        lo, hi, depth = 2 * lo, 2 * hi, depth + 1
+        mid = (lo + hi) // 2
+        at_mid = _variations(chain, mid, depth)
+        if at_mid < at_zero:
+            hi, at_hi = mid, at_mid
+        else:
+            lo = mid
+    return lo, hi, depth
+
+
+def _refine(s: list[int], lo: int, hi: int, depth: int,
+            bits: int) -> tuple[int, int, int]:
+    """Narrow (lo, hi] / 2^depth, which holds one root of s, a simple one,
+    and whose lower end is no root, to a relative width of 2^-bits at
+    most. The probes are Newton steps on the grid, in integers, each kept
+    only inside the bracket, and the bracket's midpoint otherwise; once
+    Newton stops moving, the grid points two cells either side are probed.
+    Every probe moves an end by its exact sign, so the result is certified
+    however the steps behave: (lo, hi, depth) with s(lo) and s(hi) of
+    opposite signs, or lo = hi at an exact dyadic root."""
+    e = lo.bit_length() - 1 - depth  # 2^e <= lo / 2^depth
+    grow = max(0, bits - e + 2 - depth)
+    lo, hi, depth = lo << grow, hi << grow, depth + grow
+    if not _grid_sign(s, hi, depth):
+        return hi, hi, depth
+    width = 1 << (depth - bits + e)  # 2^(e - bits), in cells
+    ds = [k * c for k, c in enumerate(s)][1:]
+    low = _grid_sign(s, lo, depth)
+
+    def probe(x: int) -> int:
+        nonlocal lo, hi
+        value = _grid_value(s, x, depth)
+        if not value:
+            lo = hi = x
+        elif (value > 0) == (low > 0):
+            lo = x
+        else:
+            hi = x
+        return value
+    x = (lo + hi) // 2
+    for steps in itertools.count():
+        if hi - lo <= width:
+            return lo, hi, depth
+        value = probe(x)
+        slope = _grid_value(ds, x, depth) if value and steps < 64 else 0
+        # the step s/s' in cells, rounded to the grid
+        y = x - (2 * value + slope) // (2 * slope) if slope else x
+        if slope and abs(y - x) <= 1:
+            for p in (y - 2, y + 2):
+                if lo < p < hi:
+                    probe(p)
+        x = y if lo < y < hi else (lo + hi) // 2
+
+
+def _positive_root(coeffs: list[int], bits: int):
+    """The smallest positive root of the integer polynomial coeffs, low
+    degree first, to a relative width of 2^-bits: (chain, s, isolated,
+    refined), with chain the Sturm chain of coeffs, s its squarefree part
+    coeffs / gcd(coeffs, coeffs'), isolated the bracket (lo, hi, depth)
+    that _isolate leaves and refined the one _refine narrows it to. Raises
+    AnalysisError where there is none."""
+    if not any(coeffs):
+        raise AnalysisError("zero polynomial has no singularities")
+    if coeffs[0] == 0:
+        raise AnalysisError("q(0) = 0: series expansion point is singular")
+    coeffs = _primitive(coeffs)
+    if len(coeffs) == 1:
+        raise AnalysisError("constant denominator has no singularities")
+    chain = _sturm_chain(coeffs)
+    s, s_chain = coeffs, chain
+    if len(chain[-1]) > 1:
+        # at a multiple root every entry vanishes: isolate on the
+        # squarefree part, an integer polynomial by Gauss's lemma
+        quotient, _ = UniPolyZ(coeffs).divmod(UniPolyZ(chain[-1]))
+        s = [int(c) for c in quotient.coeffs]
+        s_chain = _sturm_chain(s)
+    isolated = _isolate(s_chain)
+    return chain, s, isolated, _refine(s, *isolated, bits)
+
+
+def _disc_count(coeffs: list[int], k: int, depth: int) -> int | None:
+    """The number of roots of the integer polynomial coeffs, with
+    multiplicity, in the open disc |z| < k / 2^depth; None where the count
+    meets a vanishing constant Tf(0), as a root on the circle makes it, or
+    two roots mirrored in it, or an equal size of the ends of some Tf.
+
+    This is the Schur-Cohn recursion (Henrici, Applied and Computational
+    Complex Analysis I, section 6.8) on f(w) = 2^(depth n) q(k w / 2^depth),
+    n = deg q. Its Schur transform Tf = f(0) f - lc(f) f*, with f* the
+    reversed f, has one degree less and Tf(0) = f(0)^2 - lc(f)^2. Where
+    Tf(0) > 0, f has as many roots in the disc as Tf, and where Tf(0) < 0,
+    n less that many (Rouche's theorem on the circle, where |f*| = |f|).
+    Each transform of the integer polynomials is taken
+    fraction free: from the third on, it divides exactly by the constant
+    term of the polynomial two steps back, which scales every later one by
+    a square and keeps the signs, and keeps the coefficients' size linear
+    in the step."""
+    n = len(coeffs) - 1
+    g = [c * k ** i << depth * (n - i) for i, c in enumerate(coeffs)]
+    steps, constants = [], []
+    for m in range(n, 0, -1):
+        t = [g[0] * g[i] - g[m] * g[m - i] for i in range(m)]
+        if not t[0]:
+            return None
+        steps.append((t[0] > 0, m))
+        if len(constants) >= 2:
+            divisor = constants[-2]
+            t = [c // divisor for c in t]
+        constants.append(t[0])
+        g = t
+    count = 0
+    for inside, m in reversed(steps):
+        count = count if inside else m - count
+    return count
 
 
 @dataclass
 class SingularityReport:
-    """Dominant root of a denominator polynomial and its neighbourhood."""
+    """The dominant root of a denominator polynomial q, decided exactly.
+
+    z_star is the smallest positive root of q, to WORKING_DPS digits, as an
+    mpc with zero imaginary part; multiplicity is its multiplicity as a root
+    of q. unique is True only where every other root of q is proven to lie
+    farther from 0, and real_positive is True where no root of q is nearer
+    to 0 than the working precision can tell apart from z* (see
+    dominant_singularity).
+    """
 
     z_star: mp.mpc
     real_positive: bool
     multiplicity: int
     unique: bool
-    modulus_gap: float
+    _squarefree: list = field(default_factory=list, repr=False,
+                              compare=False)
+
+    @functools.cached_property
+    def modulus_gap(self) -> float:
+        """|z| / z* for the next root z of q in modulus, math.inf where q
+        has no other root: for display only, as no decision reads it. The
+        roots are mpmath.polyroots of q's squarefree part at WORKING_DPS
+        digits, the nearest to z* dropped, and the moduli and their ratio
+        are taken at the caller's precision."""
+        import mpmath as mp
+        with mp.workdps(WORKING_DPS):
+            roots = mp.polyroots(self._squarefree[::-1], maxsteps=200,
+                                 extraprec=60)
+            roots.remove(min(roots, key=lambda r: abs(r - self.z_star)))
+        mods = [mp.fabs(r) for r in roots]
+        return float(min(mods) / mp.fabs(self.z_star)) if mods else math.inf
 
 
 def dominant_singularity(q: UniPolyZ) -> SingularityReport:
-    """Locate the smallest-modulus root of q and judge its uniqueness.
+    """The smallest positive root z* of q, its multiplicity, and whether it
+    is the only root of q of least modulus, each decided by exact signs.
 
-    Ties in modulus and multiplicities are reported, not resolved: callers
-    that need a unique simple dominant root must check the report.
+    q is cleared to a primitive integer polynomial. Its Sturm chain isolates
+    z* by bisection on root counts, and _refine narrows the bracket to
+    2^-(prec + 4) in relative terms at the working precision's prec bits;
+    z* is the bracket's midpoint. The chain's last entry is gcd(q, q'); the
+    multiplicity is one more than that of z* in it, counted the same way.
+
+    Uniqueness is an exact Schur-Cohn count (_disc_count) of the roots of q
+    in |z| < R, for radii R above z* that close in on it: the isolating
+    bracket's upper end, below which q has no other positive root; then
+    R - z* about 2^-j z* for j = 4, 8, 16, ...; and last the refined
+    bracket's upper end plus one cell. z* is unique once a count equals
+    its multiplicity: then every other root lies outside |z| < R. A tie
+    that survives to the last radius, 2^-(prec + 4) above z*, is reported
+    as not unique (unique False), so no uniqueness is ever claimed without
+    proof. Each radius is paired with one as far below z*, where a count
+    that is not 0 proves a root of smaller modulus than z*: that ends the
+    search with unique and real_positive False.
+
+    By Pringsheim's theorem a series with nonnegative coefficients has a
+    dominant singularity at z*, so every pole search of the package meets
+    such a q. A q whose root of least modulus is not positive real, such as
+    (1 + 2z)(1 - z), gives its smallest positive root with unique and
+    real_positive False; a q with no positive root, such as 1 + z^2,
+    raises AnalysisError. So do the zero polynomial, a constant, and
+    q(0) = 0.
     """
-    if q.is_zero():
-        raise AnalysisError("zero polynomial has no singularities")
-    if q.coeffs[0] == 0:
-        raise AnalysisError("q(0) = 0: series expansion point is singular")
-    if q.degree() == 0:
-        raise AnalysisError("constant denominator has no singularities")
+    scale = math.lcm(*(c.denominator for c in q.coeffs))
     import mpmath as mp
     with mp.workdps(WORKING_DPS):
-        roots = _all_roots(q)
-    # each modulus and each distance to z* once, at the caller's precision
-    mods = [mp.fabs(r) for r in roots]
-    min_mod = min(mods)
+        bits = mp.mp.prec + 4
+        chain, s, isolated, (lo, hi, depth) = _positive_root(
+            [c.numerator * (scale // c.denominator) for c in q.coeffs], bits)
+        z_star = mp.mpc(mp.ldexp(mp.mpf(lo + hi), -depth - 1))
 
-    def real_positive(i: int) -> bool:
-        return bool(abs(mp.im(roots[i])) <= REAL_AXIS_RTOL * max(1, mods[i])
-                    and mp.re(roots[i]) > 0)
-    near = [i for i, m in enumerate(mods)
-            if m <= min_mod * (1 + MODULUS_TIE_RTOL)]
-    star = next((i for i in near if real_positive(i)), near[0])
-    z_star = roots[star]
-    reach = ROOT_CLUSTER_RTOL * max(1, mods[star])
-    dists = [mp.fabs(r - z_star) for r in roots]
-    outside = [m for m, d in zip(mods, dists) if d > reach]
-    gap = float(min(outside) / min_mod) if outside else math.inf
-    return SingularityReport(
-        z_star=z_star, real_positive=real_positive(star),
-        multiplicity=sum(d <= reach for d in dists),
-        unique=gap > 1 + MODULUS_TIE_RTOL, modulus_gap=gap)
+    # z* is a root of gcd(q, q') exactly when it is a multiple root, and so on
+    multiplicity, gcd = 1, chain[-1]
+    while len(gcd) > 1:
+        sub = _sturm_chain(gcd)
+        if lo == hi:
+            root = not _grid_sign(gcd, lo, depth)
+        else:
+            root = _variations(sub, lo, depth) > _variations(sub, hi, depth)
+        if not root:
+            break
+        multiplicity, gcd = multiplicity + 1, sub[-1]
+    # pairs of radii closing in on z*: the isolating bracket's ends, below
+    # whose upper end q has no other positive root; then hi (1 + 2^-j) and
+    # lo (1 - 2^-j), rounded away from z* to the grid 2^-d, d = j + 2 - e
+    # at least 0 for hi >= 2^e; and last the refined bracket's ends, one
+    # cell out. A root nearer 0 than z* settles both answers at once.
+    bottom, top, top_depth = isolated
+    e = hi.bit_length() - 1 - depth
+    pairs = [(top, bottom, top_depth)]
+    for j in (4 << i for i in range(bits.bit_length())):
+        d = max(0, j + 2 - e)
+        shift = depth + j - d
+        up = -(-hi * ((1 << j) + 1) >> shift)
+        if j < bits and up << top_depth < top << d:
+            pairs.append((up, lo * ((1 << j) - 1) >> shift, d))
+    pairs.append((hi + 1, lo - 1, depth))
+    unique = nearer = False
+    for up, down, d in pairs:
+        unique = _disc_count(chain[0], up, d) == multiplicity
+        nearer = not unique and bool(_disc_count(chain[0], down, d))
+        if unique or nearer:
+            break
+    real_positive = not nearer
+    return SingularityReport(z_star, real_positive, multiplicity, unique, s)
 
 
 def _reduced_specialisation(sys: TransferSystem, x0: Fraction,
@@ -321,16 +546,6 @@ def criterion_q(sys: TransferSystem, lam,
 def _check_tolerance(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise AnalysisError("tolerance must be positive and finite")
-
-
-def _grid_sign(coeffs: list[int], k: int, depth: int) -> int:
-    """Exact sign of an integer polynomial at the grid point k / 2^depth:
-    evaluates 2^(depth deg) P(k / 2^depth) by Horner, in integers."""
-    value = shift = 0
-    for c in reversed(coeffs):
-        value = value * k + (c << shift)
-        shift += depth
-    return (value > 0) - (value < 0)
 
 
 _MAX_DEPTH = 200  # halvings of [0, 1] at most, in a member threshold
@@ -549,40 +764,37 @@ def _criterion_vanishes_at_one(sys: TransferSystem) -> bool:
 
 def _float_criterion(sys: TransferSystem):
     """h = ratio - 1 of criterion_asymptotic_ratio as a function of a float
-    lam, in floats and unreduced: the z-coefficients of family_gf's
-    denominator q at (1, lam^2), the smallest-modulus root z of their
-    companion estimate (_root_estimates, as _all_roots starts from), and
-    the real part of q_x / (lam^2 q_y) - 1 at z. Raises ArithmeticError or
-    ValueError (numpy's LinAlgError) where floats fail."""
-    polys = (family_gf(sys).den, *_gf_den_partials(sys))
+    lam, unreduced and mostly in floats: z is the smallest positive root of
+    family_gf's denominator q at (1, mu), mu = lam^2 at its exact dyadic
+    value, which the exact kernel (_positive_root) isolates and stops at
+    53 bits, and h is the value of q_x / (mu q_y) - 1 at z in floats.
+    Raises ArithmeticError or ValueError (an AnalysisError where q has no
+    positive root) where floats or the root fail."""
+    den = family_gf(sys).den
     tables = []
-    for poly in polys:
+    for poly in _gf_den_partials(sys):
         sums = {}  # x summed out at x = 1, exactly
         for (_, ey, ez), c in poly.terms.items():
             sums[ey, ez] = sums.get((ey, ez), 0) + c
         tables.append((poly.max_degree_z(),
                        [(ey, ez, float(c)) for (ey, ez), c in sums.items()]))
 
-    def at(mu: float) -> list[list[float]]:
-        out = []
-        for degree, terms in tables:
-            coeffs = [0.0] * (degree + 1)
-            for ey, ez, c in terms:
-                coeffs[ez] += c * mu ** ey
-            out.append(coeffs)
-        return out
-
-    def horner(coeffs: list[float], z: complex) -> complex:
-        acc = 0j
+    def at(degree: int, terms: list, mu: float, z: float) -> float:
+        coeffs = [0.0] * (degree + 1)
+        for ey, ez, c in terms:
+            coeffs[ez] += c * mu ** ey
+        acc = 0.0
         for c in reversed(coeffs):
             acc = acc * z + c
         return acc
 
     def h(lam: float) -> float:
         mu = lam * lam
-        q, q_x, q_y = at(mu)
-        z = complex(min(_root_estimates(q), key=abs))
-        return (horner(q_x, z) / (mu * horner(q_y, z))).real - 1
+        (q,), _ = _integer_z_coefficients((den,), 1, Fraction(mu))
+        *_, (lo, hi, depth) = _positive_root(q, 53)
+        z = float(Fraction(lo + hi, 2 << depth))
+        (dx, x_terms), (dy, y_terms) = tables
+        return at(dx, x_terms, mu, z) / (mu * at(dy, y_terms, mu, z)) - 1
     return h
 
 
@@ -612,15 +824,17 @@ def _limit_guess(sys: TransferSystem) -> float | None:
         return None
 
 
-def _crossing_cell(h, depth: int, guess: int | None) -> Fraction:
+def _crossing_cell(h, depth: int,
+                   guess: tuple[int, int] | None) -> Fraction:
     """Midpoint of the cell, on the grid of spacing 2^-depth, that holds the
     one crossing of h in (0, 1), with h > 0 left of it and h <= 0 right of
     it. The cell is the last bracket of halving [0, 1] depth times. The
-    first two probes are the ends of the guessed cell [guess, guess + 1],
+    first two probes are the ends of the guessed bracket, two grid points,
     when given, and the rest are guided by a secant (see
-    critical_lambda_asymptotic); so a right guess takes two probes, and a
-    wrong one goes on from the bracket they leave. h takes the grid points
-    as Fractions and gives mpf or, in _limit_guess, float values."""
+    critical_lambda_asymptotic); so a right guess of the cell takes two
+    probes, and a wrong one goes on from the bracket they leave. h takes
+    the grid points as Fractions and gives mpf or, in _limit_guess, float
+    values."""
     import mpmath as mp
     lo, hi = 0, 1 << depth  # the bracket, in units of 2^-depth
     probes = []  # (grid point, h) of each probe
@@ -631,7 +845,7 @@ def _crossing_cell(h, depth: int, guess: int | None) -> Fraction:
         reach = 1 << (depth + 1 - len(probes))
         k = (lo + hi) // 2
         if guess is not None and len(probes) < 2:
-            k = guess + len(probes)
+            k = guess[len(probes)]
         elif len(probes) >= 2 and probes[-1][1] != probes[-2][1]:
             (k0, h0), (k1, h1) = probes[-2:]
             # the secant step on g = 1/(h + 2) - 1/2, written in h
@@ -647,12 +861,27 @@ def _crossing_cell(h, depth: int, guess: int | None) -> Fraction:
     return Fraction(2 * lo + 1, 2 << depth)
 
 
+def _error_bound(poly: UniPolyZ, z: mp.mpc) -> mp.mpf:
+    """A bound on the error of poly at a pole z of dominant_singularity, as
+    _mp_poly evaluates it at the context's precision p: Horner's rounding,
+    at most 4 (deg + 1) 2^-p sum |c_i| |z|^i, and z's own distance from
+    the root, at most 2^(1 - p) |z|, times twice sum i |c_i| |z|^(i - 1)."""
+    import mpmath as mp
+    x, size, slope = abs(z), mp.mpf(0), mp.mpf(0)
+    for c in reversed(poly.coeffs):
+        slope = slope * x + size
+        size = size * x + abs(_mpf_from_fraction(c))
+    return mp.ldexp(len(poly.coeffs) * size + x * slope, 2 - mp.mp.prec)
+
+
 def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
     """Large-member limit of Q1/Q2 at noise strength lam.
 
     Evaluated as dq/dx over lam^2 * dq/dy at (1, lam^2, z*), with z* the
     dominant root of the reduced specialised denominator; the numerator
-    factors cancel against the denominator at any genuine simple pole.
+    factors cancel against the denominator at any genuine simple pole. The
+    ratio is indeterminate, a DegenerateSingularityError, where dq/dy at z*
+    is within its error bound (_error_bound) of 0.
     """
     import mpmath as mp
     mu = _noise_parameter(lam) ** 2
@@ -660,10 +889,11 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
         report = _simple_pole(q)
         z = report.z_star
-        q_x, q_y = _gf_den_partials(sys)
-        num = mp.make_mpc(_mp_poly(_univariate(q_x, Fraction(1), mu))(z._mpc_))
-        den = mp.make_mpc(_mp_poly(_univariate(q_y, Fraction(1), mu))(z._mpc_))
-        if abs(den) <= mp.mpf("1e-25") * max(1, abs(num)):
+        q_x, q_y = (_univariate(p, Fraction(1), mu)
+                    for p in _gf_den_partials(sys))
+        num = mp.make_mpc(_mp_poly(q_x)(z._mpc_))
+        den = mp.make_mpc(_mp_poly(q_y)(z._mpc_))
+        if abs(den) <= _error_bound(q_y, z):
             raise DegenerateSingularityError(
                 report, f"criterion ratio is indeterminate at lam = {lam}")
         return mp.re(num / (_mpf_from_fraction(mu) * den))
@@ -692,10 +922,11 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     halving [0, 1] D times, so the result is the bisection's. Each probe is
     one pole search. A float guess of the crossing comes first
     (_limit_guess: the same search on the float criterion, to a cell of
-    2^-52), and the first two probes are the ends of the grid cell
-    that holds it, when that cell lies in (0, edge]: h > 0 at its lower end
-    and h <= 0 at its upper end put the crossing in it, and h never
-    increases, so it is the bisection's cell. Each later probe is the grid
+    2^-52), and the first two probes are the ends of the cell that holds
+    it, on the grid or, where the grid is finer than 2^-52, on the guess's
+    own grid, when that cell lies in (0, edge]: h > 0 at its lower end and
+    h <= 0 at its upper end put the crossing in it, and h never increases,
+    so it holds the bisection's cell. Each later probe is the grid
     point nearest the secant root, through the last two probes, of
     g = 1/(h + 2) - 1/2. g is the limit of kbar/n - 1/2, smooth where h is
     steeply convex (on path, h(1/2) is about 8.1 and h(edge) about -0.67).
@@ -705,8 +936,9 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     the default tol the interior built-in limits take 3 pole searches, the
     edge and the guessed cell's two ends, where the bisection takes 35.
     Below about 1e-15 a cell is narrower than the guess is accurate, and
-    the secant takes over from the bracket the guessed cell leaves (5 pole
-    searches on path at 1e-16, where the bisection takes 55).
+    the secant goes on inside the bracket the guessed cell leaves (at most
+    5 pole searches on the interior built-ins at 1e-16, where the bisection
+    takes 55).
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
@@ -727,13 +959,13 @@ def critical_lambda_asymptotic(sys: TransferSystem,
         edge_value = h(edge)
         if edge_value <= 0:
             depth = next((d for d in range(200) if 2.0 ** -d < tol), 200)
-            guess = _limit_guess(sys)
-            cell = None
+            guess, ends = _limit_guess(sys), None
             if guess is not None:
-                cell = math.floor(math.ldexp(guess, depth))
-                if not (0 < cell and Fraction(cell + 1, 1 << depth) <= edge):
-                    cell = None
-            return float(_crossing_cell(h, depth, cell))
+                coarse = min(depth, _GUESS_DEPTH)
+                cell = math.floor(math.ldexp(guess, coarse))
+                if 0 < cell and Fraction(cell + 1, 1 << coarse) <= edge:
+                    ends = (cell << depth - coarse, cell + 1 << depth - coarse)
+            return float(_crossing_cell(h, depth, ends))
         if edge_value < 1e-3:
             if _criterion_vanishes_at_one(sys):
                 raise NoThresholdError(

@@ -13,11 +13,11 @@ the asymptotic threshold of a family that does not grow), 4 any other
 failure, such as a figure --out directory that cannot be created.
 
 Each command imports only what it computes with: the analysis layer inside
-fidelity, critical-lambda and figure; mpmath and numpy inside the root
-finder and the asymptotics (--asymptotic, figure). The brute-force oracles
-need neither, so verify loads no numerical library. verify checks its
-members in this process; --jobs is accepted and validated but starts no
-workers.
+fidelity, critical-lambda and figure; mpmath inside the pole's value and
+the asymptotics (--asymptotic, figure), and no other numerical library.
+The brute-force oracles need neither, so verify loads no numerical
+library. verify checks its members in this process; --jobs is accepted
+and validated but starts no workers.
 """
 
 from __future__ import annotations

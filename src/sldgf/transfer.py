@@ -608,19 +608,25 @@ def family_gf(sys: TransferSystem) -> RatFunc3:
     obey, proven to annihilate them from the recursion start on (see
     _minimal_denominator). So its product with the series has no term from
     z^(start + order) on: the numerator is that denominator times the first
-    start + order members, truncated below z^(start + order), and the pair
-    is exact and reduced by construction, and canonicalised.
+    start + order members, below z^(start + order), and the pair is exact
+    and reduced by construction, and canonicalised. Only the term pairs
+    whose z-exponents sum below that cut are multiplied.
     """
     if sys._gf is not None:
         return sys._gf
     den, order = _minimal_denominator(sys)
     cut = sys.spec.recursion_start + order
-    head = LaurentPoly3.zero()
-    for r, wep in enumerate(iter_weps(sys, cut - 1)):
-        head = head + wep.shift((0, 0, r))
-    num = LaurentPoly3({e: c for e, c in (den * head).terms.items()
-                        if e[2] < cut})
-    gf = ratfunc_normalize(num, den)
+    head = sorted(((e[:2], r + e[2], c)
+                   for r, wep in enumerate(iter_weps(sys, cut - 1))
+                   for e, c in wep.terms.items()), key=lambda t: t[1])
+    terms = {}
+    for (ax, ay, az), ac in den.terms.items():
+        for (bx, by), bz, bc in head:
+            if az + bz >= cut:
+                break
+            exp = ax + bx, ay + by, az + bz
+            terms[exp] = terms.get(exp, 0) + ac * bc
+    gf = ratfunc_normalize(LaurentPoly3(terms), den)
     object.__setattr__(sys, "_gf", gf)
     return gf
 

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from sldgf.analysis import (ROOT_CLUSTER_RTOL, WORKING_DPS, AnalysisError,
-                            _all_roots, _mpf_from_fraction,
+from sldgf.analysis import (WORKING_DPS, AnalysisError, _mpf_from_fraction,
                             _reduced_specialisation, _residue)
 from sldgf.transfer import TransferSystem, wep_values_by_iteration
+
+from pole_reference import ROOT_CLUSTER_RTOL, _all_roots
 
 
 class ClusteredRootsError(AnalysisError):

@@ -1,17 +1,21 @@
-"""The pole kernel on mpmath objects, and the Fraction specialisation that
-feeds it: the test-only reference.
+"""The float pole kernel and the Fraction specialisation that feeds it: the
+test-only reference.
 
-The package polishes roots and evaluates residues on raw libmp values, and
-specialises a generating function at (x0, y0) in integers. This module
-keeps the earlier forms unchanged: Horner and Newton on mpc and mpf
-objects, the modulus taken again at each use, and each term's
+The package decides the dominant pole by exact signs on integer
+polynomials, and specialises a generating function at (x0, y0) in
+integers. This module keeps the earlier forms: companion-matrix (np.roots)
+estimates polished by Newton on mpc and mpf objects, with the modulus
+taken again at each use and every decision a distance tolerance
+(ROOT_CLUSTER_RTOL, MODULUS_TIE_RTOL, REAL_AXIS_RTOL); and each term's
 c x0^ex y0^ey as a Fraction product, scaled back to integers by
-_normalise_pair. The package must give the same bits and the same pairs.
+_normalise_pair. Where this kernel isolates a simple pole, the package
+must find the same one, and the specialisation must give the same pairs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,12 +23,14 @@ import mpmath as mp
 from sldgf.algebra import (AlgebraError, LaurentPoly3, RatFunc3, UniPolyZ,
                            ZeroDenominatorError, _normalise_pair, _rational,
                            uni_reduce)
-from sldgf.analysis import (MODULUS_TIE_RTOL, REAL_AXIS_RTOL,
-                            ROOT_CLUSTER_RTOL, WORKING_DPS, AnalysisError,
+from sldgf.analysis import (WORKING_DPS, AnalysisError,
                             DegenerateSingularityError, LeadingTerm,
-                            SingularityReport, _mpf_from_fraction,
-                            _noise_parameter)
+                            _mpf_from_fraction, _noise_parameter)
 from sldgf.transfer import TransferSystem, _gf_den_partials, family_gf
+
+ROOT_CLUSTER_RTOL = 1e-8
+MODULUS_TIE_RTOL = 1e-8
+REAL_AXIS_RTOL = 1e-10
 
 
 def bits(value) -> tuple:
@@ -104,6 +110,18 @@ def _all_roots(q: UniPolyZ) -> list[mp.mpc]:
         roots.append(z)
     roots.sort(key=lambda w: (mp.fabs(w), mp.re(w), mp.im(w)))
     return roots
+
+
+@dataclass
+class SingularityReport:
+    """Smallest-modulus root of a denominator polynomial and its
+    neighbourhood, as the float kernel judges them."""
+
+    z_star: mp.mpc
+    real_positive: bool
+    multiplicity: int
+    unique: bool
+    modulus_gap: float
 
 
 def dominant_singularity(q: UniPolyZ) -> SingularityReport:

@@ -591,15 +591,16 @@ class TestThresholdBisection:
         lambda lam: math.nan, lambda lam: math.inf, lambda lam: 1.0,
         lambda lam: {2.0 ** -10: 1.0, 1 - 2.0 ** -20: -0.5}.get(lam, math.nan),
         lambda lam: {2.0 ** -10: 1.0, 0.5: math.inf}.get(lam, -0.5),
-        lambda lam: 10.0 ** 400, lambda lam: analysis._root_estimates([0.0]),
-        lambda lam: analysis._root_estimates([1.0, 1.0, math.nan])],
+        lambda lam: 10.0 ** 400, lambda lam: analysis._positive_root([], 53),
+        lambda lam: analysis._positive_root([1, 0, 1], 53)],
         ids=["nan", "inf", "no_sign_change", "nan_inside", "inf_inside",
-             "overflow", "zero_polynomial", "nan_coefficient"])
+             "overflow", "zero_polynomial", "no_positive_root"])
     def test_float_failure_leaves_no_guess(self, systems, monkeypatch, h):
         # a float criterion that fails, or shows no crossing, leaves the
         # search without a guess, never with an error. Inside, the first
         # probe is 1/2: a NaN there is refused, and +inf next to the finite
-        # second probe makes the secant step NaN
+        # second probe makes the secant step NaN. The root of q at (1, lam^2)
+        # fails as an AnalysisError where q is 0 or has no positive root
         monkeypatch.setattr(analysis, "_float_criterion", lambda sys_: h)
         assert analysis._limit_guess(systems["path"]) is None
         assert critical_lambda_asymptotic(systems["path"]) == LIMITS["path"]

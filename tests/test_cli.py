@@ -510,10 +510,10 @@ print(json.dumps([code, [name for name in ("numpy", "mpmath",
     (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8"], []),
     (["critical-lambda", "--family", "path", "--r-max", "5"], []),
     (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8",
-      "--asymptotic"], ["numpy", "mpmath"]),
+      "--asymptotic"], ["mpmath"]),
     (["critical-lambda", "--family", "path", "--r-max", "5",
-      "--asymptotic"], ["numpy", "mpmath"]),
-    (["figure", "fig4", "--r-max", "3"], ["numpy", "mpmath"]),
+      "--asymptotic"], ["mpmath"]),
+    (["figure", "fig4", "--r-max", "3"], ["mpmath"]),
 ], ids=["families", "gf", "wep", "sld", "ce", "verify", "verify-jobs",
         "fidelity", "critical-lambda", "fidelity-asymptotic",
         "critical-lambda-asymptotic", "figure"])

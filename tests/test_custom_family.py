@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sldgf import (DegenerateSingularityError, build_transfer_system,
+from sldgf import (build_transfer_system,
                    critical_lambda_asymptotic, critical_lambda_sweep,
                    family_gf, iter_weps, parse_family_spec, realize,
                    series_coefficients, sld_bruteforce_colouring,
@@ -26,6 +26,7 @@ from sldgf.transfer import _lump
 from conftest import brute_sectors
 from golden_forms import LADDER_3_GF
 from pairwise_build import merge_state, pairwise_matrices, pairwise_terms
+import threshold_reference
 from unlumped import unlumped_weps
 from wide_ladder import ladder, quotient_digest
 
@@ -84,7 +85,7 @@ SPIDER = {
 }
 
 # families 16, 174 and 181 of tests/family_sweep.py's draw (seed 1, counted
-# from 0): at the edge probe lam = 1 - 2^-20 the float pole kernel reports a
+# from 0): at the edge probe lam = 1 - 2^-20 the float pole kernel reported a
 # unique simple pole near 1/4 and a negative criterion there, without an
 # error. Exactly, the criterion is positive there, so each limit is the
 # boundary 1.0
@@ -108,6 +109,17 @@ WRONG_POLE_FAMILIES = {index: dict(
           "glue_map": {"0": 3, "1": 1}, "next_boundary_map": {"0": 3, "1": 1},
           "qubit_count": {"offset": 0, "step": 2}},
 }.items()}
+
+# family 99 of the same draw: at the edge probe both partials of the
+# denominator are about 1e-30 at a simple pole, which the criterion ratio's
+# former 1e-25 rule refused as indeterminate; within their error bound they
+# are not 0, and the limit is interior
+VANISHING_PARTIALS_FAMILY = dict(
+    SPIDER, name="generated_99",
+    base_graph={"n": 3, "edges": [[0, 1], [1, 2]]}, boundary=[1, 2],
+    replacement={"n": 5, "edges": [[0, 3], [1, 2], [2, 3], [2, 4], [3, 4]]},
+    glue_map={"1": 4, "2": 2}, next_boundary_map={"1": 4, "2": 3},
+    qubit_count={"offset": 0, "step": 3})
 
 
 def test_caterpillar_pipeline_end_to_end():
@@ -226,11 +238,9 @@ def test_spider_member_thresholds():
         (60, 0.7602685966814963), (200, 0.7600912054081947)]
 
 
-@pytest.mark.xfail(strict=True, raises=DegenerateSingularityError,
-                   reason="the float pole kernel takes the two distinct "
-                   "poles near the edge probe for one double pole "
-                   "(FOUND, CHANGES.md:229); an exact root kernel decides it")
 def test_spider_asymptotic_threshold():
+    # two distinct poles lie 5e-10 apart at the edge probe, which the float
+    # kernel took for one double pole; the exact kernel separates them
     sys_ = build_transfer_system(parse_family_spec(json.dumps(SPIDER)))
     limit = critical_lambda_asymptotic(sys_)
     # the Richardson extrapolant of the 1/r law; members 400 and 800 give
@@ -239,11 +249,20 @@ def test_spider_asymptotic_threshold():
     assert abs(limit - (2 * members[400] - members[200])) < 2e-6
 
 
-@pytest.mark.xfail(strict=True, raises=DegenerateSingularityError,
-                   reason="the float pole kernel misreads the edge probe, and "
-                   "a later probe raises; an exact root kernel decides it")
+def test_vanishing_partials_limit():
+    sys_ = build_transfer_system(
+        parse_family_spec(json.dumps(VANISHING_PARTIALS_FAMILY)))
+    limit = critical_lambda_asymptotic(sys_)
+    assert limit == threshold_reference.critical_lambda_asymptotic_bisection(
+        sys_)
+    assert 0.73 < limit < 0.74
+
+
 @pytest.mark.parametrize("index", sorted(WRONG_POLE_FAMILIES))
 def test_generated_boundary_limit(index):
+    # the float kernel reported a wrong simple pole at the edge probe, so a
+    # negative ratio - 1 there, and the search went on inside; the exact
+    # pole gives a positive one, and the boundary limit
     doc = WRONG_POLE_FAMILIES[index]
     sys_ = build_transfer_system(parse_family_spec(json.dumps(doc)))
     assert critical_lambda_asymptotic(sys_) == 1.0
