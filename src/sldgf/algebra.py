@@ -577,21 +577,64 @@ class UniPolyZ:
                 rem[i - db + j] -= factor * b
         return UniPolyZ(q), UniPolyZ(rem)
 
-    def monic(self) -> "UniPolyZ":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
     def __repr__(self) -> str:
         return f"UniPolyZ({self.coeffs})"
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs without trailing zeros, divided by their positive content."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _cleared(poly: UniPolyZ) -> list[int]:
+    """poly's coefficients, low degree first, times the lcm of their
+    denominators and made primitive."""
+    scale = lcm(*(c.denominator for c in poly.coeffs))
+    return _primitive([c.numerator * (scale // c.denominator)
+                       for c in poly.coeffs])
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of the integer polynomial a by b, both low degree
+    first, as a primitive integer polynomial that is a positive multiple of
+    the classical remainder: |lc b|^(deg a - deg b + 1) a = Q b + R in
+    integers, R divided by its content; [] where b divides a."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db, r = b[-1], len(b) - 1, list(a)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        r = [x * lead for x in r]
+        if c:
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    return _primitive(r)
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials, low degree first, where b divides a
+    with an integer quotient, by long division in integers."""
+    r, db, out = list(a), len(b) - 1, []
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] // b[-1]
+        out.append(c)
+        for j in range(db + 1):
+            r[i - db + j] -= c * b[j]
+    return out[::-1]
+
+
 def uni_gcd(a: UniPolyZ, b: UniPolyZ) -> UniPolyZ:
-    """Monic gcd of two univariate polynomials (Euclid over the rationals)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero() else r
-    return a.monic()
+    """Monic gcd of two univariate polynomials: the last nonzero entry of
+    the primitive remainder sequence of their integer multiples, made
+    monic."""
+    a, b = _cleared(a), _cleared(b)
+    while b:
+        a, b = b, _remainder(a, b)
+    return UniPolyZ([Fraction(c, a[-1]) for c in a])
 
 
 def uni_reduce(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:

@@ -11,8 +11,8 @@ and the residue/asymptotic evaluations, done in mpmath at a precision well
 beyond double; mpmath is imported only by the functions that compute with
 it, so the exact quantities never load it, and no other numerical library
 is loaded. The thresholds' guesses in doubles (_crossing_guess for a
-member, _limit_guess for the limit) only choose where the exact searches
-probe first.
+member, _limit_guess for the limit) only choose where their one exact
+search (_crossing_search) probes first.
 
 Singularity analysis operates on the univariate specialisation of the
 family generating function after cancelling its common univariate factor.
@@ -39,7 +39,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (UniPolyZ, _integer_z_coefficients, _univariate,
+from .algebra import (UniPolyZ, _cleared, _integer_z_coefficients,
+                      _primitive, _quotient, _remainder, _univariate,
                       uni_reduce, uni_specialize)
 from .family import SLD, FamilyError, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
@@ -115,15 +116,6 @@ def _grid_sign(coeffs: list[int], k: int, depth: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
-    """coeffs without trailing zeros, divided by their positive content."""
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    g = math.gcd(*coeffs)
-    return [c // g for c in coeffs] if g > 1 else coeffs
-
-
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """The Sturm chain of p: p, p' and then each entry the negated
     remainder of the two before it, every one a primitive integer
@@ -133,18 +125,7 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     distinct roots of p in (a, b], b counted when it is one."""
     chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
-        # |lc b|^(deg a - deg b + 1) a = Q b + R, in integers
-        a, b = chain[-2], chain[-1]
-        if b[-1] < 0:
-            b = [-c for c in b]
-        lead, db, r = b[-1], len(b) - 1, list(a)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r.pop()
-            r = [x * lead for x in r]
-            if c:
-                for j in range(db):
-                    r[i - db + j] -= c * b[j]
-        r = _primitive([-c for c in r])
+        r = [-c for c in _remainder(chain[-2], chain[-1])]
         if not r:
             break
         chain.append(r)
@@ -260,8 +241,7 @@ def _positive_root(coeffs: list[int], bits: int):
     if len(chain[-1]) > 1:
         # at a multiple root every entry vanishes: isolate on the
         # squarefree part, an integer polynomial by Gauss's lemma
-        quotient, _ = UniPolyZ(coeffs).divmod(UniPolyZ(chain[-1]))
-        s = [int(c) for c in quotient.coeffs]
+        s = _quotient(coeffs, chain[-1])
         s_chain = _sturm_chain(s)
     isolated = _isolate(s_chain)
     return chain, s, isolated, _refine(s, *isolated, bits)
@@ -368,12 +348,11 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
     raises AnalysisError. So do the zero polynomial, a constant, and
     q(0) = 0.
     """
-    scale = math.lcm(*(c.denominator for c in q.coeffs))
     import mpmath as mp
     with mp.workdps(WORKING_DPS):
         bits = mp.mp.prec + 4
-        chain, s, isolated, (lo, hi, depth) = _positive_root(
-            [c.numerator * (scale // c.denominator) for c in q.coeffs], bits)
+        chain, s, isolated, (lo, hi, depth) = _positive_root(_cleared(q),
+                                                             bits)
         z_star = mp.mpc(mp.ldexp(mp.mpf(lo + hi), -depth - 1))
 
     # z* is a root of gcd(q, q') exactly when it is a multiple root, and so on
@@ -548,7 +527,7 @@ def _check_tolerance(tol: float) -> None:
         raise AnalysisError("tolerance must be positive and finite")
 
 
-_MAX_DEPTH = 200  # halvings of [0, 1] at most, in a member threshold
+_MAX_DEPTH = 200  # halvings of [0, 1] at most, in a threshold search
 
 
 def _crossing_guess(sld: SLD) -> float:
@@ -623,34 +602,71 @@ def _narrow(cell: int, depth: int, tol: float) -> bool:
             - math.sqrt(cell / (1 << depth)) < tol)
 
 
+def _crossing_search(sign, cap: int, stop, hint: tuple[int, int] | None,
+                     known: int, most: int) -> tuple[int, int]:
+    """The last cell (cell, depth), [cell, cell + 1] 2^-depth, of halving
+    [0, 1] around the one crossing of a monotone sign: sign(k) is True left
+    of the crossing and False right of it at k / 2^cap; 0 is left, and
+    every point from known up is right. The halving stops at the first
+    cell that passes stop(cell, depth), as one must at depth cap.
+
+    The halving's cells form one chain, each the floor of the next one's
+    half, so the search keeps a bracket [lo, hi] of probed points and
+    applies the stop rule to each cell of the chain once the bracket lies
+    inside it. It probes the two ends of the hint cell, an end of known
+    sign skipped, gallops on from the lower end the way the signs point at
+    1, 3, 7, ... hint widths, for 8 probes at most in all, and then halves
+    at the points with the most trailing zeros, the halving's own. Each
+    probe is moved towards the bracket's middle as far as needed to lie
+    within 2^(most - 1 - j) of both its ends, j the probes before it, so
+    the search makes most probes at most. Where most >= cap + 8 no probe
+    is moved, and the search ends at most 8 probes after the halving would.
+    """
+    lo, hi, probes, tested, step = 0, known, 0, 0, None
+    if hint is not None:
+        k, unit = hint[0], hint[1] - hint[0]
+        step = unit if k <= lo else -unit if k >= hi else 0
+        k += step
+    while True:
+        # the depth of the cell holding the bracket, and the stop rule on
+        # every cell of the chain down to it
+        common = cap - (lo ^ (hi - 1)).bit_length()
+        for d in range(tested, common + 1):
+            if stop(lo >> cap - d, d):
+                return lo >> cap - d, d
+        tested = common + 1
+        if step is None or probes == 8 or not lo < k < hi:
+            step = None
+            split = cap - 1 - common
+            k = (hi - 1) >> split << split
+        reach = 1 << most - 1 - probes
+        probes += 1
+        point = min(max(k, hi - reach), lo + reach)
+        left = sign(point)
+        if left:
+            lo = point
+        else:
+            hi = point
+        if step is not None:
+            # the gallop goes on while it stays on the side it started from
+            if step and (step > 0) != left:
+                step = None
+            else:
+                step = 2 * step or (unit if left else -unit)
+                k += step
+
+
 def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     """sqrt of the midpoint of the last cell [lo, lo + 1] 2^-depth of halving
-    [0, 1] around the member criterion's one crossing in mu, once the cell
-    is narrower than tol in lam = sqrt(mu) or after 200 halvings; None when
-    mu = 1 is not right of the crossing.
-
-    The criterion changes sign at most once on (0, 1) (see
-    critical_lambda_sweep), so the points right of the crossing form one
-    interval reaching up to 1, and the halving's cell at depth d is
-    floor(mu_c 2^d) for the crossing mu_c < 1. Its cells form one chain, each
-    the floor of the next one's half, and it stops at the first that passes
-    the stop test. So the search does not halve from [0, 1]. It reads the
-    chain off a float guess of mu_c (_crossing_guess), takes the depth D at
-    which that chain stops, and checks the guessed cell at D by the exact
-    signs at its two ends: if they hold, its ancestors are the halving's,
-    and so are D and the result. An end at 0 or 1 has a known sign and is
-    not probed.
-
-    On a miss the probes gallop on the same grid away from the end whose
-    sign failed, at 1, 3, 7, ... cells from the guessed cell, for at most 8
-    probes in all, and then halve at the points with the most trailing
-    zeros, which are the halving's own. The bracket [lo, hi] is kept on
-    the grid of spacing 2^-200, and the stop test is applied to each cell
-    of the chain as soon as the bracket lies inside it, so a miss ends
-    where the halving would, at most 8 probes after it.
-
-    The floats are correctly rounded quotients of integers, as a Fraction's
-    are, so the result is that of halving with Fraction ends.
+    [0, 1] around the member criterion's one crossing in mu (see
+    critical_lambda_sweep), once the cell is narrower than tol in
+    lam = sqrt(mu) (_narrow) or after 200 halvings; None when mu = 1 is not
+    right of the crossing. _crossing_search finds it from exact signs of P
+    on the grid 2^-200, hinted by the cell of a float guess
+    (_crossing_guess) at the depth where the chain of the guess's cells
+    stops, so a right guess takes two signs. The floats are correctly
+    rounded quotients of integers, as a Fraction's are, so the result is
+    that of halving with Fraction ends.
     """
     _check_tolerance(tol)
     n = sld.n
@@ -662,43 +678,22 @@ def _critical_lambda_from_sld(sld: SLD, tol: float) -> float | None:
     # moves the float difference by less than 2^-50, so no depth shallower
     # than the first d with 2^-(d + 1) <= tol + 2^-48 passes the stop test
     first = max(0, -math.frexp(tol + 2.0 ** -48)[1])
+
+    def stop(cell: int, d: int) -> bool:
+        return d >= first and (d == _MAX_DEPTH or _narrow(cell, d, tol))
+
+    def left(k: int) -> bool:
+        zeros = (k & -k).bit_length() - 1
+        return _grid_sign(coeffs, k >> zeros, _MAX_DEPTH - zeros) >= 0
     top = 1 << _MAX_DEPTH
     guess = min(int(math.ldexp(_crossing_guess(sld), _MAX_DEPTH)), top - 1)
-    depth = next((d for d in range(first, _MAX_DEPTH)
-                  if _narrow(guess >> _MAX_DEPTH - d, d, tol)), _MAX_DEPTH)
-    unit = 1 << _MAX_DEPTH - depth  # a cell at the guessed depth
-    # grid points in units of 2^-200, with P(lo) >= 0 > P(hi)
-    lo, hi, tested, probes = 0, top, first, 0
-    k = guess - guess % unit
-    step = unit if k == 0 else 0  # the sign at 0 is known
-    k += step
-    while True:
-        # the depth of the cell holding the bracket, and the chain's stop
-        # test on every cell down to it; the halving stops at 200 anyway
-        common = _MAX_DEPTH - (lo ^ (hi - 1)).bit_length()
-        for d in range(tested, common + 1):
-            cell = lo >> _MAX_DEPTH - d
-            if d == _MAX_DEPTH or _narrow(cell, d, tol):
-                return math.sqrt((2 * cell + 1) / (2 << d))
-        tested = max(tested, common + 1)
-        if step is None or probes == 8 or not lo < k < hi:
-            step = None
-            split = _MAX_DEPTH - 1 - common
-            k = (hi - 1) >> split << split
-        zeros = (k & -k).bit_length() - 1
-        probes += 1
-        left = _grid_sign(coeffs, k >> zeros, _MAX_DEPTH - zeros) >= 0
-        if left:
-            lo = k
-        else:
-            hi = k
-        if step is not None:
-            # the gallop goes on while it stays on the side it started from
-            if step and (step > 0) != left:
-                step = None
-            else:
-                step = 2 * step or (unit if left else -unit)
-                k += step
+    depth = next(d for d in itertools.count(first)
+                 if stop(guess >> _MAX_DEPTH - d, d))
+    start = guess >> _MAX_DEPTH - depth << _MAX_DEPTH - depth
+    cell, d = _crossing_search(left, _MAX_DEPTH, stop,
+                               (start, start + (1 << _MAX_DEPTH - depth)),
+                               top, _MAX_DEPTH + 8)
+    return math.sqrt((2 * cell + 1) / (2 << d))
 
 
 def _sld(n: int, shift: int, digits: list[int]) -> SLD:
@@ -730,11 +725,12 @@ def critical_lambda_sweep(sys: TransferSystem, r_values,
     P = W * (n - 2 kbar) with W = sum_k A_k mu^k > 0 and kbar = mu W'/W
     the mean of k under the weights A_k mu^k, and d kbar / d ln mu is their
     variance, so kbar never decreases. So the last cell depends only on
-    where mu_c lies. A float Newton on kbar = n/2 guesses mu_c, and the
-    exact signs of P at the two ends of the guessed cell confirm it, each
-    from one Horner pass on 2^(d deg P) P(k 2^-d) in integers
-    (_critical_lambda_from_sld). Every member's A_k are the integers of
-    the one member stream (_sector_lengths).
+    where mu_c lies, and the exact search that the limit shares finds it
+    (_critical_lambda_from_sld): a float Newton on kbar = n/2 hints the
+    cell, two exact signs of P confirm a right hint, and no member takes
+    more than 8 signs beyond the halving. Each sign is one Horner pass on
+    2^(d deg P) P(k 2^-d) in integers. Every member's A_k are the integers
+    of the one member stream (_sector_lengths).
     """
     wanted = sorted({_member_index(r) for r in r_values})
     if not wanted:
@@ -801,64 +797,60 @@ def _float_criterion(sys: TransferSystem):
 # the float guess's grid: its points and their cells' midpoints, multiples
 # of 2^-53 in [0, 1], are floats, so the float criterion sees them exactly
 _GUESS_DEPTH = 52
+# the limit's first probe, where a crossing is told from a boundary limit
+_EDGE = Fraction(1) - Fraction(1, 1 << 20)
 
 
 def _limit_guess(sys: TransferSystem) -> float | None:
     """Float estimate of the limit's crossing lam_c: the midpoint of the
     cell of spacing 2^-52 that _crossing_cell finds on the float criterion
-    (_float_criterion), once that is > 0 at 2^-10 and <= 0 at 1 - 2^-20.
-    None where the floats fail or show no sign change there: the guess is a
-    hint, and no failure of it is an error."""
+    (_float_criterion), where that cell lies inside (0, edge]. None where
+    the floats fail or the cell lies elsewhere, as where they show no sign
+    change: the guess is a hint, and no failure of it is an error."""
     try:
         h = _float_criterion(sys)
-        if not h(2.0 ** -10) > 0 >= h(1 - 2.0 ** -20):
-            return None
 
-        def g(lam: Fraction) -> float:
-            value = h(float(lam))
+        def g(lam: float) -> float:
+            value = h(lam)
             if math.isnan(value):
                 raise ArithmeticError("the float criterion is NaN")
             return value
-        return float(_crossing_cell(g, _GUESS_DEPTH, None))
+        cell = _crossing_cell(g, _GUESS_DEPTH)
     except (ArithmeticError, ValueError):
         return None
+    if 0 < cell and Fraction(cell + 1, 1 << _GUESS_DEPTH) <= _EDGE:
+        return math.ldexp(2 * cell + 1, -_GUESS_DEPTH - 1)
+    return None
 
 
-def _crossing_cell(h, depth: int,
-                   guess: tuple[int, int] | None) -> Fraction:
-    """Midpoint of the cell, on the grid of spacing 2^-depth, that holds the
-    one crossing of h in (0, 1), with h > 0 left of it and h <= 0 right of
-    it. The cell is the last bracket of halving [0, 1] depth times. The
-    first two probes are the ends of the guessed bracket, two grid points,
-    when given, and the rest are guided by a secant (see
-    critical_lambda_asymptotic); so a right guess of the cell takes two
-    probes, and a wrong one goes on from the bracket they leave. h takes
-    the grid points as Fractions and gives mpf or, in _limit_guess, float
-    values."""
-    import mpmath as mp
+def _crossing_cell(h, depth: int) -> int:
+    """The lower end k of the cell [k, k + 1] 2^-depth that holds the one
+    crossing of the float function h in (0, 1), h > 0 left of it and
+    h <= 0 right of it: the last bracket of halving [0, 1] depth times.
+    Each probe, a grid point passed as a float, is the bracket's midpoint
+    until two probes differ in h, and then the secant root through the last
+    two of g = 1/(h + 2) - 1/2, the limit of kbar/n - 1/2, smooth where h
+    is steeply convex (on path, h(1/2) is about 8.1 and h(edge) about
+    -0.67). It is moved towards the bracket's midpoint as far as needed to
+    keep the bracket closable by halving within depth + 2 probes."""
     lo, hi = 0, 1 << depth  # the bracket, in units of 2^-depth
     probes = []  # (grid point, h) of each probe
     while hi - lo > 1:
-        # ceil(log2(hi - lo)) <= depth + 2 - len(probes) holds, so at most
-        # depth + 2 probes are made; a probe within reach of both ends keeps
-        # it, the midpoint always is, and the first two may lie anywhere
+        # ceil(log2(hi - lo)) <= depth + 2 - len(probes) holds; a probe
+        # within reach of both ends keeps it, and the midpoint always is
         reach = 1 << (depth + 1 - len(probes))
         k = (lo + hi) // 2
-        if guess is not None and len(probes) < 2:
-            k = guess[len(probes)]
-        elif len(probes) >= 2 and probes[-1][1] != probes[-2][1]:
+        if len(probes) >= 2 and probes[-1][1] != probes[-2][1]:
             (k0, h0), (k1, h1) = probes[-2:]
-            # the secant step on g = 1/(h + 2) - 1/2, written in h
-            step = h1 * (h0 + 2) * (k1 - k0) / (2 * (h1 - h0))
-            k = k1 - int(mp.nint(step))
+            k = k1 - round(h1 * (h0 + 2) * (k1 - k0) / (2 * (h1 - h0)))
         k = min(max(k, lo + 1, hi - reach), hi - 1, lo + reach)
-        value = h(Fraction(k, 1 << depth))
+        value = h(math.ldexp(k, -depth))
         probes.append((k, value))
         if value <= 0:
             hi = k
         else:
             lo = k
-    return Fraction(2 * lo + 1, 2 << depth)
+    return lo
 
 
 def _error_bound(poly: UniPolyZ, z: mp.mpc) -> mp.mpf:
@@ -918,27 +910,16 @@ def critical_lambda_asymptotic(sys: TransferSystem,
 
     Otherwise the crossing is pinned to one cell of the dyadic grid of
     spacing 2^-D, with D the first depth at which 2^-D < tol (at most 200),
-    and the cell's midpoint is returned. That cell is the last bracket of
-    halving [0, 1] D times, so the result is the bisection's. Each probe is
-    one pole search. A float guess of the crossing comes first
-    (_limit_guess: the same search on the float criterion, to a cell of
-    2^-52), and the first two probes are the ends of the cell that holds
-    it, on the grid or, where the grid is finer than 2^-52, on the guess's
-    own grid, when that cell lies in (0, edge]: h > 0 at its lower end and
-    h <= 0 at its upper end put the crossing in it, and h never increases,
-    so it holds the bisection's cell. Each later probe is the grid
-    point nearest the secant root, through the last two probes, of
-    g = 1/(h + 2) - 1/2. g is the limit of kbar/n - 1/2, smooth where h is
-    steeply convex (on path, h(1/2) is about 8.1 and h(edge) about -0.67).
-    A probe is moved towards the bracket's midpoint as far as needed to
-    keep the bracket closable by halving within D + 2 probes, so no
-    tolerance costs more than two pole searches beyond the bisection. At
-    the default tol the interior built-in limits take 3 pole searches, the
-    edge and the guessed cell's two ends, where the bisection takes 35.
-    Below about 1e-15 a cell is narrower than the guess is accurate, and
-    the secant goes on inside the bracket the guessed cell leaves (at most
-    5 pole searches on the interior built-ins at 1e-16, where the bisection
-    takes 55).
+    and the cell's midpoint, the bisection's, is returned. _crossing_search
+    finds it as it finds a member's: each probe is the exact sign of h at a
+    grid point, one pole search, and the first grid point from the edge up
+    is known to be right of the crossing. The hint is the cell of a float
+    guess of the crossing (_limit_guess), or its own cell of 2^-52 where
+    the grid is finer. The probes stay within D + 2, two beyond the
+    bisection's. At the default tol the interior built-in limits take 3
+    pole searches, the edge and the guessed cell's two ends, where the
+    bisection takes 35; at 1e-16 they take 5, the search halving on inside
+    the guess's cell, where the bisection takes 55.
 
     The per-member thresholds approach an interior limit at rate Theta(1/r),
     because the criterion generating functions have a double dominant pole.
@@ -951,21 +932,23 @@ def critical_lambda_asymptotic(sys: TransferSystem,
     _check_tolerance(tol)
     import mpmath as mp
     with mp.workdps(WORKING_DPS):
-        @functools.cache
-        def h(lam: Fraction) -> mp.mpf:
-            return criterion_asymptotic_ratio(sys, lam) - 1
-
-        edge = Fraction(1) - Fraction(1, 1 << 20)
-        edge_value = h(edge)
+        edge_value = criterion_asymptotic_ratio(sys, _EDGE) - 1
         if edge_value <= 0:
-            depth = next((d for d in range(200) if 2.0 ** -d < tol), 200)
-            guess, ends = _limit_guess(sys), None
+            depth = next((d for d in range(_MAX_DEPTH) if 2.0 ** -d < tol),
+                         _MAX_DEPTH)
+            guess, hint = _limit_guess(sys), None
             if guess is not None:
                 coarse = min(depth, _GUESS_DEPTH)
-                cell = math.floor(math.ldexp(guess, coarse))
-                if 0 < cell and Fraction(cell + 1, 1 << coarse) <= edge:
-                    ends = (cell << depth - coarse, cell + 1 << depth - coarse)
-            return float(_crossing_cell(h, depth, ends))
+                start = math.floor(math.ldexp(guess, coarse)) << depth - coarse
+                hint = start, start + (1 << depth - coarse)
+
+            def left(k: int) -> bool:
+                lam = Fraction(k, 1 << depth)
+                return criterion_asymptotic_ratio(sys, lam) > 1
+            cell, _ = _crossing_search(
+                left, depth, lambda cell, d: d == depth, hint,
+                math.ceil(_EDGE * (1 << depth)), depth + 2)
+            return float(Fraction(2 * cell + 1, 2 << depth))
         if edge_value < 1e-3:
             if _criterion_vanishes_at_one(sys):
                 raise NoThresholdError(

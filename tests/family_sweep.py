@@ -18,12 +18,14 @@ differ. Where only one gives a value, the outcomes are printed, not gated:
 the float kernel misjudges close poles, which the exact kernel separates.
 It also runs the limit's bisection (tests/threshold_reference.py) on the
 package's kernel, exits 1 if its value or failure type differs from the
-package's search, and prints the pole searches that each of the two took
-in all. Before any of that it checks each family's generating function:
-the series of family_gf must equal the members of the unlumped iteration
-(tests/unlumped.py) up to the Cayley-Hamilton bound of the unlumped T,
-which proves the pair without relying on the lumping or on the package's
-own proof; it prints the count that differ and exits 1 if any does.
+package's search, or if the package's search takes more pole searches
+than the bisection on any family, and prints the pole searches that each
+of the two took in all. Before any of that it checks each family's
+generating function: the series of family_gf must equal the members of
+the unlumped iteration (tests/unlumped.py) up to the Cayley-Hamilton
+bound of the unlumped T, which proves the pair without relying on the
+lumping or on the package's own proof; it prints the count that differ
+and exits 1 if any does.
 
 It prints the counts of results, NoThresholdError and
 DegenerateSingularityError on each kernel, and each degenerate case of the
@@ -163,14 +165,14 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     counts = {(kernel, what): Counter() for kernel in ("package", "reference")
               for what in ("threshold", "fidelity")}
-    degenerate, differ, one_sided, differ_bisection, differ_gf = \
-        [], [], [], [], []
+    degenerate, differ, one_sided, differ_bisection, differ_gf, slower = \
+        [], [], [], [], [], []
     searches = Counter()
     for index in range(args.count):
         sys_ = build_transfer_system(random_spec(rng))
         if gf_differs(sys_):
             differ_gf.append(f"  family {index}")
-        found = {}
+        found, taken = {}, {}
         for name, ratio, search in (
                 ("package", analysis.criterion_asymptotic_ratio,
                  analysis.critical_lambda_asymptotic),
@@ -178,8 +180,11 @@ def main(argv=None) -> int:
                  analysis.critical_lambda_asymptotic),
                 ("bisection", analysis.criterion_asymptotic_ratio,
                  threshold_reference.critical_lambda_asymptotic_bisection)):
-            found[name], calls = threshold(sys_, ratio, search)
-            searches[name] += calls
+            found[name], taken[name] = threshold(sys_, ratio, search)
+            searches[name] += taken[name]
+        if taken["package"] > taken["bisection"]:
+            slower.append(f"  family {index}: {taken['package']} pole "
+                          f"searches, the bisection's {taken['bisection']}")
         # the two searches probe different points, so a failure is compared
         # by its type alone
         package, bisection = (found[name][:2] if found[name][0] == "value"
@@ -232,11 +237,16 @@ def main(argv=None) -> int:
         print("\n".join(one_sided))
     print(f"pole searches for the threshold: {searches['package']} by the "
           f"package's search, {searches['bisection']} by the bisection")
+    print(f"families whose search takes more pole searches than the "
+          f"bisection: {len(slower)}")
+    if slower:
+        print("\n".join(slower))
     print(f"thresholds that differ from the bisection: "
           f"{len(differ_bisection)}")
     if differ_bisection:
         print("\n".join(differ_bisection))
-    return 1 if differ or differ_bisection or differ_gf or simple else 0
+    return 1 if (differ or differ_bisection or differ_gf or simple
+                 or slower) else 0
 
 
 if __name__ == "__main__":

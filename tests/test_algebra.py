@@ -451,6 +451,19 @@ class TestUnivariate:
         b = UniPolyZ([1, 2, 1])       # (z+1)^2
         assert uni_gcd(a, b) == UniPolyZ([1, 1])
 
+    @settings(max_examples=200, deadline=None)
+    @given(*[st.lists(st.fractions(-4, 4, max_denominator=6), max_size=5)
+             .map(UniPolyZ)] * 3)
+    def test_gcd_matches_rational_euclid(self, a, b, common):
+        # the primitive remainder sequence in integers gives the monic gcd
+        # that Euclid over the rationals gives, zero and constants included
+        a, b = a * common, b * common
+        x, y = a, b
+        while not y.is_zero():
+            x, y = y, x.divmod(y)[1]
+        assert uni_gcd(a, b) == (x.scale(1 / x.coeffs[-1]) if x.coeffs
+                                 else x)
+
     def test_divmod(self):
         a = UniPolyZ([1, 0, 0, 2])
         b = UniPolyZ([1, 1])

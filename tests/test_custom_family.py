@@ -13,6 +13,7 @@ both oracles on a family the code has never seen is the whole point.
 
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -21,6 +22,7 @@ from sldgf import (build_transfer_system,
                    family_gf, iter_weps, parse_family_spec, realize,
                    series_coefficients, sld_bruteforce_colouring,
                    sld_bruteforce_stabilizer, sld_from_wep, wep_by_iteration)
+from sldgf import analysis
 from sldgf.transfer import _lump
 
 from conftest import brute_sectors
@@ -252,7 +254,18 @@ def test_spider_asymptotic_threshold():
 def test_vanishing_partials_limit():
     sys_ = build_transfer_system(
         parse_family_spec(json.dumps(VANISHING_PARTIALS_FAMILY)))
-    limit = critical_lambda_asymptotic(sys_)
+    # float Horner cancels both partials to 0.0 near lam = 0, where the
+    # float search never probes; its guess lands in the bisection's cell,
+    # so the edge and the cell's two ends are the only pole searches
+    assert analysis._limit_guess(sys_) is not None
+    real, calls = analysis.dominant_singularity, []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+    with mock.patch.object(analysis, "dominant_singularity", counted):
+        limit = critical_lambda_asymptotic(sys_)
+    assert len(calls) == 3
     assert limit == threshold_reference.critical_lambda_asymptotic_bisection(
         sys_)
     assert 0.73 < limit < 0.74

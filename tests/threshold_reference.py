@@ -13,8 +13,8 @@ numerator and denominator of a Fraction point, so the reference shares no
 sign code with the package's integer halving.
 
 The limit's bisection, critical_lambda_asymptotic_bisection, is the
-reference for the package's secant-guided search on the same dyadic grid:
-both must end on the same cell, and so return the same float.
+reference for the package's exact crossing search on the same dyadic
+grid: both must end on the same cell, and so return the same float.
 
 criterion_vanishes_at_one is the package's earlier decision whether every
 member's criterion vanishes at lam = 1, by GF calculus on the closed form;

@@ -12,7 +12,9 @@ threshold_reference.bisection_cell. It prints the exact sign probes
 (_grid_sign calls) per member and the misses: members whose float guess
 (_crossing_guess), read on the last cell's grid as the search reads it,
 is not that cell, so that the search galloped from the guessed cell. It
-exits 1 on the first threshold that differs.
+exits 1 on the first threshold that differs, and on the first member whose
+search takes more probes than the bisection's depth + 8, the search's
+stated bound.
 """
 
 from __future__ import annotations
@@ -70,20 +72,22 @@ def main() -> int:
     for tol in TOLERANCES:
         members = misses = probes = most = 0
         for name, sys_, slds in swept:
-            found = []
+            found, taken = [], []
             for sld in slds:
                 calls.clear()
                 with mock.patch.object(analysis, "_grid_sign", counted):
                     found.append(analysis._critical_lambda_from_sld(sld, tol))
-                probes += len(calls)
-                most = max(most, len(calls))
+                taken.append(len(calls))
+            probes += sum(taken)
+            most = max(most, *taken)
             if sys_ is not None and critical_lambda_sweep(
                     sys_, range(1, len(slds) + 1), tol) != list(
                     enumerate(found, 1)):
                 print(f"{name} at tol {tol:g}: critical_lambda_sweep differs "
                       f"from its members' searches")
                 return 1
-            for r, (value, sld) in enumerate(zip(found, slds), 1):
+            for r, (value, sld, count) in enumerate(zip(found, slds, taken),
+                                                    1):
                 cell = reference.bisection_cell(sld, tol)
                 expected = None if cell is None else math.sqrt(sum(cell) / 2)
                 if value != expected:
@@ -91,6 +95,11 @@ def main() -> int:
                           f"the bisection gives {expected!r}")
                     return 1
                 if value is not None:
+                    depth = (cell[1] - cell[0]).denominator.bit_length() - 1
+                    if count > depth + 8:
+                        print(f"{name} member {r} at tol {tol:g}: {count} "
+                              f"probes, beyond the bisection's {depth} + 8")
+                        return 1
                     members += 1
                     misses += missed(analysis._crossing_guess(sld), cell)
         print(f"tol {tol:g}: {members} thresholds, as the bisection gives "
