@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -391,6 +392,20 @@ def test_figure_fig3_shape(tmp_path: Path):
     assert lines[0] == "family,r,n,lambda,f_exact,f_approx,delta"
     assert len(lines) == 1 + 3 * 5
     assert all(row.split(",")[3] == "0.8" for row in lines[1:])
+
+
+@pytest.mark.parametrize("figure, digest", [
+    ("fig3", "0071cb40163d6fc293cada540e0283c15828c021785e89dbf464f1364ef568a4"),
+    ("fig4", "e8a26c17c566d6c555e3461eb0b9cc19e4108da244e55a8b7b485c587bf466d6"),
+])
+def test_figure_output_is_pinned(figure, digest):
+    # the SHA-256 of each figure's stdout at its default member count,
+    # taken with mpmath 1.3.0; fig3's path row at r = 60 prints a delta
+    # within five digits of the working precision, so its last printed
+    # digits move with the last bits of the pole or the residue
+    cp = run_cli("figure", figure)
+    assert cp.returncode == 0, cp.stderr
+    assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
 
 
 def test_figure_fig4_shape():
