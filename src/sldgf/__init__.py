@@ -9,7 +9,7 @@ submodules, and through them mpmath, that it calls into.
 _NAMES_BY_MODULE = {
     "algebra": (
         "AlgebraError", "CertificateError", "LaurentPoly3",
-        "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3", "UniPolyZ",
+        "NonConstantLeadingTermError", "PolyMatrix", "RatFunc3",
         "ZeroDenominatorError", "poly_from_terms", "ratfunc_equal",
         "ratfunc_normalize", "series_coefficients", "uni_gcd", "uni_reduce",
         "uni_specialize"),

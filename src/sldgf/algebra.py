@@ -2,11 +2,12 @@
 
 Sparse trivariate Laurent polynomials in x, y, z over arbitrary-precision
 rationals, rational functions p/q, the dense polynomial-matrix container
-that holds transfer matrices, univariate polynomials in z, and the
-Berlekamp-Massey recurrence finder from which the family generating
-functions are built. No linear solve lives here: the fraction-free
-(Bareiss/Montante) solve that once derived the generating functions is a
-test-only reference in tests/fraction_free.py.
+that holds transfer matrices, the Berlekamp-Massey recurrence finder from
+which the family generating functions are built, and the polynomials in z
+that a generating function leaves at a point: plain lists of Python ints,
+low degree first, with an exact integer gcd and quotient. No linear solve
+lives here: the fraction-free (Bareiss/Montante) solve that once derived
+the generating functions is a test-only reference in tests/fraction_free.py.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -349,18 +350,15 @@ def poly_from_terms(terms: Iterable[tuple]) -> LaurentPoly3:
     return LaurentPoly3(acc)
 
 
-def _normalise_pair(p, q, sign: Fraction | None = None):
-    """Scale p and q, both LaurentPoly3 or both UniPolyZ, by one rational so
-    that their coefficients become integers with joint content 1 and the
-    coefficient ``sign`` of q (by default the lowest nonzero coefficient of
-    a UniPolyZ) turns positive. The ratio p/q is unchanged."""
-    coeffs = [c for f in (p, q)
-              for c in (f.terms.values() if isinstance(f, LaurentPoly3) else f.coeffs)]
+def _normalise_pair(p: LaurentPoly3, q: LaurentPoly3,
+                    sign: Fraction) -> tuple[LaurentPoly3, LaurentPoly3]:
+    """Scale p and q by one rational so that their coefficients become
+    integers with joint content 1 and the coefficient ``sign`` of q turns
+    positive. The ratio p/q is unchanged."""
+    coeffs = [*p.terms.values(), *q.terms.values()]
     denom_lcm = lcm(*(c.denominator for c in coeffs))
     numer_gcd = gcd(*(c.numerator * (denom_lcm // c.denominator) for c in coeffs))
-    factor = Fraction(denom_lcm, numer_gcd) if numer_gcd else Fraction(1)
-    if sign is None:
-        sign = next(c for c in q.coeffs if c != 0)
+    factor = Fraction(denom_lcm, numer_gcd)
     if sign < 0:
         factor = -factor
     return p.scale(factor), q.scale(factor)
@@ -511,74 +509,7 @@ def _berlekamp_massey(seq: Sequence[Fraction]) -> tuple[list[Fraction], int]:
     return c, order
 
 
-# -- univariate polynomials in z ---------------------------------------------
-
-
-class UniPolyZ:
-    """Dense univariate polynomial in z, coefficients low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int | Fraction]):
-        cs = [_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPolyZ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def derivative(self) -> "UniPolyZ":
-        return UniPolyZ([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def scale(self, factor: Fraction) -> "UniPolyZ":
-        return UniPolyZ([c * factor for c in self.coeffs])
-
-    def __sub__(self, other: "UniPolyZ") -> "UniPolyZ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPolyZ([ai - bi for ai, bi in zip(a, b)])
-
-    def __mul__(self, other: "UniPolyZ") -> "UniPolyZ":
-        if self.is_zero() or other.is_zero():
-            return UniPolyZ([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPolyZ(out)
-
-    def divmod(self, other: "UniPolyZ") -> tuple["UniPolyZ", "UniPolyZ"]:
-        if other.is_zero():
-            raise ZeroDivisionError("univariate division by zero")
-        rem = list(self.coeffs)
-        db = other.degree()
-        lb = other.coeffs[-1]
-        q = [Fraction(0)] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            factor = c / lb
-            q[i - db] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] -= factor * b
-        return UniPolyZ(q), UniPolyZ(rem)
-
-    def __repr__(self) -> str:
-        return f"UniPolyZ({self.coeffs})"
+# -- polynomials in z: integer coefficient lists -----------------------------
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -590,12 +521,27 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
-def _cleared(poly: UniPolyZ) -> list[int]:
-    """poly's coefficients, low degree first, times the lcm of their
-    denominators and made primitive."""
-    scale = lcm(*(c.denominator for c in poly.coeffs))
+def _cleared(coeffs: Sequence[int | Fraction]) -> list[int]:
+    """The rational coefficients coeffs times the lcm of their
+    denominators, made primitive."""
+    scale = lcm(*(c.denominator for c in coeffs))
     return _primitive([c.numerator * (scale // c.denominator)
-                       for c in poly.coeffs])
+                       for c in coeffs])
+
+
+def _integer_pair(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """The integer lists p and q, q nonzero, without trailing zeros and
+    divided by one integer: their joint content, negated where the lowest
+    nonzero coefficient of q is negative. Pairs that differ by a rational
+    factor give the same pair."""
+    g = gcd(*p, *q)
+    if next(c for c in q if c) < 0:
+        g = -g
+    p, q = [c // g for c in p], [c // g for c in q]
+    for f in (p, q):
+        while f and not f[-1]:
+            f.pop()
+    return p, q
 
 
 def _remainder(a: list[int], b: list[int]) -> list[int]:
@@ -616,37 +562,50 @@ def _remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def _quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials, low degree first, where b divides a
-    with an integer quotient, by long division in integers."""
+    """a / b for integer lists, by long division in integers; AlgebraError
+    unless b divides a with an integer quotient (an inexact digit leaves a
+    nonzero remainder too)."""
     r, db, out = list(a), len(b) - 1, []
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] // b[-1]
         out.append(c)
         for j in range(db + 1):
             r[i - db + j] -= c * b[j]
+    if any(r):
+        raise AlgebraError("univariate division is not exact")
     return out[::-1]
 
 
-def uni_gcd(a: UniPolyZ, b: UniPolyZ) -> UniPolyZ:
-    """Monic gcd of two univariate polynomials: the last nonzero entry of
-    the primitive remainder sequence of their integer multiples, made
-    monic."""
+def uni_gcd(a: Sequence[int | Fraction],
+            b: Sequence[int | Fraction]) -> list[int]:
+    """gcd of two polynomials in z, given as rational coefficient lists low
+    degree first: the last nonzero entry of the primitive remainder
+    sequence of their integer multiples, a primitive integer list with a
+    positive leading coefficient; [] where both are zero."""
     a, b = _cleared(a), _cleared(b)
     while b:
         a, b = b, _remainder(a, b)
-    return UniPolyZ([Fraction(c, a[-1]) for c in a])
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
-def uni_reduce(p: UniPolyZ, q: UniPolyZ) -> tuple[UniPolyZ, UniPolyZ]:
-    """Cancel the common univariate factor of p and q, preserving p/q."""
-    if q.is_zero():
+def uni_reduce(p: Sequence[int | Fraction], q: Sequence[int | Fraction]
+               ) -> tuple[list[int], list[int]]:
+    """Cancel the common factor of two polynomials in z, rational
+    coefficient lists low degree first, keeping p/q: both are cleared to
+    integers by one lcm, and each is divided by their primitive gcd
+    (uni_gcd) exactly in integers, as Gauss's lemma allows (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 6). The pair is returned as
+    _integer_pair leaves it; ZeroDenominatorError where q is zero."""
+    if not any(q):
         raise ZeroDenominatorError("univariate pair with zero denominator")
-    if not p.is_zero():
+    scale = lcm(*(c.denominator for c in (*p, *q)))
+    p, q = ([c.numerator * (scale // c.denominator) for c in f]
+            for f in (p, q))
+    if any(p):
         g = uni_gcd(p, q)
-        if g.degree() > 0:
-            p = p.divmod(g)[0]
-            q = q.divmod(g)[0]
-    return _normalise_pair(p, q)
+        if len(g) > 1:
+            p, q = _quotient(p, g), _quotient(q, g)
+    return _integer_pair(p, q)
 
 
 def _integer_z_coefficients(polys: Sequence[LaurentPoly3], x0: int | Fraction,
@@ -691,27 +650,14 @@ def _integer_z_coefficients(polys: Sequence[LaurentPoly3], x0: int | Fraction,
     return out, scale
 
 
-def _univariate(poly: LaurentPoly3, x0: int | Fraction,
-                y0: int | Fraction) -> UniPolyZ:
-    """The polynomial in z left by substituting exact (x0, y0) into poly;
-    AlgebraError for 0 to a negative power."""
-    (coeffs,), scale = _integer_z_coefficients((poly,), x0, y0)
-    return UniPolyZ([Fraction(c, scale) for c in coeffs])
-
-
 def uni_specialize(f: RatFunc3, x0: int | Fraction,
-                   y0: int | Fraction) -> tuple[UniPolyZ, UniPolyZ]:
-    """Specialise a rational function at exact (x0, y0) to a univariate pair.
-
-    No cancellation of common factors is attempted here; the pair is only
-    jointly rescaled to integer coefficients with content 1 and a positive
-    lowest denominator coefficient. That pair is unique, so it is read off
-    the integers of _integer_z_coefficients, divided by their gcd.
-    """
+                   y0: int | Fraction) -> tuple[list[int], list[int]]:
+    """Specialise a rational function at exact (x0, y0) to a pair of
+    polynomials in z, integer coefficient lists low degree first, with no
+    cancellation of common factors (see uni_reduce): the integers of
+    _integer_z_coefficients, whose one scale keeps p/q, as _integer_pair
+    leaves them. ZeroDenominatorError where q vanishes at the point."""
     (p, q), _ = _integer_z_coefficients((f.num, f.den), x0, y0)
     if not any(q):
         raise ZeroDenominatorError("denominator vanishes at the given point")
-    g = gcd(*p, *q)
-    if next(c for c in q if c) < 0:
-        g = -g
-    return UniPolyZ([c // g for c in p]), UniPolyZ([c // g for c in q])
+    return _integer_pair(p, q)

@@ -14,11 +14,12 @@ is loaded. The thresholds' guesses in doubles (_crossing_guess for a
 member, _limit_guess for the limit) only choose where their one exact
 search (_crossing_search) probes first.
 
-Singularity analysis operates on the univariate specialisation of the
-family generating function after cancelling its common univariate factor.
-The family generating functions are reduced by construction, so a common
-factor appears only where numerator and denominator happen to share a root
-at the chosen point; it is not a singularity of the function, and removing
+Singularity analysis reads the family generating function at a point as
+two polynomials in z, lists of Python ints low degree first, after
+cancelling their common factor (uni_specialize, uni_reduce). The family
+generating functions are reduced by construction, so a common factor
+appears only where numerator and denominator happen to share a root at
+the chosen point; it is not a singularity of the function, and removing
 it keeps the dominant root genuinely dominant (and real-positive, as
 nonnegative series demand).
 
@@ -38,10 +39,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .algebra import (UniPolyZ, _cleared, _integer_z_coefficients,
-                      _primitive, _quotient, _remainder, _univariate,
-                      uni_reduce, uni_specialize)
+from .algebra import (_cleared, _integer_z_coefficients, _primitive,
+                      _quotient, _remainder, uni_reduce, uni_specialize)
 from .family import SLD, FamilyError, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
                        _member_index, _sector_lengths, family_gf,
@@ -73,21 +74,16 @@ def _mpf_from_fraction(value: Fraction) -> mp.mpf:
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
-def _mp_poly(poly: UniPolyZ):
-    """poly as a Horner evaluator at raw libmp complex values (_mpc_
-    tuples), its coefficients converted to raw mpf values once, at the
-    context's precision and rounding when called. Each step is the
+def _mp_poly(poly: list[int]):
+    """poly, an integer list, as a Horner evaluator at raw libmp complex
+    values (_mpc_ tuples), its coefficients converted by from_int once, at
+    the context's precision and rounding when called. Each step is the
     mpc_mul and mpc_add_mpf that mpc's * and + with an mpf run, so the
-    value is that of Horner on mpc and mpf objects, bit for bit; an
-    integral coefficient converts by from_int alone, which is what
-    dividing it by mpf(1) leaves."""
+    value is that of Horner on mpc and mpf objects, bit for bit."""
     import mpmath as mp
-    from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_mul, mpf_div
+    from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_mul
     prec, rnd = mp.mp._prec_rounding
-    coeffs = [from_int(c.numerator, prec, rnd) if c.denominator == 1
-              else mpf_div(from_int(c.numerator, prec, rnd),
-                           from_int(c.denominator, prec, rnd), prec, rnd)
-              for c in reversed(poly.coeffs)]
+    coeffs = [from_int(c, prec, rnd) for c in reversed(poly)]
 
     def at(z: tuple) -> tuple:
         acc = (fzero, fzero)
@@ -222,18 +218,18 @@ def _refine(s: list[int], lo: int, hi: int, depth: int,
         x = y if lo < y < hi else (lo + hi) // 2
 
 
-def _positive_root(coeffs: list[int], bits: int):
-    """The smallest positive root of the integer polynomial coeffs, low
+def _positive_root(coeffs: Sequence[int | Fraction], bits: int):
+    """The smallest positive root of coeffs, rational coefficients low
     degree first, to a relative width of 2^-bits: (chain, s, isolated,
-    refined), with chain the Sturm chain of coeffs, s its squarefree part
-    coeffs / gcd(coeffs, coeffs'), isolated the bracket (lo, hi, depth)
-    that _isolate leaves and refined the one _refine narrows it to. Raises
-    AnalysisError where there is none."""
+    refined), with chain the Sturm chain of coeffs cleared to a primitive
+    integer list, s its squarefree part coeffs / gcd(coeffs, coeffs'),
+    isolated the bracket (lo, hi, depth) that _isolate leaves and refined
+    the one _refine narrows it to. AnalysisError where there is none."""
     if not any(coeffs):
         raise AnalysisError("zero polynomial has no singularities")
     if coeffs[0] == 0:
         raise AnalysisError("q(0) = 0: series expansion point is singular")
-    coeffs = _primitive(coeffs)
+    coeffs = _cleared(coeffs)
     if len(coeffs) == 1:
         raise AnalysisError("constant denominator has no singularities")
     chain = _sturm_chain(coeffs)
@@ -292,7 +288,8 @@ class SingularityReport:
     of q. unique is True only where every other root of q is proven to lie
     farther from 0, and real_positive is True where no root of q is nearer
     to 0 than the working precision can tell apart from z* (see
-    dominant_singularity).
+    dominant_singularity). _squarefree, q's squarefree part, is read by
+    modulus_gap alone.
     """
 
     z_star: mp.mpc
@@ -318,12 +315,13 @@ class SingularityReport:
         return float(min(mods) / mp.fabs(self.z_star)) if mods else math.inf
 
 
-def dominant_singularity(q: UniPolyZ) -> SingularityReport:
-    """The smallest positive root z* of q, its multiplicity, and whether it
-    is the only root of q of least modulus, each decided by exact signs.
+def dominant_singularity(q: Sequence[int | Fraction]) -> SingularityReport:
+    """The smallest positive root z* of q, rational coefficients low degree
+    first, its multiplicity, and whether it is the only root of q of least
+    modulus, each decided by exact signs.
 
-    q is cleared to a primitive integer polynomial. Its Sturm chain isolates
-    z* by bisection on root counts, and _refine narrows the bracket to
+    q is cleared to a primitive integer list. Its Sturm chain isolates z*
+    by bisection on root counts, and _refine narrows the bracket to
     2^-(prec + 4) in relative terms at the working precision's prec bits;
     z* is the bracket's midpoint. The chain's last entry is gcd(q, q'); the
     multiplicity is one more than that of z* in it, counted the same way.
@@ -351,8 +349,7 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
     import mpmath as mp
     with mp.workdps(WORKING_DPS):
         bits = mp.mp.prec + 4
-        chain, s, isolated, (lo, hi, depth) = _positive_root(_cleared(q),
-                                                             bits)
+        chain, s, isolated, (lo, hi, depth) = _positive_root(q, bits)
         z_star = mp.mpc(mp.ldexp(mp.mpf(lo + hi), -depth - 1))
 
     # z* is a root of gcd(q, q') exactly when it is a multiple root, and so on
@@ -392,13 +389,11 @@ def dominant_singularity(q: UniPolyZ) -> SingularityReport:
 
 
 def _reduced_specialisation(sys: TransferSystem, x0: Fraction,
-                            y0: Fraction) -> tuple[UniPolyZ, UniPolyZ]:
-    gf = family_gf(sys)
-    p, q = uni_specialize(gf, x0, y0)
-    return uni_reduce(p, q)
+                            y0: Fraction) -> tuple[list[int], list[int]]:
+    return uni_reduce(*uni_specialize(family_gf(sys), x0, y0))
 
 
-def _simple_pole(q: UniPolyZ) -> SingularityReport:
+def _simple_pole(q: list[int]) -> SingularityReport:
     """Dominant root of q, which must be unique and simple."""
     report = dominant_singularity(q)
     if not report.unique or report.multiplicity != 1:
@@ -407,9 +402,9 @@ def _simple_pole(q: UniPolyZ) -> SingularityReport:
     return report
 
 
-def _residue(p: UniPolyZ, dq: UniPolyZ, z: mp.mpc) -> mp.mpc:
-    """Residue -p(z)/q'(z) of p/q at a simple root z of q, by the mpc_neg
-    and mpc_div of mpc's - and /."""
+def _residue(p: list[int], dq: list[int], z: mp.mpc) -> mp.mpc:
+    """Residue -p(z)/q'(z) of p/q at a simple root z of q, p and dq = q'
+    integer lists, by the mpc_neg and mpc_div of mpc's - and /."""
     import mpmath as mp
     from mpmath.libmp import mpc_div, mpc_neg
     prec, rnd = mp.mp._prec_rounding
@@ -434,13 +429,14 @@ class LeadingTerm:
             return mp.re(self.residue * self.report.z_star ** (-r - 1))
 
 
-def _leading_term(p: UniPolyZ, q: UniPolyZ) -> LeadingTerm:
+def _leading_term(p: list[int], q: list[int]) -> LeadingTerm:
     """The leading term of p/q, reduced by uni_reduce: p is coprime to q,
     so p(z*) is never zero and the residue is the whole pole."""
     import mpmath as mp
     report = _simple_pole(q)
+    dq = [k * c for k, c in enumerate(q)][1:]
     with mp.workdps(WORKING_DPS):
-        return LeadingTerm(report, _residue(p, q.derivative(), report.z_star))
+        return LeadingTerm(report, _residue(p, dq, report.z_star))
 
 
 # -- concentratable entanglement ---------------------------------------------
@@ -853,17 +849,18 @@ def _crossing_cell(h, depth: int) -> int:
     return lo
 
 
-def _error_bound(poly: UniPolyZ, z: mp.mpc) -> mp.mpf:
-    """A bound on the error of poly at a pole z of dominant_singularity, as
-    _mp_poly evaluates it at the context's precision p: Horner's rounding,
-    at most 4 (deg + 1) 2^-p sum |c_i| |z|^i, and z's own distance from
-    the root, at most 2^(1 - p) |z|, times twice sum i |c_i| |z|^(i - 1)."""
+def _error_bound(poly: list[int], z: mp.mpc) -> mp.mpf:
+    """A bound on the error of the integer list poly at a pole z of
+    dominant_singularity, as _mp_poly evaluates it at the context's
+    precision p: Horner's rounding, at most 4 (deg + 1) 2^-p sum |c_i| |z|^i,
+    and z's own distance from the root, at most 2^(1 - p) |z|, times twice
+    sum i |c_i| |z|^(i - 1)."""
     import mpmath as mp
     x, size, slope = abs(z), mp.mpf(0), mp.mpf(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         slope = slope * x + size
-        size = size * x + abs(_mpf_from_fraction(c))
-    return mp.ldexp(len(poly.coeffs) * size + x * slope, 2 - mp.mp.prec)
+        size = size * x + abs(c)
+    return mp.ldexp(len(poly) * size + x * slope, 2 - mp.mp.prec)
 
 
 def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
@@ -872,8 +869,10 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
     Evaluated as dq/dx over lam^2 * dq/dy at (1, lam^2, z*), with z* the
     dominant root of the reduced specialised denominator; the numerator
     factors cancel against the denominator at any genuine simple pole. The
-    ratio is indeterminate, a DegenerateSingularityError, where dq/dy at z*
-    is within its error bound (_error_bound) of 0.
+    partials are the integers of _integer_z_coefficients, whose one scale
+    cancels in the ratio. The ratio is indeterminate, a
+    DegenerateSingularityError, where dq/dy at z* is within its error
+    bound (_error_bound) of 0.
     """
     import mpmath as mp
     mu = _noise_parameter(lam) ** 2
@@ -881,8 +880,8 @@ def criterion_asymptotic_ratio(sys: TransferSystem, lam) -> mp.mpf:
         _, q = _reduced_specialisation(sys, Fraction(1), mu)
         report = _simple_pole(q)
         z = report.z_star
-        q_x, q_y = (_univariate(p, Fraction(1), mu)
-                    for p in _gf_den_partials(sys))
+        (q_x, q_y), _ = _integer_z_coefficients(_gf_den_partials(sys),
+                                                Fraction(1), mu)
         num = mp.make_mpc(_mp_poly(q_x)(z._mpc_))
         den = mp.make_mpc(_mp_poly(q_y)(z._mpc_))
         if abs(den) <= _error_bound(q_y, z):

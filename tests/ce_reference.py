@@ -17,10 +17,11 @@ from fractions import Fraction
 import mpmath as mp
 
 from sldgf.analysis import (WORKING_DPS, AnalysisError, _mpf_from_fraction,
-                            _reduced_specialisation, _residue)
+                            _reduced_specialisation)
 from sldgf.transfer import TransferSystem, wep_values_by_iteration
 
-from pole_reference import ROOT_CLUSTER_RTOL, _all_roots
+from pole_reference import (ROOT_CLUSTER_RTOL, _all_roots, _residue,
+                            derivative, long_division)
 
 
 class ClusteredRootsError(AnalysisError):
@@ -49,14 +50,14 @@ def ce_closed_form_check(sys: TransferSystem, r_max: int,
     """
     with mp.workdps(WORKING_DPS):
         p, q = _reduced_specialisation(sys, Fraction(3, 4), Fraction(1, 4))
-        poly_part, rem = p.divmod(q)
+        poly_part, rem = long_division(p, q)
         roots = _all_roots(q)
         for i, a in enumerate(roots):
             for b in roots[i + 1:]:
                 if mp.fabs(a - b) <= ROOT_CLUSTER_RTOL * max(1, mp.fabs(a)):
                     raise ClusteredRootsError(
                         "denominator roots cluster; residue form is ambiguous")
-        dq = q.derivative()
+        dq = derivative(q)
         residues = [_residue(rem, dq, z) for z in roots]
         exact = wep_values_by_iteration(sys, Fraction(3, 4), Fraction(1, 4),
                                         r_max)
@@ -65,13 +66,13 @@ def ce_closed_form_check(sys: TransferSystem, r_max: int,
             recon = mp.mpc(0)
             for z, c in zip(roots, residues):
                 recon += c * z ** (-r - 1)
-            if r < len(poly_part.coeffs):
-                recon += _mpf_from_fraction(poly_part.coeffs[r])
+            if r < len(poly_part):
+                recon += _mpf_from_fraction(poly_part[r])
             err = abs(recon - _mpf_from_fraction(exact[r]))
             max_err = max(max_err, float(err))
         return CEClosedFormReport(
             r_max=r_max, tol=tol,
             roots=[complex(z) for z in roots],
-            poly_part=[str(c) for c in poly_part.coeffs],
+            poly_part=[str(c) for c in poly_part],
             max_abs_error=max_err, ok=max_err <= tol)
 

@@ -150,7 +150,7 @@ def degenerate_line(index: int, sys_, what: str, outcome: tuple) -> str:
              else (Fraction(1, 2), lam / 2))
     _, q = analysis._reduced_specialisation(sys_, *point)
     report = analysis.dominant_singularity(q)
-    simple = uni_gcd(q, q.derivative()).degree() == 0
+    simple = len(uni_gcd(q, reference.derivative(q))) == 1
     return simple, (f"  family {index} {what} at lam = {lam} "
                     f"({float(lam):.9f}): {message}; multiplicity "
                     f"{report.multiplicity}, unique {report.unique}, "

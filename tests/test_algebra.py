@@ -1,22 +1,24 @@
 """Exact-arithmetic layer: polynomials, rational functions, the reference
 linear solve."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sldgf import (AlgebraError, LaurentPoly3, NonConstantLeadingTermError,
-                   PolyMatrix, RatFunc3, UniPolyZ, ZeroDenominatorError,
+                   PolyMatrix, RatFunc3, ZeroDenominatorError,
                    poly_from_terms, ratfunc_equal, ratfunc_normalize,
                    series_coefficients, uni_gcd, uni_reduce, uni_specialize)
 from sldgf import to_rational
-from sldgf.algebra import _berlekamp_massey, _integer, _rational
+from sldgf.algebra import _berlekamp_massey, _integer, _quotient, _rational
 
 from fraction_free import (SingularMatrixError, divexact, identity,
                            solve_linear, solve_linear_raw)
 from golden_forms import GOLDEN_GF
+from pole_reference import euclid_gcd, product, reduce_pair
 
 X = LaurentPoly3.var("x")
 Y = LaurentPoly3.var("y")
@@ -69,8 +71,7 @@ class TestPolyOps:
         assert p.eval_xy(F(3, 4), F(1, 4)) == F(3, 4)
         # with z left over, each power of z collects its own coefficient
         f = ratfunc_normalize(p + p * Z * Z, ONE + X * Z)
-        assert uni_specialize(f, F(3, 4), F(1, 4)) == \
-            (UniPolyZ([3, 0, 3]), UniPolyZ([4, 3]))
+        assert uni_specialize(f, F(3, 4), F(1, 4)) == ([3, 0, 3], [4, 3])
 
     def test_substitute_zero_into_negative_exponent_rejected(self):
         p = LaurentPoly3.monomial(-1, 2, 0)
@@ -97,7 +98,7 @@ class TestPolyOps:
         assert p.eval_xy(0, F(2, 3)) == F(2, 3)
         # at x = 0 in z's presence: x y z and x z^3 vanish, y and z^2 stay
         f = ratfunc_normalize(p * Z + Y + Z * Z + X * Z ** 3, ONE + X * Z)
-        assert uni_specialize(f, 0, 2) == (UniPolyZ([2, 2, 1]), UniPolyZ([1]))
+        assert uni_specialize(f, 0, 2) == ([2, 2, 1], [1])
 
     def test_laurent_derivative(self):
         p = LaurentPoly3.monomial(-1, 2, 0)
@@ -412,61 +413,83 @@ class TestSeriesCoefficients:
             assert product.z_slice(r) == f.num.z_slice(r)
 
 
+def rational_lists():
+    return st.lists(st.fractions(-4, 4, max_denominator=6), max_size=5)
+
+
 class TestUnivariate:
     def expect_scalar_multiple(self, got, expected):
         gp, gq = got
         ep, eq = expected
-        scale = gq.coeffs[-1] / eq.coeffs[-1]
-        assert gq == eq.scale(scale)
-        assert gp == ep.scale(scale)
+        scale = F(gq[-1]) / eq[-1]
+        assert gq == [c * scale for c in eq]
+        assert gp == [c * scale for c in ep]
 
     def test_path_specialisation(self):
         pair = uni_specialize(GOLDEN_GF["path"], F(3, 4), F(1, 4))
-        self.expect_scalar_multiple(pair, (UniPolyZ([8, 0, -2]),
-                                           UniPolyZ([8, -8, 0, 1])))
+        self.expect_scalar_multiple(pair, ([8, 0, -2], [8, -8, 0, 1]))
 
     def test_star_specialisation(self):
         pair = uni_specialize(GOLDEN_GF["star"], F(3, 4), F(1, 4))
         # common simple factor of the unreduced pair survives specialisation
-        common = UniPolyZ([1, F(-1, 2)])
-        p = UniPolyZ([4, -2, -1]) * common
-        q = UniPolyZ([4, -6, 2]) * common
+        common = [1, F(-1, 2)]
+        p = product([4, -2, -1], common)
+        q = product([4, -6, 2], common)
         self.expect_scalar_multiple(pair, (p, q))
 
     def test_cycle_specialisation(self):
         p, q = uni_specialize(GOLDEN_GF["cycle"], F(3, 4), F(1, 4))
         pr, qr = uni_reduce(p, q)
-        self.expect_scalar_multiple((pr, qr), (UniPolyZ([8, 0, 0, -2]),
-                                               UniPolyZ([8, -8, 0, 1])))
-
-    def test_reduce_preserves_ratio(self):
-        base_p = UniPolyZ([1, 2])
-        base_q = UniPolyZ([3, 0, 1])
-        common = UniPolyZ([-1, 1, 1])
-        p, q = uni_reduce(base_p * common, base_q * common)
-        assert (p * base_q - q * base_p).is_zero()
-
-    def test_gcd(self):
-        a = UniPolyZ([-1, 0, 1])      # (z-1)(z+1)
-        b = UniPolyZ([1, 2, 1])       # (z+1)^2
-        assert uni_gcd(a, b) == UniPolyZ([1, 1])
+        self.expect_scalar_multiple((pr, qr), ([8, 0, 0, -2], [8, -8, 0, 1]))
 
     @settings(max_examples=200, deadline=None)
-    @given(*[st.lists(st.fractions(-4, 4, max_denominator=6), max_size=5)
-             .map(UniPolyZ)] * 3)
-    def test_gcd_matches_rational_euclid(self, a, b, common):
-        # the primitive remainder sequence in integers gives the monic gcd
-        # that Euclid over the rationals gives, zero and constants included
-        a, b = a * common, b * common
-        x, y = a, b
-        while not y.is_zero():
-            x, y = y, x.divmod(y)[1]
-        assert uni_gcd(a, b) == (x.scale(1 / x.coeffs[-1]) if x.coeffs
-                                 else x)
+    @given(rational_lists(), rational_lists(), rational_lists())
+    @example([1, 2], [3, 0, 1], [-1, 1, 1])
+    @example([], [3, 0, 1], [-1, 1, 1])  # zero p
+    @example([1, 2], [F(-2, 3)], [F(1, 2), F(3, 4)])  # constant q
+    @example([1, 2, 0], [0, F(-1, 2)], [1])  # trailing zero, negative q
+    @example([1, 2], [], [1, 1])  # zero q
+    def test_reduce_preserves_ratio(self, a, b, common):
+        # uni_reduce(a c, b c) in integers is Euclid's reduction over the
+        # rationals, normalised the same way: coprime, joint content 1 and
+        # a positive lowest nonzero coefficient of q
+        p, q = product(a, common), product(b, common)
+        if not q:
+            with pytest.raises(ZeroDenominatorError):
+                uni_reduce(p, q)
+            return
+        pr, qr = uni_reduce(p, q)
+        assert (pr, qr) == reduce_pair(p, q)
+        assert all(type(c) is int for c in pr + qr)
+        assert product(pr, q) == product(qr, p)
+        if pr:  # a zero p keeps q whole, as Euclid's reduction does
+            assert uni_gcd(pr, qr) == [1]
+        assert math.gcd(*pr, *qr) == 1
+        assert next(c for c in qr if c) > 0
 
-    def test_divmod(self):
-        a = UniPolyZ([1, 0, 0, 2])
-        b = UniPolyZ([1, 1])
-        quot, rem = a.divmod(b)
-        assert (quot * b - (a - rem)).is_zero()
-        assert rem.degree() < b.degree()
+    def test_gcd(self):
+        a = [-1, 0, 1]      # (z-1)(z+1)
+        b = [1, 2, 1]       # (z+1)^2
+        assert uni_gcd(a, b) == [1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_lists(), rational_lists(), rational_lists())
+    def test_gcd_matches_rational_euclid(self, a, b, common):
+        # the primitive remainder sequence in integers gives Euclid's gcd
+        # over the rationals, made a primitive integer list with a positive
+        # leading coefficient, zero and constants included
+        a, b = product(a, common), product(b, common)
+        monic = euclid_gcd(a, b)
+        scale = math.lcm(*(c.denominator for c in monic))
+        assert uni_gcd(a, b) == [int(c * scale) for c in monic]
+
+    @pytest.mark.parametrize("a, b", [([1, 0, 1], [1, 1]),
+                                      ([3, 0, 2], [1, 2])],
+                             ids=["remainder", "inexact_digit"])
+    def test_quotient_refuses_an_inexact_division(self, a, b):
+        # 1 + z^2 = (z - 1)(z + 1) + 2, and (3 + 2 z^2) / (1 + 2z) = z - 1/2
+        # + 7/2 / (1 + 2z): long division by floors would give z - 1 for both
+        with pytest.raises(AlgebraError, match="not exact"):
+            _quotient(a, b)
+        assert _quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert _quotient([], [1, 2]) == []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sldgf import (BUILTIN_FAMILIES, SLD, AnalysisError,
                    DegenerateSingularityError, FamilySpec, Graph,
-                   LaurentPoly3, NoThresholdError, UniPolyZ,
+                   LaurentPoly3, NoThresholdError,
                    build_transfer_system, builtin, concentratable_entanglement,
                    criterion_asymptotic_ratio, criterion_q, critical_lambda,
                    critical_lambda_asymptotic, critical_lambda_sweep,
@@ -189,32 +189,32 @@ class TestFidelityExact:
 
 class TestDominantSingularity:
     def test_linear_factor(self):
-        report = dominant_singularity(UniPolyZ([1, -2]))
+        report = dominant_singularity([1, -2])
         assert complex(report.z_star) == pytest.approx(0.5)
         assert report.multiplicity == 1 and report.unique
 
     def test_star_denominator(self):
-        report = dominant_singularity(UniPolyZ([4, -6, 2]))
+        report = dominant_singularity([4, -6, 2])
         assert complex(report.z_star) == pytest.approx(1.0)
         assert report.multiplicity == 1
         assert report.modulus_gap == pytest.approx(2.0)
 
     def test_path_denominator_real_positive(self):
-        report = dominant_singularity(UniPolyZ([-8, 8, 0, -1]))
+        report = dominant_singularity([-8, 8, 0, -1])
         assert complex(report.z_star) == pytest.approx(-1 + 5 ** 0.5)
         assert report.real_positive
 
     def test_rejects_vanishing_constant_term(self):
         with pytest.raises(ValueError):
-            dominant_singularity(UniPolyZ([0, 1]))
+            dominant_singularity([0, 1])
 
     def test_double_root_reported(self):
-        report = dominant_singularity(UniPolyZ([1, -2, 1]))
+        report = dominant_singularity([1, -2, 1])
         assert report.multiplicity == 2
 
     def test_modulus_tie_not_unique(self):
         # roots at +1 and -1
-        report = dominant_singularity(UniPolyZ([-1, 0, 1]))
+        report = dominant_singularity([-1, 0, 1])
         assert not report.unique
 
 

@@ -17,11 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sldgf import (BUILTIN_FAMILIES, AlgebraError, AnalysisError,
-                   DegenerateSingularityError, RatFunc3, UniPolyZ,
+                   DegenerateSingularityError, RatFunc3,
                    build_transfer_system, poly_from_terms, uni_reduce,
                    uni_specialize)
 from sldgf import analysis
-from sldgf.algebra import _univariate
+from sldgf.algebra import _integer_z_coefficients
 from sldgf.transfer import family_gf
 
 import pole_reference as reference
@@ -62,7 +62,7 @@ def assert_same_kernel(p, q):
     bit, since both evaluate it the same way."""
     with mp.workdps(analysis.WORKING_DPS):
         roots = reference._all_roots(q)
-        dq = q.derivative()
+        dq = [k * c for k, c in enumerate(q)][1:]
         assert [bits(analysis._residue(p, dq, z)) for z in roots] == \
             [bits(reference._residue(p, dq, z)) for z in roots]
     expected = outcome(lambda: reference.dominant_singularity(q))
@@ -152,7 +152,7 @@ def test_fig3_leading_terms(systems, name):
         assert close(lead.coefficient(r), ref.coefficient(r), 110)
 
 
-def from_roots(roots) -> UniPolyZ:
+def from_roots(roots) -> list[int]:
     """The primitive integer polynomial with the given rational roots."""
     coeffs = [F(1)]
     for root in roots:
@@ -160,7 +160,7 @@ def from_roots(roots) -> UniPolyZ:
         for i in range(len(coeffs) - 1):
             coeffs[i] -= root * coeffs[i + 1]
     scale = math.lcm(*(c.denominator for c in coeffs))
-    return UniPolyZ([c * scale for c in coeffs])
+    return [int(c * scale) for c in coeffs]
 
 
 @pytest.mark.parametrize("roots", [
@@ -171,7 +171,7 @@ def from_roots(roots) -> UniPolyZ:
     [F(2), 2 * (1 + F(15, 10 ** 9))]], ids=["1..12", "spread", "near_pair"])
 def test_hand_made_denominators(roots):
     q = from_roots(roots)
-    assert_same_kernel(UniPolyZ([1]), q)
+    assert_same_kernel([1], q)
     assert analysis.dominant_singularity(q).multiplicity == 1
 
 
@@ -191,17 +191,17 @@ class TestExactKernel:
     @pytest.mark.parametrize("coeffs", [[1], [-1]])
     def test_constant_has_no_pole(self, coeffs):
         with pytest.raises(AnalysisError, match="constant denominator"):
-            analysis.dominant_singularity(UniPolyZ(coeffs))
+            analysis.dominant_singularity(coeffs)
 
     def test_no_positive_root(self):
         # 1 + z^2: no series with nonnegative coefficients has it as its
         # reduced denominator (Pringsheim), and the kernel refuses it
         with pytest.raises(AnalysisError, match="no positive root"):
-            analysis.dominant_singularity(UniPolyZ([1, 0, 1]))
+            analysis.dominant_singularity([1, 0, 1])
 
     def test_tie_on_the_circle_is_not_unique(self):
         # (1 - z)(1 + z^2): the roots 1 and +-i share the modulus
-        report = analysis.dominant_singularity(UniPolyZ([1, -1, 1, -1]))
+        report = analysis.dominant_singularity([1, -1, 1, -1])
         assert report.z_star == 1
         assert (report.multiplicity, report.unique, report.real_positive) \
             == (1, False, True)
@@ -210,11 +210,11 @@ class TestExactKernel:
     def test_smaller_negative_root(self):
         # (1 + 2z)(1 - z): the root of least modulus is -1/2, not positive;
         # the report keeps the smallest positive root and says so
-        report = analysis.dominant_singularity(UniPolyZ([1, 1, -2]))
+        report = analysis.dominant_singularity([1, 1, -2])
         assert report.z_star == 1
         assert (report.unique, report.real_positive) == (False, False)
         with pytest.raises(DegenerateSingularityError):
-            analysis._simple_pole(UniPolyZ([1, 1, -2]))
+            analysis._simple_pole([1, 1, -2])
 
     @pytest.mark.parametrize("roots, multiplicity", [
         ([1, 1], 2), ([F(1, 2), F(1, 2), 1], 2), ([3, 3, 3, 5], 3)])
@@ -226,7 +226,7 @@ class TestExactKernel:
     def test_irrational_pole_to_the_working_precision(self):
         # path's denominator -(z - 2)(z^2 + 2z - 4): z* = sqrt(5) - 1, with
         # the root 2 on the first circle the count tries
-        report = analysis.dominant_singularity(UniPolyZ([-8, 8, 0, -1]))
+        report = analysis.dominant_singularity([-8, 8, 0, -1])
         with mp.workdps(2 * analysis.WORKING_DPS):
             assert close(report.z_star, mp.sqrt(5) - 1, 130)
         assert report.unique and report.multiplicity == 1
@@ -245,12 +245,12 @@ class TestExactKernel:
         quadratic = [(a, b, c) for a, b, c in quadratic
                      if c and not is_square(b * b - 4 * a * c)]
         assume(linear or quadratic)
-        q = UniPolyZ([1])
+        q = [1]
         for root, m in linear:
             for _ in range(m):
-                q = q * UniPolyZ([-root.numerator, root.denominator])
+                q = reference.product(q, [-root.numerator, root.denominator])
         for a, b, c in quadratic:
-            q = q * UniPolyZ([c, b, a])
+            q = reference.product(q, [c, b, a])
         with mp.workdps(100):
             roots = [(mp.mpf(root.numerator) / root.denominator, m)
                      for root, m in linear]
@@ -266,7 +266,7 @@ class TestExactKernel:
             tiny = mp.mpf(10) ** -60
             multiplicity = sum(m for z, m in roots if abs(z - star) < tiny)
             others = [abs(z) for z, _ in roots if abs(z - star) >= tiny]
-            coeffs = [int(c) for c in q.coeffs]
+            coeffs = [int(c) for c in q]
             report = analysis.dominant_singularity(q)
             *_, (lo, hi, depth) = analysis._positive_root(coeffs, 60)
             assert lo / mp.mpf(2) ** depth <= star <= hi / mp.mpf(2) ** depth
@@ -301,7 +301,7 @@ def test_generated_families(spec, lam):
     gf = family_gf(sys_)
     pair = uni_reduce(*uni_specialize(gf, F(1, 2), lam / 2))
     assert pair == uni_reduce(*reference.uni_specialize(gf, F(1, 2), lam / 2))
-    if pair[1].degree() > 0:
+    if len(pair[1]) > 1:
         assert_same_kernel(*pair)
     assert_same_asymptotics(sys_, lam)
 
@@ -311,6 +311,12 @@ def points():
     return st.one_of(st.sampled_from([F(0), F(1), F(-1), F(-3, 2)]),
                      st.fractions(min_value=-3, max_value=3,
                                   max_denominator=12))
+
+
+def scaled_back(poly, x0, y0) -> list[F]:
+    """The integers of _integer_z_coefficients over their scale."""
+    (coeffs,), scale = _integer_z_coefficients((poly,), x0, y0)
+    return [F(c, scale) for c in coeffs]
 
 
 def specialised(compute):
@@ -324,7 +330,7 @@ def specialised(compute):
 
 class TestIntegerSpecialisation:
     # the integer power tables against c x0^ex y0^ey as Fraction products,
-    # scaled back to integers by _normalise_pair, as pole_reference has them
+    # scaled back to integers by one rational, as pole_reference has them
     @settings(max_examples=150, deadline=None)
     @given(laurent_polys(), laurent_polys(), points(), points())
     def test_matches_the_fraction_reference(self, p, q, x0, y0):
@@ -332,8 +338,8 @@ class TestIntegerSpecialisation:
         assert specialised(lambda: uni_specialize(f, x0, y0)) == \
             specialised(lambda: reference.uni_specialize(f, x0, y0))
         for poly in (p, q):
-            assert specialised(lambda: _univariate(poly, x0, y0)) == \
-                specialised(lambda: reference.univariate(poly, x0, y0))
+            assert specialised(lambda: scaled_back(poly, x0, y0)) == \
+                specialised(lambda: reference.z_coefficients(poly, x0, y0))
             flat = poly.z_slice(0)
             assert specialised(lambda: flat.eval_xy(x0, y0)) == specialised(
                 lambda: reference.z_coefficients(flat, x0, y0)[0])
@@ -346,6 +352,6 @@ class TestIntegerSpecialisation:
         pair = uni_specialize(RatFunc3(p, q), F(-3, 2), F(1, 2))
         assert pair == reference.uni_specialize(RatFunc3(p, q), F(-3, 2),
                                                 F(1, 2))
-        assert pair == (UniPolyZ([-9, 2]), UniPolyZ([12, 9]))
+        assert pair == ([-9, 2], [12, 9])
         assert uni_specialize(RatFunc3(p, -q), F(-3, 2), F(1, 2)) == \
-            (UniPolyZ([9, -2]), UniPolyZ([12, 9]))
+            ([9, -2], [12, 9])

@@ -29,12 +29,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from sldgf.algebra import _univariate
 from sldgf.analysis import (WORKING_DPS, AnalysisError,
                             DegenerateSingularityError, NoThresholdError,
                             criterion_asymptotic_ratio)
 from sldgf.family import SLD
 from sldgf.transfer import TransferSystem, family_gf
+
+from pole_reference import difference, product, univariate
 
 
 def _poly_sign_at(coeffs: list[int], mu: Fraction) -> int:
@@ -167,10 +168,11 @@ def criterion_vanishes_at_one(sys: TransferSystem) -> bool:
     gf = family_gf(sys)
     num, den = gf.num, gf.den
     p, q, p_x, p_y, q_x, q_y = (
-        _univariate(f, Fraction(1), Fraction(1))
+        univariate(f, Fraction(1), Fraction(1))
         for f in (num, den, num.partial("x"), num.partial("y"),
                   den.partial("x"), den.partial("y")))
-    return ((p_x - p_y) * q - p * (q_x - q_y)).is_zero()
+    return not difference(product(difference(p_x, p_y), q),
+                          product(p, difference(q_x, q_y)))
 
 
 def critical_lambda_asymptotic_bisection(sys: TransferSystem,
