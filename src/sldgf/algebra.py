@@ -124,12 +124,6 @@ class LaurentPoly3:
         return LaurentPoly3({(0, 0, 0): _rational(value)})
 
     @staticmethod
-    def var(name: str) -> "LaurentPoly3":
-        exp = [0, 0, 0]
-        exp[_VAR_INDEX[name]] = 1
-        return LaurentPoly3({tuple(exp): Fraction(1)})
-
-    @staticmethod
     def monomial(e_x: int, e_y: int, e_z: int,
                  coeff: int | Fraction = 1) -> "LaurentPoly3":
         return LaurentPoly3({(e_x, e_y, e_z): _rational(coeff)})

@@ -37,13 +37,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (_cleared, _integer_z_coefficients, _primitive,
                       _quotient, _remainder, uni_reduce, uni_specialize)
-from .family import SLD, FamilyError, to_rational
+from .family import SLD, FamilyError, _Record, to_rational
 from .transfer import (CE_POINT, TransferSystem, _gf_den_partials,
                        _member_index, _sector_lengths, family_gf,
                        wep_values_by_iteration)
@@ -279,8 +278,7 @@ def _disc_count(coeffs: list[int], k: int, depth: int) -> int | None:
     return count
 
 
-@dataclass
-class SingularityReport:
+class SingularityReport(_Record):
     """The dominant root of a denominator polynomial q, decided exactly.
 
     z_star is the smallest positive root of q, to WORKING_DPS digits, as an
@@ -292,12 +290,17 @@ class SingularityReport:
     modulus_gap alone.
     """
 
-    z_star: mp.mpc
-    real_positive: bool
-    multiplicity: int
-    unique: bool
-    _squarefree: list = field(default_factory=list, repr=False,
-                              compare=False)
+    _fields = ("z_star", "real_positive", "multiplicity", "unique")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, z_star: mp.mpc, real_positive: bool,
+                 multiplicity: int, unique: bool,
+                 _squarefree: list | None = None) -> None:
+        self.z_star = z_star
+        self.real_positive = real_positive
+        self.multiplicity = multiplicity
+        self.unique = unique
+        self._squarefree = [] if _squarefree is None else _squarefree
 
     @functools.cached_property
     def modulus_gap(self) -> float:
@@ -412,13 +415,16 @@ def _residue(p: list[int], dq: list[int], z: mp.mpc) -> mp.mpc:
                                _mp_poly(dq)(z._mpc_), prec, rnd))
 
 
-@dataclass
-class LeadingTerm:
+class LeadingTerm(_Record):
     """Simple dominant pole of p/q and its residue: the coefficient of z^r
     is residue * z*^(-r-1) plus terms smaller by (1/modulus_gap)^r."""
 
-    report: SingularityReport
-    residue: mp.mpc
+    _fields = ("report", "residue")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, report: SingularityReport, residue: mp.mpc) -> None:
+        self.report = report
+        self.residue = residue
 
     def coefficient(self, r: int) -> mp.mpf:
         r = _member_index(r)

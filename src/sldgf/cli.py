@@ -12,33 +12,28 @@ brute-force cap, verify on a family that does not grow), 3 analysis failures
 the asymptotic threshold of a family that does not grow), 4 any other
 failure, such as a figure --out directory that cannot be created.
 
-Each command imports only what it computes with: the analysis layer inside
-fidelity, critical-lambda and figure; mpmath inside the pole's value and
-the asymptotics (--asymptotic, figure), and no other numerical library.
-The brute-force oracles need neither, so verify loads no numerical
-library. verify checks its members in this process; --jobs is accepted
-and validated but starts no workers.
+Each command imports only what it computes with, when it runs. Every
+command loads family and algebra, which is all that families loads; gf,
+wep, sld and ce add transfer; verify adds transfer and oracle; fidelity,
+critical-lambda and figure add transfer and analysis. json and csv load
+only to write their format, mpmath only inside the pole's value and the
+asymptotics (--asymptotic, figure), and no other numerical library loads,
+so verify loads none. verify checks its members in this process; --jobs
+is accepted and validated but starts no workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import series_coefficients
 from .family import (BUILTIN_FAMILIES, FamilyError, builtin,
                      parse_family_spec, realize, sld_from_wep, to_rational)
-from .oracle import (DEFAULT_VERTEX_CAP, sld_bruteforce_colouring,
-                     sld_bruteforce_stabilizer)
-from .transfer import (CE_POINT, build_transfer_system, family_gf, iter_weps,
-                       wep_by_iteration, wep_values_by_iteration)
 
 FIG3_FAMILIES = ("path", "star", "cycle")
 FIG3_LAMBDA = "0.8"
@@ -66,6 +61,8 @@ def _sig17(value) -> str:
 def _system(args):
     """The transfer system of --family, or of the --spec file, which is
     read and parsed once."""
+    from .transfer import build_transfer_system
+
     if not args.spec:
         return _cached_system(args.family)
     try:
@@ -77,6 +74,8 @@ def _system(args):
 
 @functools.lru_cache(maxsize=8)
 def _cached_system(name: str):
+    from .transfer import build_transfer_system
+
     return build_transfer_system(builtin(name))
 
 
@@ -87,10 +86,14 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     _emit(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -137,11 +140,15 @@ def _emit_poly(args, poly) -> None:
 
 
 def _cmd_gf(args) -> int:
+    from .transfer import family_gf
+
     _emit_poly(args, family_gf(_system(args)))
     return 0
 
 
 def _cmd_wep(args) -> int:
+    from .transfer import wep_by_iteration
+
     wep = wep_by_iteration(_system(args), _member_index("-r", args.r))
     if args.format == "csv":
         rows = [[str(ey), str(c)] for (ex, ey, ez), c in
@@ -153,6 +160,8 @@ def _cmd_wep(args) -> int:
 
 
 def _cmd_sld(args) -> int:
+    from .transfer import wep_by_iteration
+
     sld = sld_from_wep(wep_by_iteration(_system(args),
                                         _member_index("-r", args.r)))
     if args.format == "csv":
@@ -166,6 +175,8 @@ def _cmd_sld(args) -> int:
 def _oracles(spec, r: int):
     """Vertex count and the sector lengths of both brute-force oracles for
     member r, each None when the member has no graph."""
+    from .oracle import sld_bruteforce_colouring, sld_bruteforce_stabilizer
+
     try:
         graph = realize(spec, r)
     except FamilyError:
@@ -179,6 +190,10 @@ _SLD_COLUMNS = ("series", "iteration", "colouring", "stabilizer")
 
 
 def _cmd_verify(args) -> int:
+    from .algebra import series_coefficients
+    from .oracle import DEFAULT_VERTEX_CAP
+    from .transfer import family_gf, iter_weps
+
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     if args.max_qubits < 0:
@@ -268,6 +283,8 @@ def _noise_arg(text: str) -> Fraction:
 
 
 def _cmd_ce(args) -> int:
+    from .transfer import CE_POINT, wep_values_by_iteration
+
     sys_ = _system(args)
     r_values = _member_range(args)
     cbars = wep_values_by_iteration(sys_, *CE_POINT, max(r_values))
@@ -472,9 +489,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        from .analysis import AnalysisError
-
-        return 3 if isinstance(exc, AnalysisError) else 4
+        # only a command that loaded the analysis layer can raise its errors
+        analysis = sys.modules.get(f"{__package__}.analysis")
+        return 3 if analysis and isinstance(exc, analysis.AnalysisError) \
+            else 4
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ conversions and the JSON (de)serialisation of family descriptions.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 # to_rational is public here, private in algebra so that bench/spans.py does
@@ -28,12 +26,52 @@ class FamilyError(ValueError):
     """Raised for malformed family descriptions or out-of-range members."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """A value made of the attributes named in _fields: equal to a record
+    of its class whose fields are equal, hashed by its fields unless the
+    class sets __hash__ = None, and shown by them. Other attributes, such
+    as caches, take no part."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose constructor sets its attributes in its __dict__ and
+    that refuses to set or delete any attribute afterwards."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+
+class Graph(_Frozen):
     """Simple undirected graph on vertices 0..vertex_count-1."""
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    _fields = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int,
+                 edges: frozenset[tuple[int, int]]) -> None:
+        vars(self).update(vertex_count=vertex_count, edges=edges)
 
     @staticmethod
     def from_edges(vertex_count: int, edges: Sequence[Sequence[int]]) -> "Graph":
@@ -93,21 +131,21 @@ EMPTY_GRAPH = Graph(0, frozenset())
 SINGLE_VERTEX = Graph(1, frozenset())
 
 
-@dataclass(frozen=True)
-class SLD:
+class SLD(_Frozen):
     """Sector-length distribution A_0..A_n of an n-qubit stabilizer state."""
 
-    sectors: tuple[int, ...]
+    _fields = ("sectors",)
 
-    def __post_init__(self):
-        if not self.sectors:
+    def __init__(self, sectors: tuple[int, ...]) -> None:
+        if not sectors:
             raise FamilyError("sector list must not be empty")
-        if any(a < 0 for a in self.sectors):
+        if any(a < 0 for a in sectors):
             raise FamilyError("sector lengths must be nonnegative")
-        if self.sectors[0] != 1:
+        if sectors[0] != 1:
             raise FamilyError("A_0 must equal 1")
-        if sum(self.sectors) != 1 << self.n:
+        if sum(sectors) != 1 << len(sectors) - 1:
             raise FamilyError("sector lengths must sum to 2^n")
+        vars(self)["sectors"] = sectors
 
     @property
     def n(self) -> int:
@@ -146,8 +184,7 @@ def sld_from_wep(wep: LaurentPoly3) -> SLD:
     return SLD(tuple(sectors))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """Declarative description of a recursively definable graph family.
 
     ``base_graph`` is the member at index ``recursion_start``; earlier
@@ -164,17 +201,21 @@ class FamilySpec:
     base graph has qubit_count(recursion_start) of them.
     """
 
-    name: str
-    base_graph: Graph
-    boundary: tuple[int, ...]
-    replacement: Graph
-    glue_map: dict[int, int]
-    next_boundary_map: dict[int, int]
-    prefix_weps: tuple[LaurentPoly3, ...]
-    # auxiliary catalog data, not part of the spec identity
-    prefix_graphs: dict[int, Graph] | None = field(default=None, repr=False,
-                                                   compare=False)
+    # prefix_graphs is auxiliary catalog data, not part of the spec identity
+    _fields = ("name", "base_graph", "boundary", "replacement", "glue_map",
+               "next_boundary_map", "prefix_weps")
     __hash__ = None  # unhashable: glue_map and next_boundary_map are dicts
+
+    def __init__(self, name: str, base_graph: Graph, boundary: tuple[int, ...],
+                 replacement: Graph, glue_map: dict[int, int],
+                 next_boundary_map: dict[int, int],
+                 prefix_weps: tuple[LaurentPoly3, ...],
+                 prefix_graphs: dict[int, Graph] | None = None) -> None:
+        vars(self).update(
+            name=name, base_graph=base_graph, boundary=boundary,
+            replacement=replacement, glue_map=glue_map,
+            next_boundary_map=next_boundary_map, prefix_weps=prefix_weps,
+            prefix_graphs=prefix_graphs)
 
     @property
     def recursion_start(self) -> int:
@@ -242,12 +283,16 @@ class FamilySpec:
 
 
 def serialize_family_spec(spec: FamilySpec) -> str:
+    import json
+
     return json.dumps(spec.to_json(), indent=2)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse and validate a family description document; its
     recursion_start and qubit_count must be the values the rule implies."""
+    import json
+
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

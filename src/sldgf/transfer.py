@@ -77,14 +77,13 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (AlgebraError, CertificateError, LaurentPoly3,
                       PolyMatrix, RatFunc3, _berlekamp_massey, _rational,
                       ratfunc_normalize)
-from .family import FamilySpec, Graph, sld_from_wep
+from .family import FamilySpec, Graph, _Frozen, sld_from_wep
 
 _FIRST_DIGIT_BITS = 16  # first digit width tried by _minimal_denominator
 
@@ -134,8 +133,7 @@ def _admissible(g: Graph, colours: int, parities: int) -> int:
 _Terms = tuple[tuple[int, int, int], ...]  # (i, j, c) stands for c x^i y^j
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(_Frozen):
     """Exactly lumped step operator, shifted to nonnegative integer terms.
 
     block_of[s] is the block of boundary state s, rows[C] lists the nonzero
@@ -147,11 +145,14 @@ class Quotient:
     T''^m v'' divided by x^(alpha m + alpha0) y^(beta m + beta0).
     """
 
-    block_of: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, _Terms], ...], ...]
-    v: tuple[_Terms, ...]
-    step: tuple[int, int, int]
-    start: tuple[int, int, int]
+    _fields = ("block_of", "rows", "v", "step", "start")
+
+    def __init__(self, block_of: tuple[int, ...],
+                 rows: tuple[tuple[tuple[int, _Terms], ...], ...],
+                 v: tuple[_Terms, ...], step: tuple[int, int, int],
+                 start: tuple[int, int, int]) -> None:
+        vars(self).update(block_of=block_of, rows=rows, v=v, step=step,
+                          start=start)
 
     @property
     def dimension(self) -> int:
@@ -274,8 +275,7 @@ def _check_lumping(columns: Sequence[dict], vector: Sequence[dict],
         raise CertificateError("lumped initial vector is not P^T v")
 
 
-@dataclass(frozen=True)
-class TransferSystem:
+class TransferSystem(_Frozen):
     """Step matrix, initial vector and their exact quotient for the family
     described by spec, which also gives the prefix members and the
     recursion start.
@@ -297,18 +297,17 @@ class TransferSystem:
     denominator's cached partials always belong to columns and vector.
     """
 
-    columns: Sequence[dict]
-    vector: Sequence[dict]
-    spec: FamilySpec
-    quotient: Quotient = field(init=False, repr=False, compare=False)
-    _gf: RatFunc3 | None = field(default=None, init=False, repr=False,
-                                 compare=False)
-    _gf_partials: tuple[LaurentPoly3, LaurentPoly3] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # the quotient and the cached _gf and _gf_partials (None until made)
+    # are derived from columns and vector
+    _fields = ("columns", "vector", "spec")
+    __hash__ = None  # unhashable: the term maps are dicts
 
-    def __post_init__(self):
-        _check_terms(self.columns, self.vector)
-        object.__setattr__(self, "quotient", _lump(self.columns, self.vector))
+    def __init__(self, columns: Sequence[dict], vector: Sequence[dict],
+                 spec: FamilySpec) -> None:
+        _check_terms(columns, vector)
+        vars(self).update(columns=columns, vector=vector, spec=spec,
+                          quotient=_lump(columns, vector), _gf=None,
+                          _gf_partials=None)
 
     @property
     def dimension(self) -> int:

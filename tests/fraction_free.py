@@ -15,7 +15,7 @@ from typing import Sequence
 from sldgf.algebra import (AlgebraError, Exponent, LaurentPoly3, PolyMatrix,
                            RatFunc3, ratfunc_normalize)
 
-Z = LaurentPoly3.var("z")
+Z = LaurentPoly3.monomial(0, 0, 1)
 
 
 class SingularMatrixError(AlgebraError):

@@ -262,7 +262,7 @@ def test_criterion_6_structural_invariants(systems):
     star3 = Graph.from_edges(3, [(0, 1), (0, 2)])
     if sld_bruteforce_colouring(triangle) != sld_bruteforce_colouring(star3):
         problems.append(("triangle vs star sectors",))
-    x, y = LaurentPoly3.var("x"), LaurentPoly3.var("y")
+    x, y = LaurentPoly3.monomial(1, 0, 0), LaurentPoly3.monomial(0, 1, 0)
     zero = LaurentPoly3.zero()
     inv_xyy = LaurentPoly3.monomial(-1, 2, 0)
     # the paper's 4-state displays, built by the reference, and the

@@ -20,9 +20,9 @@ from fraction_free import (SingularMatrixError, divexact, identity,
 from golden_forms import GOLDEN_GF
 from pole_reference import euclid_gcd, product, reduce_pair
 
-X = LaurentPoly3.var("x")
-Y = LaurentPoly3.var("y")
-Z = LaurentPoly3.var("z")
+X = LaurentPoly3.monomial(1, 0, 0)
+Y = LaurentPoly3.monomial(0, 1, 0)
+Z = LaurentPoly3.monomial(0, 0, 1)
 ONE = LaurentPoly3.const(1)
 
 

@@ -421,9 +421,11 @@ def test_figure_fig4_shape():
 def test_verify_exits_one_on_mismatch(monkeypatch, capsys):
     # force a disagreement to exercise the failure path in process
     import sldgf.cli as cli
+    import sldgf.oracle as oracle
     from sldgf import SLD
 
-    monkeypatch.setattr(cli, "sld_bruteforce_colouring",
+    # verify looks the oracle up in its module when it runs
+    monkeypatch.setattr(oracle, "sld_bruteforce_colouring",
                         lambda g: SLD((1,) + (0,) * (g.vertex_count - 1)
                                       + (2 ** g.vertex_count - 1,))
                         if g.vertex_count else SLD((1,)))
@@ -502,38 +504,53 @@ def test_unwritable_figure_directory_exits_four(tmp_path: Path):
     assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
 
 
-# runs one command through main in a fresh interpreter and prints its exit
-# code and which of the costly imports it loaded
-_LOADED_BY = """
-import contextlib, io, json, sys
+# the modules a command may load or not, the costly ones first
+_WATCHED = ("numpy", "mpmath", "concurrent.futures.process", "dataclasses",
+            "json", "csv", "sldgf.transfer", "sldgf.oracle", "sldgf.analysis")
+
+# runs one command through main in a fresh interpreter and prints, by repr
+# so that the interpreter imports no json of its own, its exit code and
+# which of the watched modules it loaded
+_LOADED_BY = f"""
+import contextlib, io, sys
 from sldgf.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [name for name in ("numpy", "mpmath",
-                 "concurrent.futures.process") if name in sys.modules]]))
+print(repr([code, [name for name in {_WATCHED!r} if name in sys.modules]]))
 """
+
+_SERIES = ["sldgf.transfer"]  # the members and the GF
+_ORACLES = [*_SERIES, "sldgf.oracle"]
+_ANALYSIS = [*_SERIES, "sldgf.analysis"]
 
 
 @pytest.mark.parametrize("argv, allowed", [
     (["families"], []),
-    (["gf", "--family", "grid_2"], []),
-    (["wep", "--family", "path", "-r", "3"], []),
-    (["sld", "--family", "star", "-r", "3"], []),
-    (["ce", "--family", "grid_2", "--r-max", "5"], []),
-    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "1"], []),
-    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "2"], []),
-    (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8"], []),
-    (["critical-lambda", "--family", "path", "--r-max", "5"], []),
+    (["gf", "--family", "grid_2"], ["json", *_SERIES]),
+    (["wep", "--family", "path", "-r", "3"], ["json", *_SERIES]),
+    (["sld", "--family", "star", "-r", "3"], ["json", *_SERIES]),
+    (["ce", "--family", "grid_2", "--r-max", "5"], ["json", *_SERIES]),
+    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "1"],
+     _ORACLES),
+    (["verify", "--family", "path", "--max-qubits", "6", "--jobs", "2"],
+     _ORACLES),
+    (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8"],
+     ["json", *_ANALYSIS]),
+    (["critical-lambda", "--family", "path", "--r-max", "5"],
+     ["json", *_ANALYSIS]),
     (["fidelity", "--family", "path", "-r", "3", "--lambda", "0.8",
-      "--asymptotic"], ["mpmath"]),
+      "--asymptotic"], ["mpmath", "json", *_ANALYSIS]),
     (["critical-lambda", "--family", "path", "--r-max", "5",
-      "--asymptotic"], ["mpmath"]),
-    (["figure", "fig4", "--r-max", "3"], ["mpmath"]),
+      "--asymptotic"], ["mpmath", "json", *_ANALYSIS]),
+    (["figure", "fig4", "--r-max", "3"], ["mpmath", "csv", *_ANALYSIS]),
 ], ids=["families", "gf", "wep", "sld", "ce", "verify", "verify-jobs",
         "fidelity", "critical-lambda", "fidelity-asymptotic",
         "critical-lambda-asymptotic", "figure"])
 def test_commands_import_only_what_they_compute_with(argv, allowed):
+    # no command loads dataclasses; families loads none of the package's
+    # other modules, json or csv; only fidelity, critical-lambda and figure
+    # load the analysis layer, and only verify the oracles
     cp = run_python("-c", _LOADED_BY, *argv)
     assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [0, allowed]
+    assert ast.literal_eval(cp.stdout) == [0, allowed]
 

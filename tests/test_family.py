@@ -13,9 +13,9 @@ from sldgf import (BUILTIN_FAMILIES, FamilyError, Graph, LaurentPoly3, SLD,
 from conftest import brute_sectors
 from test_custom_family import CATERPILLAR, LADDER_3
 
-X = LaurentPoly3.var("x")
-Y = LaurentPoly3.var("y")
-Z = LaurentPoly3.var("z")
+X = LaurentPoly3.monomial(1, 0, 0)
+Y = LaurentPoly3.monomial(0, 1, 0)
+Z = LaurentPoly3.monomial(0, 0, 1)
 ONE = LaurentPoly3.const(1)
 
 

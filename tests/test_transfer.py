@@ -1,6 +1,5 @@
 """Transfer matrices, initial vectors, iteration, and generating functions."""
 
-import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -31,9 +30,9 @@ from pairwise_build import (colouring_weight, encode_states, merge_state,
 from test_custom_family import CATERPILLAR, LADDER_3, LADDER_4
 from unlumped import unlumped_weps
 
-X = LaurentPoly3.var("x")
-Y = LaurentPoly3.var("y")
-Z = LaurentPoly3.var("z")
+X = LaurentPoly3.monomial(1, 0, 0)
+Y = LaurentPoly3.monomial(0, 1, 0)
+Z = LaurentPoly3.monomial(0, 0, 1)
 ONE = LaurentPoly3.const(1)
 ZERO = LaurentPoly3.zero()
 
@@ -232,7 +231,12 @@ class TestStepMatrices:
     def test_build_rejects_bad_vertex_maps(self, field, bad, message):
         # built directly, not parsed, so the validate() call inside
         # build_transfer_system is the only check on the bad map
-        spec = dataclasses.replace(builtin("grid_2"), **{field: bad})
+        grid = builtin("grid_2")
+        maps = {"glue_map": grid.glue_map,
+                "next_boundary_map": grid.next_boundary_map, field: bad}
+        spec = FamilySpec(grid.name, grid.base_graph, grid.boundary,
+                          grid.replacement, prefix_weps=grid.prefix_weps,
+                          prefix_graphs=grid.prefix_graphs, **maps)
         with pytest.raises(FamilyError, match=message):
             build_transfer_system(spec)
 
@@ -546,7 +550,7 @@ class TestLumping:
         path, star = systems["path"], systems["star"]
         for name, value in (("columns", star.columns),
                             ("quotient", star.quotient)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(path, name, value)
 
     def test_replaced_system_derives_its_own_gf(self, systems):
@@ -554,8 +558,7 @@ class TestLumping:
         # derived from, not to a copy made with another operator
         path, star = systems["path"], systems["star"]
         family_gf(path)
-        swapped = dataclasses.replace(path, columns=star.columns,
-                                      vector=star.vector)
+        swapped = TransferSystem(star.columns, star.vector, path.spec)
         assert family_gf(swapped) == GOLDEN_GF["star"]
 
     def test_narrow_first_digits_double_to_the_same_denominator(
