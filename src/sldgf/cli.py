@@ -491,8 +491,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # only a command that loaded the analysis layer can raise its errors
         analysis = sys.modules.get(f"{__package__}.analysis")
-        return 3 if analysis and isinstance(exc, analysis.AnalysisError) \
-            else 4
+        if analysis and isinstance(exc, analysis.AnalysisError):
+            return 3
+        return 4
 
 
 if __name__ == "__main__":

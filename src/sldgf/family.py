@@ -143,7 +143,7 @@ class SLD(_Frozen):
             raise FamilyError("sector lengths must be nonnegative")
         if sectors[0] != 1:
             raise FamilyError("A_0 must equal 1")
-        if sum(sectors) != 1 << len(sectors) - 1:
+        if sum(sectors) != 1 << (len(sectors) - 1):
             raise FamilyError("sector lengths must sum to 2^n")
         vars(self)["sectors"] = sectors
 

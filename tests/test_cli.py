@@ -504,7 +504,9 @@ def test_unwritable_figure_directory_exits_four(tmp_path: Path):
     assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
 
 
-# the modules a command may load or not, the costly ones first
+# the modules whose loading the test below checks: the numerical
+# libraries, the worker pool, dataclasses, the output formats and the
+# package's layers that not every command needs
 _WATCHED = ("numpy", "mpmath", "concurrent.futures.process", "dataclasses",
             "json", "csv", "sldgf.transfer", "sldgf.oracle", "sldgf.analysis")
 

@@ -10,8 +10,9 @@ SingularityReport's squarefree part.
 import mpmath as mp
 import pytest
 
-from sldgf import (SLD, FamilySpec, Graph, LeadingTerm, SingularityReport,
-                   TransferSystem, build_transfer_system, builtin, family_gf)
+from sldgf import (SLD, FamilyError, FamilySpec, Graph, LeadingTerm,
+                   SingularityReport, TransferSystem, build_transfer_system,
+                   builtin, family_gf)
 from sldgf.transfer import Quotient
 
 EDGE = Graph(2, frozenset({(0, 1)}))
@@ -77,10 +78,10 @@ def test_equality_is_over_the_compared_fields(name):
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_a_record_equals_no_tuple_of_its_fields(name):
+def test_a_record_equals_no_object_of_another_class(name):
     record = PAIRS[name][0]
-    assert record != ()
-    assert record != (record,)
+    assert record != tuple(vars(record).values())
+    assert record != None  # noqa: E711
 
 
 @pytest.mark.parametrize("name", HASHABLE)
@@ -126,6 +127,9 @@ def test_graph_caches_its_neighbour_masks():
     assert graph == Graph.from_edges(3, [(1, 2), (0, 1)])
 
 
-def test_sld_checks_its_sectors():
-    with pytest.raises(ValueError):
-        SLD((1, 1, 1))
+@pytest.mark.parametrize("sectors, message", [
+    ((), "must not be empty"), ((1, -1, 4), "nonnegative"),
+    ((2, 1, 1), "A_0 must equal 1"), ((1, 1, 1), r"sum to 2\^n")])
+def test_sld_checks_its_sectors(sectors, message):
+    with pytest.raises(FamilyError, match=message):
+        SLD(sectors)
